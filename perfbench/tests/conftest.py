@@ -1,0 +1,9 @@
+"""Import paths for the benchmark's own tests.
+
+    python3 -m pytest -q perfbench/tests
+"""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
