@@ -31,13 +31,7 @@ import numpy as np
 from .errors import EmptySupport
 from .groups import Character, MotionGroup, dual_orbits
 from .measures import GroupMeasure, convolve, require_probability
-from .reps import (
-    all_fourier_blocks,
-    complement_basis,
-    lambda0_complement_block,
-    lambda_elem,
-    rep_of_measure,
-)
+from .reps import _blocks, all_fourier_blocks, compress_to_complement, lambda_elem
 from .spectral import one_in_spectrum, spectral_radius
 
 __all__ = [
@@ -171,12 +165,13 @@ def _nontrivial_blocks(mu: GroupMeasure) -> List[Tuple[Character, bool, np.ndarr
     """All nonzero-orbit Fourier blocks plus the zero-orbit complement."""
     g = mu.group
     orbits = dual_orbits(g)
+    blocks = all_fourier_blocks(mu)
     out = []
-    for orb, block in zip(orbits, all_fourier_blocks(mu)):
+    for orb, block in zip(orbits, blocks):
         if not orb.representative.is_trivial():
-            out.append((orb.representative, False, block.matrix))
+            out.append((orb.representative, False, block))
     zero = orbits[0].representative
-    out.append((zero, True, lambda0_complement_block(mu)))
+    out.append((zero, True, compress_to_complement(g, blocks[0])))
     return out
 
 
@@ -348,7 +343,7 @@ def _stacked_lambda_gaps(g: MotionGroup,
     for alpha in reps:
         s = np.empty((g.size * nk, nk), dtype=np.complex128)
         for i, x in enumerate(g.elements()):
-            s[i * nk:(i + 1) * nk] = lambda_elem(g, alpha, x).matrix
+            s[i * nk:(i + 1) * nk] = lambda_elem(g, alpha, x)
             s[i * nk:(i + 1) * nk] -= np.eye(nk)
         out.append(s)
     return out
@@ -386,7 +381,7 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
     if use_blocks:
         reps = [o.representative for o in dual_orbits(g)]
         gaps = _stacked_lambda_gaps(g, reps)               # (|G|nk, nk) each
-        cstack = np.stack([rep_of_measure(mu, a).matrix for a in reps])
+        cstack = _blocks(g, mu.weights, reps)
         powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
         gap_stack = np.stack(gaps)                         # (orb, |G|nk, nk)
         block_acc = np.zeros(gap_stack.shape, dtype=np.float64)

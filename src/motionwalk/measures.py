@@ -16,7 +16,6 @@ from .groups import Character, GElem, MotionGroup, dual_action
 
 __all__ = [
     "GroupMeasure",
-    "KMeasure",
     "convolve",
     "tv_norm",
     "push_k",
@@ -69,22 +68,6 @@ class GroupMeasure:
 
     def total_mass(self) -> complex:
         return complex(self.weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class KMeasure:
-    """Complex measure on the K factor alone."""
-
-    group: MotionGroup
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.complex128)
-        if w.shape != (self.group.k.order,):
-            raise ValueError(f"weights must have length {self.group.k.order}")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
 
 def _same_group(mu: GroupMeasure, nu) -> None:
@@ -161,11 +144,10 @@ def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     return GroupMeasure(g, out)
 
 
-def push_k(mu: GroupMeasure) -> KMeasure:
-    """Pushforward to K: pi_K(mu)(k) = sum_a mu(a, k)."""
+def push_k(mu: GroupMeasure) -> np.ndarray:
+    """Pushforward to K as a (|K|,) weight array: pi_K(mu)(k) = sum_a mu(a, k)."""
     g = mu.group
-    w = mu.weights.reshape(g.abelian.size, g.k.order).sum(axis=0)
-    return KMeasure(g, w)
+    return mu.weights.reshape(g.abelian.size, g.k.order).sum(axis=0)
 
 
 def _orbit_closure_check(g: MotionGroup, s: Set[Character]) -> None:

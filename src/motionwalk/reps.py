@@ -11,8 +11,7 @@ block at the trivial character.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -20,12 +19,12 @@ from .groups import Character, GElem, MotionGroup, dual_action, dual_orbits
 from .measures import GroupMeasure, push_k
 
 __all__ = [
-    "RepMatrix",
-    "FourierBlock",
     "lambda_elem",
     "fourier",
     "rep_of_measure",
+    "all_fourier_blocks",
     "lambda0_complement_block",
+    "compress_to_complement",
     "left_regular_k",
     "right_regular_k",
     "complement_basis",
@@ -34,35 +33,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    alpha: Character
-    matrix: np.ndarray
+def lambda_elem(g: MotionGroup, alpha: Character, x: GElem) -> np.ndarray:
+    """Matrix of the induced representation at the group element x.
 
-
-@dataclass(frozen=True)
-class FourierBlock:
-    alpha: Character
-    matrix: np.ndarray
-
-
-def _dual_orbit_row(g: MotionGroup, alpha: Character) -> np.ndarray:
-    """Stack phi_{k'}(alpha) for every k' as rows of an integer matrix."""
-    return np.array([dual_action(g, kp, alpha).alpha for kp in range(g.k.order)],
-                    dtype=np.int64)
-
-
-def lambda_elem(g: MotionGroup, alpha: Character, x: GElem) -> RepMatrix:
-    """Matrix of the induced representation at the group element x."""
+    Phases come from dual_action one row at a time, so this stays an
+    elementwise oracle independent of the FFT builder below.
+    """
     nk = g.k.order
     n = g.abelian.modulus
-    duals = _dual_orbit_row(g, alpha)                     # row k': phi_{k'}(alpha)
+    duals = np.array([dual_action(g, kp, alpha).alpha for kp in range(nk)],
+                     dtype=np.int64)                      # row k': phi_{k'}(alpha)
     exps = (duals @ np.asarray(x.a, dtype=np.int64)) % n
     phases = np.exp(2j * np.pi * exps / n)
     cols = g.k.table[g.k.inv(x.k), :]                     # k'' = k^{-1} k'
     m = np.zeros((nk, nk), dtype=np.complex128)
     m[np.arange(nk), cols] = phases
-    return RepMatrix(alpha, m)
+    return m
 
 
 def left_regular_k(g: MotionGroup, k: int) -> np.ndarray:
@@ -81,47 +67,47 @@ def right_regular_k(g: MotionGroup, k: int) -> np.ndarray:
     return m
 
 
-def _measure_block(mu: GroupMeasure, alpha: Character, invert: bool) -> np.ndarray:
-    """Sum of mu(x) Lambda_alpha(x) (or of x^{-1}), grouped by K part so the
-    phase sums vectorize over the translation part."""
-    g = mu.group
-    n = g.abelian.modulus
-    nk = g.k.order
-    duals = _dual_orbit_row(g, alpha)
-    acc = np.zeros((nk, nk), dtype=np.complex128)
-    supp = mu.support()
-    if len(supp) == 0:
-        return acc
-    a_idx, k_idx = np.divmod(supp, nk)
-    avecs = np.array([g.abelian.vector(int(i)) for i in a_idx], dtype=np.int64)
-    rows = np.arange(nk)
-    for kk in np.unique(k_idx):
-        sel = k_idx == kk
-        w = mu.weights[supp[sel]]
-        vecs = avecs[sel]
-        if invert:
-            kinv = g.k.inv(int(kk))
-            vecs = (-vecs) @ g.k.action[kinv].T   # phi_{k^{-1}}(-a), row form
-            cols = g.k.table[int(kk), :]          # inverse element has K part k^{-1}
-        else:
-            cols = g.k.table[g.k.inv(int(kk)), :]
-        exps = (duals @ (vecs.T % n)) % n
-        acc[rows, cols] += np.exp(2j * np.pi * exps / n) @ w
-    return acc
+def _blocks(g: MotionGroup, w: np.ndarray,
+            alphas: Sequence[Character]) -> np.ndarray:
+    """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per alpha.
+
+    Every Lambda_alpha(a, k) is monomial: row k' holds <a, beta_{k'}>, with
+    beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)
+    is the unnormalized inverse A-Fourier transform of w(., k' c^{-1}) at
+    beta_{k'}, and one ifftn over the translation axes plus one gather
+    yields every block (the abelian-extension FFT).
+    """
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    f = np.fft.ifftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d)),
+                     norm="forward").reshape(n ** d, nk)
+    alpha = np.array([a.alpha for a in alphas], dtype=np.int64).reshape(-1, d)
+    betas = np.einsum("rd,kde->rke", alpha, g.k.action[g.k.inverses]) % n
+    rows = betas @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))  # A-index of beta_{k'}
+    cols = g.k.table[:, g.k.inverses]                               # [k', c] = k' c^{-1}
+    return f[rows[:, :, None], cols[None, :, :]]
 
 
-def fourier(mu: GroupMeasure, alpha: Character) -> FourierBlock:
+def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:
     """Fourier transform mu_hat(Lambda_alpha) = sum_x mu(x) Lambda_alpha(x^{-1}).
 
     Linear in mu and reverses convolution order: (mu * nu)^ = nu^ mu^.
     """
-    return FourierBlock(alpha, _measure_block(mu, alpha, invert=True))
+    g = mu.group
+    return _blocks(g, mu.weights[g.inv_perm()], [alpha])[0]
 
 
-def rep_of_measure(mu: GroupMeasure, alpha: Character) -> FourierBlock:
+def rep_of_measure(mu: GroupMeasure, alpha: Character) -> np.ndarray:
     """Lambda_alpha(mu) = sum_x mu(x) Lambda_alpha(x); satisfies
     mu_hat(Lambda_alpha) = Lambda_alpha(conj(mu))^*."""
-    return FourierBlock(alpha, _measure_block(mu, alpha, invert=False))
+    return _blocks(mu.group, mu.weights, [alpha])[0]
+
+
+def all_fourier_blocks(mu: GroupMeasure) -> np.ndarray:
+    """(orbits, |K|, |K|) stack of the Fourier blocks at every dual-orbit
+    representative, in dual_orbits order, from a single FFT."""
+    g = mu.group
+    reps = [o.representative for o in dual_orbits(g)]
+    return _blocks(g, mu.weights[g.inv_perm()], reps)
 
 
 def complement_basis(g: MotionGroup) -> np.ndarray:
@@ -142,14 +128,19 @@ def complement_basis(g: MotionGroup) -> np.ndarray:
     return q[:, 1:]
 
 
-def lambda0_complement_block(mu: GroupMeasure) -> np.ndarray:
-    """mu_hat at the trivial character, compressed to the complement of the
+def compress_to_complement(g: MotionGroup, block: np.ndarray) -> np.ndarray:
+    """A trivial-character block compressed to the complement of the
     constant functions.  Well defined because every Lambda_0(x) fixes the
     constants line."""
-    g = mu.group
-    block = fourier(mu, Character((0,) * g.abelian.rank)).matrix
     basis = complement_basis(g)
     return basis.conj().T @ block @ basis
+
+
+def lambda0_complement_block(mu: GroupMeasure) -> np.ndarray:
+    """mu_hat at the trivial character, compressed to the complement of the
+    constant functions."""
+    g = mu.group
+    return compress_to_complement(g, fourier(mu, Character((0,) * g.abelian.rank)))
 
 
 def orbit_conjugation_check(g: MotionGroup, alpha: Character, kprime: int) -> float:
@@ -161,8 +152,8 @@ def orbit_conjugation_check(g: MotionGroup, alpha: Character, kprime: int) -> fl
     worst = 0.0
     for idx in range(g.size):
         x = g.element(idx)
-        lhs = lambda_elem(g, moved, x).matrix
-        rhs = r @ lambda_elem(g, alpha, x).matrix @ rinv
+        lhs = lambda_elem(g, moved, x)
+        rhs = r @ lambda_elem(g, alpha, x) @ rinv
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -171,17 +162,10 @@ def pik_consistency(mu: GroupMeasure) -> float:
     """Deviation of mu_hat(Lambda_0) from the K-pushforward reconstruction
     sum_k pi_K(mu)(k) L_K(k^{-1})."""
     g = mu.group
-    lhs = fourier(mu, Character((0,) * g.abelian.rank)).matrix
-    kw = push_k(mu).weights
+    lhs = fourier(mu, Character((0,) * g.abelian.rank))
+    kw = push_k(mu)
     rhs = np.zeros_like(lhs)
     for k in range(g.k.order):
         rhs += kw[k] * left_regular_k(g, g.k.inv(k))
     return float(np.abs(lhs - rhs).max())
 
-
-def all_fourier_blocks(mu: GroupMeasure,
-                       reps: Optional[List[Character]] = None) -> List[FourierBlock]:
-    """Fourier blocks at orbit representatives (all orbits when reps is None)."""
-    if reps is None:
-        reps = [o.representative for o in dual_orbits(mu.group)]
-    return [fourier(mu, alpha) for alpha in reps]

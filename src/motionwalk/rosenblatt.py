@@ -41,7 +41,6 @@ __all__ = [
     "rosenblatt_measure",
     "eigen_parameter",
     "phase_exponent",
-    "lambda_apply",
     "measure_apply",
     "apply_lambda_mu",
     "phi_window",
@@ -240,15 +239,6 @@ def _exponent_sweep(t: Sequence[QSqrt5], lo: int, hi: int,
         out[m] = row
         g = _mat_mul(g, GAMMA_INV)
     return out
-
-
-def lambda_apply(t: Sequence[QSqrt5], x: ZElem, phi: WindowVector) -> WindowVector:
-    """[Lambda_t(x) phi](m) = exp(2 pi i t Gamma^{-m} (n1,n2)') phi(m - k)."""
-    lo = phi.offset + min(x.k, 0)
-    hi = phi.offset + len(phi.values) + max(x.k, 0)
-    sweep = _exponent_sweep(t, lo, hi, [(x.n1, x.n2)])
-    vals = np.array([_phase(sweep[m][0]) * phi.at(m - x.k) for m in range(lo, hi)])
-    return WindowVector(lo, vals)
 
 
 def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:

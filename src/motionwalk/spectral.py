@@ -19,9 +19,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import NoConvergence, Overflow
-from .groups import Character, MotionGroup, dual_orbits
+from .groups import Character, dual_orbits
 from .measures import GroupMeasure, convolve, tv_norm
-from .reps import fourier, lambda0_complement_block, rep_of_measure
+from .reps import all_fourier_blocks, compress_to_complement
 
 __all__ = [
     "OneInSpectrumResult",
@@ -179,30 +179,30 @@ def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
     return out
 
 
-def gelfand_radius(mu: GroupMeasure, tol: float = 1e-12, kmax: int = 20) -> float:
-    """Upper estimate of lim tv_norm(mu^n)^(1/n) by repeated squaring.
+def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
+    """Upper estimate of lim tv_norm(mu^n)^(1/n) by kmax repeated squarings.
 
-    Returns the estimate at the first k where successive values differ by
-    less than tol, or at k = kmax. The doubling subsequence is
-    non-increasing, so the result is always an upper bound on the limit.
+    Always runs all kmax squarings: successive estimates can agree while
+    still far from the limit (a sparse measure whose first square has no
+    cancellation keeps its TV norm), so no early stop is safe. The doubling
+    subsequence is non-increasing, so the result is always an upper bound
+    on the limit.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    seq = gelfand_sequence(mu, kmax)
-    for k in range(1, len(seq)):
-        if abs(seq[k] - seq[k - 1]) < tol:
-            return seq[k]
-    return seq[-1]
+    return gelfand_sequence(mu, kmax)[kmax]
 
 
 def star_norm(mu: GroupMeasure) -> float:
     """sup over unitary duals of the operator norm of the represented measure.
 
     Every irreducible embeds in an induced block, so the sup is attained
-    over dual-orbit representatives.
+    over dual-orbit representatives.  It is read off the Fourier blocks:
+    mu_hat(Lambda_alpha) = Lambda_alpha(conj mu)^* and Lambda_{-alpha}(conj mu)
+    = conj(Lambda_alpha(mu)), so both families have the same norms up to a
+    permutation of orbits.
     """
-    reps = [o.representative for o in dual_orbits(mu.group)]
-    return max(op_norm(rep_of_measure(mu, alpha).matrix) for alpha in reps)
+    return max(op_norm(b) for b in all_fourier_blocks(mu))
 
 
 def _orbit_record(alpha: Character, block: np.ndarray,
@@ -228,13 +228,12 @@ def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,
     """
     g = mu.group
     orbits = dual_orbits(g)
-    per_orbit = tuple(
-        _orbit_record(o.representative, fourier(mu, o.representative).matrix,
-                      one_tol)
-        for o in orbits)
+    blocks = all_fourier_blocks(mu)
+    per_orbit = tuple(_orbit_record(o.representative, b, one_tol)
+                      for o, b in zip(orbits, blocks))
     comp = _orbit_record(orbits[0].representative,
-                         lambda0_complement_block(mu), one_tol)
-    gel = gelfand_radius(mu, tol=tol * 1e-3, kmax=kmax)
+                         compress_to_complement(g, blocks[0]), one_tol)
+    gel = gelfand_radius(mu, kmax=kmax)
     block_side = max(max((o.spectral_radius for o in per_orbit), default=0.0),
                      0.0)
     gap = abs(gel - block_side)
@@ -242,7 +241,7 @@ def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,
         gelfand_radius_estimate=gel,
         per_orbit=per_orbit,
         lambda0_complement=comp,
-        star_norm=star_norm(mu),
+        star_norm=max(o.op_norm for o in per_orbit),
         singular_term=0.0,
         singular_reason=SINGULAR_REASON,
         formula_gap=gap,

@@ -151,12 +151,12 @@ def test_criterion_6_structural_identities():
         assert pik_consistency(mu) <= 1e-12
 
         for alpha in [o.representative for o in dual_orbits(g)]:
-            lhs = fourier(conv, alpha).matrix
-            rhs = fourier(nu, alpha).matrix @ fourier(mu, alpha).matrix
+            lhs = fourier(conv, alpha)
+            rhs = fourier(nu, alpha) @ fourier(mu, alpha)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
-            adj = rep_of_measure(mu.conjugate(), alpha).matrix.conj().T
-            assert np.abs(fourier(mu, alpha).matrix - adj).max() <= 1e-12
+            adj = rep_of_measure(mu.conjugate(), alpha).conj().T
+            assert np.abs(fourier(mu, alpha) - adj).max() <= 1e-12
 
         for alpha in _nonzero_orbit_reps(g)[:2]:
             for kprime in range(g.k.order):
@@ -170,7 +170,7 @@ def test_criterion_6_structural_identities():
         central = central_measure(g, s)
         assert tv_norm(convolve(central, mu) - convolve(mu, central)) <= 1e-12
         for o in dual_orbits(g):
-            block = fourier(central, o.representative).matrix
+            block = fourier(central, o.representative)
             want = 1.0 if o.representative in s else 0.0
             assert np.abs(block - want * np.eye(g.k.order)).max() <= 1e-12
 
@@ -216,14 +216,14 @@ def test_criterion_8_strong_operator_decay(classified):
         if v.empirical_mixing.verdict == "MIXING":
             checked_mixing += 1
             for alpha in reps:
-                block = fourier(case.measure, alpha).matrix
+                block = fourier(case.measure, alpha)
                 power = np.linalg.matrix_power(block, 1024)
                 col_norms = np.linalg.norm(power, axis=0)
                 assert col_norms.max() <= 1e-6, (case.name, tuple(alpha.alpha))
         if v.empirical_ergodic.verdict == "ERGODIC":
             checked_ergodic += 1
             for alpha in reps:
-                block = fourier(case.measure, alpha).matrix
+                block = fourier(case.measure, alpha)
                 acc = np.zeros_like(block)
                 p = np.eye(block.shape[0], dtype=block.dtype)
                 for _ in range(512):

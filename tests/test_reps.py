@@ -24,7 +24,7 @@ from motionwalk.reps import (
     rep_of_measure,
 )
 
-from conftest import trivial_group
+from conftest import rotation_group, trivial_group
 
 
 def orbit_reps(g):
@@ -33,7 +33,7 @@ def orbit_reps(g):
 
 def test_lambda_identity_element(order10):
     for alpha in orbit_reps(order10):
-        m = lambda_elem(order10, alpha, order10.identity()).matrix
+        m = lambda_elem(order10, alpha, order10.identity())
         assert np.allclose(m, np.eye(order10.k.order))
 
 
@@ -41,7 +41,7 @@ def test_lambda_unitary(order10, order21):
     for g in (order10, order21):
         for alpha in orbit_reps(g):
             for x in g.elements():
-                m = lambda_elem(g, alpha, x).matrix
+                m = lambda_elem(g, alpha, x)
                 assert np.allclose(m @ m.conj().T, np.eye(g.k.order), atol=1e-13)
 
 
@@ -50,10 +50,10 @@ def test_lambda_multiplicative(order10):
     elems = list(g.elements())
     for alpha in orbit_reps(g):
         for x in elems:
-            mx = lambda_elem(g, alpha, x).matrix
+            mx = lambda_elem(g, alpha, x)
             for y in elems:
-                got = mx @ lambda_elem(g, alpha, y).matrix
-                want = lambda_elem(g, alpha, multiply(g, x, y)).matrix
+                got = mx @ lambda_elem(g, alpha, y)
+                want = lambda_elem(g, alpha, multiply(g, x, y))
                 assert np.allclose(got, want, atol=1e-13)
 
 
@@ -61,7 +61,7 @@ def test_lambda_zero_is_left_regular(order10, order20):
     for g in (order10, order20):
         zero = Character((0,) * g.abelian.rank)
         for x in g.elements():
-            m = lambda_elem(g, zero, x).matrix
+            m = lambda_elem(g, zero, x)
             assert np.allclose(m, left_regular_k(g, x.k))
             # permutation matrix: 0/1 entries, single 1 per row and column
             assert set(np.unique(m.real)) <= {0.0, 1.0}
@@ -72,14 +72,14 @@ def test_lambda_zero_is_left_regular(order10, order20):
 def test_fourier_of_delta_identity(order10):
     de = delta(order10, order10.identity())
     for alpha in orbit_reps(order10):
-        assert np.allclose(fourier(de, alpha).matrix, np.eye(2))
+        assert np.allclose(fourier(de, alpha), np.eye(2))
 
 
 def test_fourier_uniform_kills_nonzero_orbits(order10, order18):
     for g in (order10, order18):
         u = uniform(g)
         for alpha in orbit_reps(g):
-            m = fourier(u, alpha).matrix
+            m = fourier(u, alpha)
             if alpha.is_trivial():
                 assert np.allclose(m, np.full((g.k.order,) * 2, 1.0 / g.k.order))
             else:
@@ -94,22 +94,24 @@ def test_fourier_anti_homomorphism(order10, order21):
         mu, nu = from_weights(g, w1), from_weights(g, w2)
         conv = convolve(mu, nu)
         for alpha in orbit_reps(g):
-            lhs = fourier(conv, alpha).matrix
-            rhs = fourier(nu, alpha).matrix @ fourier(mu, alpha).matrix
+            lhs = fourier(conv, alpha)
+            rhs = fourier(nu, alpha) @ fourier(mu, alpha)
             assert np.allclose(lhs, rhs, atol=1e-11)
 
 
-def test_fourier_elementwise_consistency(order10):
-    # mu_hat(Lambda) = sum_x mu(x) Lambda(x^{-1}), entry by entry
-    g = order10
+def test_fourier_elementwise_consistency(order10, order18):
+    # mu_hat(Lambda) = sum_x mu(x) Lambda(x^{-1}), entry by entry; rank 2
+    # and |K| = 4 exercise the multi-axis FFT reshape and the K gather
     rng = np.random.default_rng(9)
-    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
-    mu = from_weights(g, w)
-    for alpha in orbit_reps(g):
-        want = np.zeros((2, 2), dtype=np.complex128)
-        for i, x in enumerate(g.elements()):
-            want += w[i] * lambda_elem(g, alpha, inverse(g, x)).matrix
-        assert np.allclose(fourier(mu, alpha).matrix, want, atol=1e-12)
+    for g in (order10, order18, rotation_group(4)):
+        nk = g.k.order
+        w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+        mu = from_weights(g, w)
+        for alpha in orbit_reps(g):
+            want = np.zeros((nk, nk), dtype=np.complex128)
+            for i, x in enumerate(g.elements()):
+                want += w[i] * lambda_elem(g, alpha, inverse(g, x))
+            assert np.allclose(fourier(mu, alpha), want, atol=1e-12)
 
 
 def test_rep_of_measure_adjoint_identity(order10, order20):
@@ -119,21 +121,22 @@ def test_rep_of_measure_adjoint_identity(order10, order20):
         w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
         mu = from_weights(g, w)
         for alpha in orbit_reps(g):
-            lhs = fourier(mu, alpha).matrix
-            rhs = rep_of_measure(mu.conjugate(), alpha).matrix.conj().T
+            lhs = fourier(mu, alpha)
+            rhs = rep_of_measure(mu.conjugate(), alpha).conj().T
             assert np.allclose(lhs, rhs, atol=1e-13)
 
 
-def test_rep_of_measure_elementwise(order10):
-    g = order10
+def test_rep_of_measure_elementwise(order10, order18):
     rng = np.random.default_rng(15)
-    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
-    mu = from_weights(g, w)
-    for alpha in orbit_reps(g):
-        want = np.zeros((2, 2), dtype=np.complex128)
-        for i, x in enumerate(g.elements()):
-            want += w[i] * lambda_elem(g, alpha, x).matrix
-        assert np.allclose(rep_of_measure(mu, alpha).matrix, want, atol=1e-12)
+    for g in (order10, order18, rotation_group(4)):
+        nk = g.k.order
+        w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+        mu = from_weights(g, w)
+        for alpha in orbit_reps(g):
+            want = np.zeros((nk, nk), dtype=np.complex128)
+            for i, x in enumerate(g.elements()):
+                want += w[i] * lambda_elem(g, alpha, x)
+            assert np.allclose(rep_of_measure(mu, alpha), want, atol=1e-12)
 
 
 def test_complement_basis_properties(order10, order21):
@@ -162,7 +165,7 @@ def test_complement_spectrum_union(order10, order18):
         w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
         mu = from_weights(g, w)
         zero = Character((0,) * g.abelian.rank)
-        full = np.sort_complex(np.linalg.eigvals(fourier(mu, zero).matrix))
+        full = np.sort_complex(np.linalg.eigvals(fourier(mu, zero)))
         comp = np.linalg.eigvals(lambda0_complement_block(mu))
         want = np.sort_complex(np.append(comp, mu.total_mass()))
         assert np.allclose(full, want, atol=1e-10)
@@ -194,7 +197,7 @@ def test_central_measure_fourier_is_projection(order10, order18):
     for g, s in cases:
         nu = central_measure(g, s)
         for orb in dual_orbits(g):
-            m = fourier(nu, orb.representative).matrix
+            m = fourier(nu, orb.representative)
             want = 1.0 if orb.representative in s else 0.0
             assert np.allclose(m, want * np.eye(g.k.order), atol=1e-12)
 
@@ -205,7 +208,7 @@ def test_block_map_is_injective(order10):
     cols = []
     for x in g.elements():
         mu = delta(g, x)
-        cols.append(np.concatenate([b.matrix.ravel()
+        cols.append(np.concatenate([b.ravel()
                                     for b in all_fourier_blocks(mu)]))
     mat = np.column_stack(cols)
     assert np.linalg.matrix_rank(mat, tol=1e-10) == g.size

@@ -65,7 +65,7 @@ def test_fast_mixer_block_radii_bounded():
         for orbit in dual_orbits(g):
             if orbit.representative.is_trivial():
                 continue
-            block = fourier(mu, orbit.representative).matrix
+            block = fourier(mu, orbit.representative)
             radius = max(abs(np.linalg.eigvals(block)))
             assert radius <= beta + 1e-12
 
