@@ -29,9 +29,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, dual_orbits
+from .groups import Character, MotionGroup, dual_orbits, dual_table
 from .measures import GroupMeasure, convolve, require_probability
-from .reps import _blocks, all_fourier_blocks, compress_to_complement, lambda_elem
+from .reps import _blocks, all_fourier_blocks, compress_to_complement
 from .spectral import one_in_spectrum, spectral_radius
 
 __all__ = [
@@ -335,18 +335,19 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = 512,
     return DecayCurve(tuple(points), threshold, verdict, decays)
 
 
-def _stacked_lambda_gaps(g: MotionGroup,
-                         reps: List[Character]) -> List[np.ndarray]:
-    """Per orbit: (|G|*nk) x nk stack of Lambda_alpha(x) - I over all x."""
-    nk = g.k.order
-    out = []
-    for alpha in reps:
-        s = np.empty((g.size * nk, nk), dtype=np.complex128)
-        for i, x in enumerate(g.elements()):
-            s[i * nk:(i + 1) * nk] = lambda_elem(g, alpha, x)
-            s[i * nk:(i + 1) * nk] -= np.eye(nk)
-        out.append(s)
-    return out
+def _stacked_lambda_gaps(g: MotionGroup, reps: List[Character]) -> np.ndarray:
+    """(orbits, |G|*nk, nk) stack of Lambda_alpha(x) - I over all x.
+
+    Row k' of Lambda_alpha(a, k) holds <a, beta_{k'}> in column k^{-1} k',
+    with beta_{k'} = dual_action(k', alpha) read off dual_table.
+    """
+    n, nk = g.abelian.modulus, g.k.order
+    avecs = g.abelian.vectors()
+    betas = avecs[dual_table(g)[[g.abelian.index(a.alpha) for a in reps]]]  # [r, k', :]
+    phases = np.exp(2j * np.pi * (np.einsum("rkd,ad->rak", betas, avecs) % n) / n)
+    onehot = np.eye(nk)[g.k.table[g.k.inverses]]       # [k, k', c]: c = k^{-1} k'
+    s = phases[:, :, None, :, None] * onehot - np.eye(nk)
+    return s.reshape(len(reps), g.size * nk, nk)
 
 
 def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
@@ -380,10 +381,9 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
 
     if use_blocks:
         reps = [o.representative for o in dual_orbits(g)]
-        gaps = _stacked_lambda_gaps(g, reps)               # (|G|nk, nk) each
+        gap_stack = _stacked_lambda_gaps(g, reps)          # (orb, |G|nk, nk)
         cstack = _blocks(g, mu.weights, reps)
         powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
-        gap_stack = np.stack(gaps)                         # (orb, |G|nk, nk)
         block_acc = np.zeros(gap_stack.shape, dtype=np.float64)
 
     if extra:

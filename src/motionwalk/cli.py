@@ -105,15 +105,13 @@ def parse_group_data(data) -> MotionGroup:
     if not isinstance(data, dict):
         raise ParseError("group file: expected a JSON object")
     try:
-        ab = data["abelian"]
-        kpart = data["k"]
-        modulus = int(ab["modulus"])
-        rank = int(ab["rank"])
-        table = kpart["table"]
-        action = kpart["action"]
+        ab, kpart = data["abelian"], data["k"]
+        return build_motion_group(int(ab["modulus"]), int(ab["rank"]),
+                                  kpart["table"], kpart["action"])
+    except (NotAGroupTable, NotAHomomorphism, NotInvertible):
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"group file: missing or malformed field ({exc})") from exc
-    return build_motion_group(modulus, rank, table, action)
 
 
 def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
@@ -139,6 +137,8 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
             raise ParseError(
                 f"measure file: atom {i} has k={k} outside [0, {g.k.order})")
         w[g.index(GElem(a, k))] += weight
+    if not np.isfinite(w).all():
+        raise ParseError("measure file: weights must be finite")
     return from_weights(g, w)
 
 
@@ -325,6 +325,8 @@ def _dyadic_upto(n: int) -> List[int]:
 def _cmd_simulate(args) -> int:
     cfg = RunConfig(args.group, args.measure, tol=args.tol,
                     n_max=args.n_max, format=args.format, seed=args.seed)
+    if args.steps < 1 or args.trials < 1:
+        raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     rows = []

@@ -27,6 +27,7 @@ __all__ = [
     "multiply",
     "inverse",
     "dual_action",
+    "dual_table",
     "dual_orbits",
 ]
 
@@ -63,6 +64,10 @@ class AbelianGroup:
     def elements(self) -> Iterator[Tuple[int, ...]]:
         for idx in range(self.size):
             yield self.vector(idx)
+
+    def vectors(self) -> np.ndarray:
+        """(size, d) array of every element vector, in index order."""
+        return np.indices((self.modulus,) * self.rank).reshape(self.rank, -1).T
 
     def pairing_exponent(self, a: Sequence[int], alpha: Sequence[int]) -> int:
         """Integer e with <a, alpha> = exp(2*pi*i*e/n), reduced mod n."""
@@ -278,46 +283,39 @@ def dual_action(g: MotionGroup, k: int, alpha: Character) -> Character:
     return Character(tuple(int(v) for v in moved))
 
 
+def dual_table(g: MotionGroup) -> np.ndarray:
+    """(|A|, |K|) table whose entry [i, k] is the A-index of
+    dual_action(k, alpha_i), alpha_i the character with A-index i."""
+    n, d = g.abelian.modulus, g.abelian.rank
+    moved = np.einsum("id,kde->ike", g.abelian.vectors(), g.k.action[g.k.inverses]) % n
+    return moved @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+
+
 def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
     """Partition of the dual group into K-orbits.
 
-    The orbit of the trivial character comes first; every representative is
-    the lexicographically minimal member of its orbit.
+    Row i of dual_table is the whole orbit of alpha_i, because K is a
+    group.  The orbit of the trivial character comes first; every
+    representative is the lexicographically minimal member of its orbit,
+    and A-index order is lexicographic order.
     """
-    ab = g.abelian
-    seen = [False] * ab.size
+    table = dual_table(g)
+    chars = [Character(v) for v in g.abelian.elements()]
     orbits: List[DualOrbit] = []
-    for idx in range(ab.size):
-        if seen[idx]:
-            continue
-        rep = Character(ab.vector(idx))
-        members = set()
-        frontier = [rep]
-        while frontier:
-            cur = frontier.pop()
-            if cur in members:
-                continue
-            members.add(cur)
-            seen[ab.index(cur.alpha)] = True
-            for k in range(g.k.order):
-                nxt = dual_action(g, k, cur)
-                if nxt not in members:
-                    frontier.append(nxt)
-        ordered = tuple(sorted(members, key=lambda c: c.alpha))
-        orbits.append(
-            DualOrbit(
-                representative=rep,
-                members=ordered,
-                stabilizer_size=g.k.order // len(ordered),
-            )
-        )
+    for i in np.flatnonzero(table.min(axis=1) == np.arange(len(table))):
+        members = np.unique(table[i])
+        orbits.append(DualOrbit(
+            representative=chars[i],
+            members=tuple(chars[j] for j in members),
+            stabilizer_size=g.k.order // len(members),
+        ))
     return orbits
 
 
 def _build_mult_table(g: MotionGroup) -> np.ndarray:
     n = g.abelian.modulus
     na, nk = g.abelian.size, g.k.order
-    avecs = np.array([g.abelian.vector(i) for i in range(na)], dtype=np.int64)
+    avecs = g.abelian.vectors()
     pow_basis = n ** np.arange(g.abelian.rank - 1, -1, -1, dtype=np.int64)
     table = np.empty((g.size, g.size), dtype=np.int32)
     for ki in range(nk):

@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ContainsZeroCharacter, GroupMismatch, NotOrbitClosed, NotProbability
-from .groups import Character, GElem, MotionGroup, dual_action
+from .groups import Character, GElem, MotionGroup, dual_action, dual_table
 
 __all__ = [
     "GroupMeasure",
@@ -118,30 +118,27 @@ def tv_norm(mu: GroupMeasure) -> float:
 
 
 def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
-    """(mu * nu)(x) = sum_y mu(y) nu(y^{-1} x).
+    """(mu * nu)(x) = sum_y mu(y) nu(y^{-1} x), as one FFT product.
 
-    Scatters over the sparser factor; each row/column of the multiplication
-    table is a permutation, so in-place fancy updates are safe.  Dense
-    factors fall back to a single gather-matmul.
+    With y = (b, k1), x = (a, k): y^{-1} x = (phi_{k1}^{-1}(a - b), k1^{-1} k),
+    and <phi_{k1}(a), xi> = <a, xi . M_{k1}>, so the A-Fourier transform
+    (fftn over the translation axes) turns the product into
+
+        (mu * nu)^(xi, k) = sum_{k1} mu^(xi, k1) nu^(xi . M_{k1}, k1^{-1} k)
+
+    with xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table: one
+    fftn per factor, one gather, one einsum and one ifftn.
     """
     _same_group(mu, nu)
     g = mu.group
-    table = g.mult_table()
-    a, b = mu.weights, nu.weights
-    supp_a = np.nonzero(a)[0]
-    supp_b = np.nonzero(b)[0]
-    out = np.zeros(g.size, dtype=np.complex128)
-    dense_cutoff = max(8, g.size // 4)
-    if min(len(supp_a), len(supp_b)) > dense_cutoff:
-        gathered = b[table[g.inv_perm(), :]]      # row y: nu(y^{-1} x)
-        out = a @ gathered
-    elif len(supp_a) <= len(supp_b):
-        for i in supp_a:
-            out[table[i, :]] += a[i] * b
-    else:
-        for j in supp_b:
-            out[table[:, j]] += b[j] * a
-    return GroupMeasure(g, out)
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    shape, axes = (n,) * d + (nk,), tuple(range(d))
+    f = np.fft.fftn(mu.weights.reshape(shape), axes=axes).reshape(-1, nk)
+    h = np.fft.fftn(nu.weights.reshape(shape), axes=axes).reshape(-1, nk)
+    inv = g.k.inverses
+    moved = h[dual_table(g)[:, inv, None], g.k.table[inv][None, :, :]]  # [xi, k1, k]
+    out = np.einsum("xj,xjk->xk", f, moved)
+    return GroupMeasure(g, np.fft.ifftn(out.reshape(shape), axes=axes).reshape(-1))
 
 
 def push_k(mu: GroupMeasure) -> np.ndarray:

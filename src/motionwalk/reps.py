@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import Character, GElem, MotionGroup, dual_action, dual_orbits
+from .groups import Character, GElem, MotionGroup, dual_action, dual_orbits, dual_table
 from .measures import GroupMeasure, push_k
 
 __all__ = [
@@ -80,10 +80,8 @@ def _blocks(g: MotionGroup, w: np.ndarray,
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
     f = np.fft.ifftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d)),
                      norm="forward").reshape(n ** d, nk)
-    alpha = np.array([a.alpha for a in alphas], dtype=np.int64).reshape(-1, d)
-    betas = np.einsum("rd,kde->rke", alpha, g.k.action[g.k.inverses]) % n
-    rows = betas @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))  # A-index of beta_{k'}
-    cols = g.k.table[:, g.k.inverses]                               # [k', c] = k' c^{-1}
+    rows = dual_table(g)[[g.abelian.index(a.alpha) for a in alphas]]  # A-index of beta_{k'}
+    cols = g.k.table[:, g.k.inverses]                                # [k', c] = k' c^{-1}
     return f[rows[:, :, None], cols[None, :, :]]
 
 

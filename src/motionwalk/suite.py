@@ -18,8 +18,9 @@ construction rather than by luck:
 
 Radii of cases meant to mix stay at or below about 1/3 so the Cesaro
 average of any nonzero-orbit block over 512 steps stays under 1e-3; cases
-meant not to mix keep an exactly constant translate gap. Everything is
-seeded by case name, so rebuilding the battery is reproducible.
+meant not to mix keep a translate gap that is constant to rounding.
+Everything is seeded by case name, so rebuilding the battery is
+reproducible.
 """
 from __future__ import annotations
 

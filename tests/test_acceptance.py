@@ -5,6 +5,8 @@ suite (module-scoped fixture), so the whole module stays well inside the
 stated runtime budgets.
 """
 from fractions import Fraction
+import json
+from pathlib import Path
 import time
 
 import numpy as np
@@ -233,6 +235,29 @@ def test_criterion_8_strong_operator_decay(classified):
                     (case.name, tuple(alpha.alpha))
     assert checked_mixing >= 50
     assert checked_ergodic >= checked_mixing
+
+
+CENSUS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "suite200_census.json"
+
+
+def test_suite_matches_frozen_census(classified):
+    """Every verdict of the 200 cases equals the frozen census, field by field."""
+    pairs, _ = classified
+    census = json.loads(CENSUS_PATH.read_text())["cases"]
+    got = {
+        case.name: {
+            "sr": v.sr.verdict.value,
+            "s": v.s.verdict.value,
+            "adapted": v.adapted.adapted,
+            "strictly_aperiodic": v.strictly_aperiodic.strictly_aperiodic,
+            "mixing": v.empirical_mixing.verdict,
+            "ergodic": v.empirical_ergodic.verdict,
+            "weak_mixing": v.weak_mixing_empirical.verdict,
+        }
+        for case, v in pairs
+    }
+    assert got.keys() == census.keys()
+    assert [name for name in census if got[name] != census[name]] == []
 
 
 def test_criterion_9_simulation_consistency(suite):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from motionwalk.classify import (
     TriState,
+    _stacked_lambda_gaps,
     adapted,
     check_s,
     check_sr,
@@ -20,10 +21,11 @@ from motionwalk.classify import (
     strictly_aperiodic_check,
 )
 from motionwalk.errors import EmptySupport, NotProbability
-from motionwalk.groups import GElem
+from motionwalk.groups import GElem, dual_orbits
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
+from motionwalk.reps import lambda_elem
 
-from conftest import negation_group, scaling_group, trivial_group
+from conftest import negation_group, rotation_group, scaling_group, swap_group, trivial_group
 
 
 def two_atom_walk(g):
@@ -253,3 +255,26 @@ def test_random_probability_grid_consistency(seed):
     assert v.consistency == ()
     if v.sr.verdict == TriState.HOLDS:
         assert v.s.verdict == TriState.HOLDS
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(5),
+                                   lambda: swap_group(3),
+                                   lambda: rotation_group(4)])
+def test_stacked_lambda_gaps_match_elementwise_oracle(maker):
+    g = maker()
+    reps = [o.representative for o in dual_orbits(g)]
+    eye = np.eye(g.k.order)
+    want = np.stack([np.concatenate([lambda_elem(g, alpha, x) - eye
+                                     for x in g.elements()])
+                     for alpha in reps])
+    assert np.array_equal(_stacked_lambda_gaps(g, reps), want)
+
+
+@pytest.mark.parametrize("x", [GElem((0,), 0), GElem((1,), 0), GElem((0,), 1)])
+def test_point_mass_mixing_curve_stays_flat(x):
+    # the translate gap of a point mass never decays; the FFT squarings must
+    # keep the curve flat far inside the 1e-9 that the NOT_MIXING floor needs
+    curve = empirical_mixing(delta(negation_group(97), x))
+    assert curve.verdict == "NOT_MIXING"
+    tail = [v for _, v in curve.points[-3:]]
+    assert max(tail) <= min(tail) * (1.0 + 1e-11)

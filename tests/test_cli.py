@@ -133,6 +133,26 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("group, atom, extra", [
+    ({"modulus": 0}, {"re": 1.0}, ["spectrum"]),
+    ({}, {"re": "nan"}, ["spectrum"]),
+    ({}, {"re": "1e400"}, ["spectrum"]),
+    ({}, {"re": 1.0}, ["simulate", "--trials", "0"]),
+    ({}, {"re": 1.0}, ["simulate", "--steps", "0"]),
+], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps"])
+def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
+    data = group_to_data(negation_group(5))
+    data["abelian"].update(group)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(data))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"atoms": [{"a": [0], "k": 0, **atom}]}))
+    code = main([extra[0], "--group", str(gpath), "--measure", str(mpath), *extra[1:]])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "Traceback" not in err and err.startswith("error:")
+
+
 def test_non_probability_exits_65(tmp_path, d5, capsys):
     g, gpath = d5
     sub = tmp_path / "sub.json"

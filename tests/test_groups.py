@@ -13,11 +13,19 @@ from motionwalk.groups import (
     build_motion_group,
     dual_action,
     dual_orbits,
+    dual_table,
     inverse,
     multiply,
 )
 
-from conftest import cyclic_table, negation_group, scaling_group, swap_group, trivial_group
+from conftest import (
+    cyclic_table,
+    negation_group,
+    rotation_group,
+    scaling_group,
+    swap_group,
+    trivial_group,
+)
 
 
 def brute_force_axioms(g) -> None:
@@ -148,9 +156,16 @@ def test_dual_orbits_order10(order10):
 @pytest.mark.parametrize("maker", [lambda: negation_group(7),
                                    lambda: scaling_group(7, 2, 3),
                                    lambda: swap_group(3),
-                                   lambda: scaling_group(5, 2, 4)])
+                                   lambda: scaling_group(5, 2, 4),
+                                   lambda: rotation_group(4)])
 def test_dual_orbits_partition(maker):
     g = maker()
+    table = dual_table(g)
+    assert table.shape == (g.abelian.size, g.k.order)
+    for i, avec in enumerate(g.abelian.elements()):
+        want = [g.abelian.index(dual_action(g, k, Character(avec)).alpha)
+                for k in range(g.k.order)]
+        assert table[i].tolist() == want
     orbits = dual_orbits(g)
     seen = set()
     for o in orbits:

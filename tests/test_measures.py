@@ -26,7 +26,7 @@ from motionwalk.measures import (
     uniform,
 )
 
-from conftest import negation_group, scaling_group
+from conftest import negation_group, rotation_group, scaling_group
 
 
 def oracle_convolve(g, mu, nu):
@@ -74,9 +74,9 @@ def test_uniform_convolution_idempotent(order10):
     assert np.allclose(oracle_convolve(order10, u, u), u.weights, atol=1e-14)
 
 
-def test_convolution_matches_oracle(order10, order21):
+def test_convolution_matches_oracle(order10, order21, order18):
     rng = np.random.default_rng(11)
-    for g in (order10, order21):
+    for g in (order10, order21, order18, rotation_group(4)):
         for sparse in (False, True):
             mu = random_measure(g, rng, sparse)
             nu = random_measure(g, rng, sparse)

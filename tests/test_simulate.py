@@ -12,6 +12,7 @@ from motionwalk.simulate import (
     sample_path,
     tv_to_uniform,
 )
+from motionwalk.spectral import verify_srf
 from motionwalk.suite import fast_mixer
 
 from conftest import negation_group, trivial_group
@@ -85,6 +86,15 @@ def test_exact_power_basics(order10):
 
     ref = convolve(convolve(mu, mu), mu)
     assert np.allclose(p3.weights, ref.weights, atol=1e-15)
+
+
+def test_exact_power_and_verify_srf_build_no_mult_table():
+    # convolution runs on the FFT and the dual table, never on |G| x |G|
+    g = negation_group(6)
+    mu = two_atom_walk(g)
+    exact_power(mu, 5)
+    verify_srf(mu)
+    assert g._mult_table is None
 
 
 def test_tv_to_uniform_values(order10):

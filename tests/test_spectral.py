@@ -208,6 +208,24 @@ def test_verify_srf_sparse_complex_measures():
             assert rep.passed, (g.size, atoms.tolist(), rep.formula_gap)
 
 
+@pytest.mark.parametrize("maker, s", [(lambda: negation_group(5), 1),
+                                      (lambda: rotation_group(24), 2)])
+def test_verify_srf_nilpotent_measure(maker, s):
+    # mu = (e + s) * t * (e - s) = t - ts + st - sts with s^2 = e squares to
+    # exactly zero; the FFT product leaves only rounding, far below tol
+    g = maker()
+    flip = GElem((0,) * g.abelian.rank, s)
+    t = GElem((1,) + (0,) * (g.abelian.rank - 1), 0)
+    st_ = multiply(g, flip, t)
+    mu = (delta(g, t) - delta(g, multiply(g, t, flip))
+          + delta(g, st_) - delta(g, multiply(g, st_, flip)))
+    assert tv_norm(mu) == 4.0
+    assert tv_norm(convolve(mu, mu)) <= 1e-12
+    rep = verify_srf(mu)
+    assert rep.passed, rep.formula_gap
+    assert rep.gelfand_radius_estimate <= 1e-6
+
+
 def test_verify_srf_report_serializes(order10):
     rep = verify_srf(uniform(order10))
     d = rep.to_dict()
