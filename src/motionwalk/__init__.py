@@ -64,6 +64,7 @@ from .classify import (
 from .simulate import (
     WalkConfig,
     empirical_distribution,
+    empirical_distributions,
     exact_power,
     sample_path,
     tv_to_uniform,
@@ -120,6 +121,7 @@ __all__ = [
     "strictly_aperiodic_check",
     "WalkConfig",
     "empirical_distribution",
+    "empirical_distributions",
     "exact_power",
     "sample_path",
     "tv_to_uniform",

@@ -42,7 +42,7 @@ from .errors import (
 from .groups import GElem, MotionGroup, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
-from .simulate import empirical_distribution, exact_power, tv_to_uniform
+from .simulate import empirical_distributions, exact_power, tv_to_uniform
 from .spectral import SpectralReport, verify_srf
 
 __all__ = [
@@ -323,16 +323,16 @@ def _dyadic_upto(n: int) -> List[int]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol,
-                    n_max=args.n_max, format=args.format, seed=args.seed)
+    cfg = RunConfig(args.group, args.measure, n_max=args.n_max,
+                    format=args.format, seed=args.seed)
     if args.steps < 1 or args.trials < 1:
         raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
+    ns = _dyadic_upto(args.steps)
     rows = []
-    for n in _dyadic_upto(args.steps):
+    for n, emp in zip(ns, empirical_distributions(g, mu, ns, args.trials, cfg.seed)):
         exact = exact_power(mu, n)
-        emp = empirical_distribution(g, mu, n, args.trials, cfg.seed)
         rows.append({
             "n": n,
             "tv_exact": f"{tv_to_uniform(exact):.12g}",
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo decay toward uniform")
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--trials", type=int, default=100000)
     p.set_defaults(func=_cmd_simulate)

@@ -4,11 +4,21 @@ Exact dyadic convolution is always available as ground truth; the sampler
 exists to exercise the probabilistic path and as an independent
 statistical check on the spectral classifiers. Trials draw from a
 counter-based generator, so a fixed seed reproduces the histogram bit for
-bit and trials could be split across workers without shared state.
+bit.
+
+The walk is step-major: step s draws one uniform per trial, the block
+[s*trials, (s+1)*trials) of the seed's stream, and maps it to an increment
+by inverse CDF. A walk of n steps is therefore a prefix of every longer
+walk with the same seed, and one walk yields the histogram at every
+requested n. Each step multiplies (a, k)(b, m) = (a + M_k b, k m) through
+two tables with |K| |G| columns, so memory is O(trials + |K| |G|): neither
+the trials x steps uniforms nor the |G| x |G| multiplication table is
+built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +29,7 @@ __all__ = [
     "WalkConfig",
     "sample_path",
     "empirical_distribution",
+    "empirical_distributions",
     "exact_power",
     "tv_to_uniform",
 ]
@@ -37,29 +48,76 @@ class WalkConfig:
             raise ValueError(f"need steps >= 0, got {self.steps}")
 
 
+def _increment_cdf(mu: GroupMeasure) -> np.ndarray:
+    """Inverse-CDF table over the element enumeration: element
+    searchsorted(cdf, u, side="right") is the increment for a uniform u in
+    [0, 1). Weights are clipped at 0 so the table is monotone, and it is
+    sealed at 1 from the last atom on, so roundoff in the total never
+    draws an element of weight 0. (A total just above 1 leaves entries
+    above 1 before the seal; every u < 1 still sees cdf > u switch from
+    false to true exactly once, which is all the search needs.)"""
+    w = np.clip(np.real(mu.weights), 0.0, None)
+    cdf = np.cumsum(w)
+    cdf[np.flatnonzero(w)[-1]:] = 1.0
+    return cdf
+
+
+def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
+          seed: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (n, position index of X_n per trial) for each distinct n in
+    ns, in increasing order, from one walk of max(ns) steps."""
+    require_probability(mu)
+    if len(ns) == 0 or min(ns) < 0:
+        raise ValueError(f"need a nonempty list of steps >= 0, got {list(ns)}")
+    cfg = WalkConfig(steps=max(ns), trials=trials, seed=seed)
+    modulus, nk = g.abelian.modulus, g.k.order
+    cdf = _increment_cdf(mu)
+    # column k*|G| + y: the coordinates of M_k a_y, and the K-index k k_y
+    yvecs = np.repeat(g.abelian.vectors(), nk, axis=0)
+    moved = np.einsum("kde,ye->dky", g.k.action, yvecs) % modulus
+    moved = moved.reshape(g.abelian.rank, -1)
+    ktab = g.k.table[:, np.tile(np.arange(nk), g.abelian.size)].reshape(-1)
+    pow_basis = modulus ** np.arange(g.abelian.rank - 1, -1, -1, dtype=np.int64)
+
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    a = np.zeros((g.abelian.rank, cfg.trials), dtype=np.int64)
+    k = np.zeros(cfg.trials, dtype=np.int64)
+    wanted = set(ns)
+    for step in range(cfg.steps + 1):
+        if step in wanted:
+            yield step, (pow_basis @ a) * nk + k
+        if step == cfg.steps:
+            return
+        col = k * g.size + np.searchsorted(cdf, rng.random(cfg.trials), side="right")
+        for coord, table in zip(a, moved):
+            coord += table[col]
+            np.subtract(coord, modulus, out=coord, where=coord >= modulus)
+        k = ktab[col]
+
+
 def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:
     """Final position index of X_n = xi_1 xi_2 ... xi_n per trial, with
     increments drawn i.i.d. by inverse CDF over the canonical element
     enumeration."""
-    require_probability(mu)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    uniforms = rng.random((cfg.trials, cfg.steps))
-    cdf = np.cumsum(np.real(mu.weights))
-    cdf[-1] = 1.0  # seal the top against cumsum roundoff
-    increments = np.searchsorted(cdf, uniforms, side="right")
-    table = g.mult_table()
-    x = np.zeros(cfg.trials, dtype=np.int64)
-    for step in range(cfg.steps):
-        x = table[x, increments[:, step]]
-    return x
+    ((_, final),) = _walk(g, mu, [cfg.steps], cfg.trials, cfg.seed)
+    return final
+
+
+def empirical_distributions(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int],
+                            trials: int, seed: int) -> List[GroupMeasure]:
+    """Histograms of X_n, normalized to probabilities, one per entry of
+    ns and in its order, all read from one walk of max(ns) steps. The
+    histogram at n equals empirical_distribution(g, mu, n, trials, seed)
+    bit for bit."""
+    hist = {n: from_weights(g, np.bincount(x, minlength=g.size) / trials)
+            for n, x in _walk(g, mu, ns, trials, seed)}
+    return [hist[n] for n in ns]
 
 
 def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
                            trials: int, seed: int) -> GroupMeasure:
     """Histogram of sample_path endpoints, normalized to a probability."""
-    final = sample_path(g, mu, WalkConfig(steps=n, trials=trials, seed=seed))
-    counts = np.bincount(final, minlength=g.size)
-    return from_weights(g, counts / trials)
+    return empirical_distributions(g, mu, [n], trials, seed)[0]
 
 
 def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:

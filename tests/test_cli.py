@@ -15,6 +15,7 @@ from motionwalk.cli import (
 )
 from motionwalk.errors import ParseError
 from motionwalk.measures import from_weights
+from motionwalk.simulate import empirical_distribution, tv_to_uniform
 
 
 def write_group(path, g):
@@ -208,6 +209,29 @@ def test_simulate_deterministic(tmp_path, d5, capsys):
     header, *rows = first.strip().splitlines()
     assert header == "n,tv_exact,tv_empirical"
     assert [int(r.split(",")[0]) for r in rows] == [1, 2, 4, 8, 16]
+
+
+def test_simulate_rows_from_one_walk(tmp_path, d5, capsys):
+    # the rows come from one 20-step walk, each equal to its own n-step run
+    g, gpath = d5
+    mu = 0.5 * delta(g, GElem((1,), 0)) + 0.5 * delta(g, GElem((0,), 1))
+    mpath = write_measure(tmp_path / "w.json", mu)
+    assert main(["simulate", "--group", gpath, "--measure", mpath,
+                 "--steps", "20", "--trials", "3000", "--seed", "5"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
+    for r in rows:
+        emp = empirical_distribution(g, mu, r["n"], 3000, seed=5)
+        assert r["tv_empirical"] == f"{tv_to_uniform(emp):.12g}"
+
+
+def test_simulate_has_no_tol_flag(tmp_path, d5, capsys):
+    g, gpath = d5
+    mpath = write_measure(tmp_path / "u.json", uniform(g))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--group", gpath, "--measure", mpath, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_rosenblatt_subcommand(capsys):

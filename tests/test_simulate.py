@@ -3,11 +3,14 @@ import numpy as np
 import pytest
 
 from motionwalk.errors import NotProbability
-from motionwalk.groups import GElem, multiply
+from motionwalk.groups import GElem, build_motion_group, multiply
 from motionwalk.measures import delta, from_weights, tv_norm, uniform
 from motionwalk.simulate import (
     WalkConfig,
+    _increment_cdf,
+    _walk,
     empirical_distribution,
+    empirical_distributions,
     exact_power,
     sample_path,
     tv_to_uniform,
@@ -15,7 +18,7 @@ from motionwalk.simulate import (
 from motionwalk.spectral import verify_srf
 from motionwalk.suite import fast_mixer
 
-from conftest import negation_group, trivial_group
+from conftest import negation_group, rotation_group, trivial_group
 
 
 def two_atom_walk(g):
@@ -89,12 +92,98 @@ def test_exact_power_basics(order10):
 
 
 def test_exact_power_and_verify_srf_build_no_mult_table():
-    # convolution runs on the FFT and the dual table, never on |G| x |G|
+    # convolution runs on the FFT and the dual table, never on |G| x |G|,
+    # and the sampler steps through tables with |K| |G| columns
     g = negation_group(6)
     mu = two_atom_walk(g)
     exact_power(mu, 5)
     verify_srf(mu)
+    sample_path(g, mu, WalkConfig(steps=5, trials=50, seed=1))
+    empirical_distribution(g, mu, 5, 50, seed=1)
     assert g._mult_table is None
+
+
+def _oracle_walk(g, mu, steps, trials, seed):
+    """Positions after 0..steps steps: the same step-major uniforms and
+    draw, multiplied through the dense mult_table."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
+    increments = np.searchsorted(_increment_cdf(mu), u, side="right")
+    table = g.mult_table()
+    x = np.zeros(trials, dtype=np.int64)
+    out = [x]
+    for step in range(steps):
+        x = table[x, increments[step]]
+        out.append(x)
+    return out
+
+
+def dihedral_group(n):
+    """(Z_n)^2 x| D_4, the square's symmetries: a non-abelian K."""
+    r, s = np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])
+    mats = [np.linalg.matrix_power(r, i) @ np.linalg.matrix_power(s, j)
+            for j in (0, 1) for i in range(4)]
+    keys = [tuple((m % n).ravel()) for m in mats]
+    table = [[keys.index(tuple((x @ y % n).ravel())) for y in mats] for x in mats]
+    return build_motion_group(n, 2, table, mats)
+
+
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "dihedral3"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_walk_matches_mult_table_oracle(request, group, dense):
+    if group == "rotation4":
+        g = rotation_group(4)
+    elif group == "dihedral3":
+        g = dihedral_group(3)
+    else:
+        g = request.getfixturevalue(group)
+    rng = np.random.default_rng(4)
+    w = np.zeros(g.size)
+    if dense:
+        w[:] = rng.random(g.size)
+    else:
+        w[rng.choice(g.size, size=3, replace=False)] = rng.random(3) + 0.1
+    mu = from_weights(g, w / w.sum())
+    steps, trials, seed = 12, 500, 17
+    ref = _oracle_walk(g, mu, steps, trials, seed)
+    assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
+    ns = [0, 1, 3, 7, 12]
+    for n, x in _walk(g, mu, ns, trials, seed):
+        assert np.array_equal(x, ref[n])
+
+
+def test_empirical_distributions_rows_are_prefixes(order18):
+    # step s always reads uniforms [s*T, (s+1)*T), so each row of one walk
+    # equals its own n-step walk bit for bit
+    mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
+    ns = [16, 1, 5, 2, 5, 0]
+    rows = empirical_distributions(order18, mu, ns, 3000, seed=8)
+    assert len(rows) == len(ns)
+    for n, row in zip(ns, rows):
+        assert np.array_equal(row.weights, empirical_distribution(order18, mu, n, 3000, seed=8).weights)
+    with pytest.raises(ValueError):
+        empirical_distributions(order18, mu, [3, -1], 10, seed=0)
+    with pytest.raises(ValueError):
+        empirical_distributions(order18, mu, [], 10, seed=0)
+
+
+def test_inverse_cdf_draws_last_atom_at_the_top(order10):
+    # mass 1 - 1e-13 whose last atom is not the last element: a uniform
+    # just below 1 must draw the last atom, not an element of weight 0
+    w = np.zeros(order10.size)
+    last_atom = order10.size - 3
+    w[[1, 4, last_atom]] = [0.25, 0.25, 0.5 - 1e-13]
+    w[6] = -5e-13  # allowed roundoff below 0
+    mu = from_weights(order10, w)
+    cdf = _increment_cdf(mu)
+    assert np.all(np.diff(cdf) >= 0)
+    u = np.array([0.0, 0.3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)])
+    drawn = np.searchsorted(cdf, u, side="right")
+    assert drawn.tolist() == [1, 4, 4, last_atom, last_atom]
+    # mass 1 + 9e-13: the entry above 1 before the seal still draws atoms
+    w = np.zeros(order10.size)
+    w[[2, 5]] = [1.0 + 5e-13, 4e-13]
+    drawn = np.searchsorted(_increment_cdf(from_weights(order10, w)), u, side="right")
+    assert drawn.tolist() == [2] * len(u)
 
 
 def test_tv_to_uniform_values(order10):
