@@ -338,8 +338,9 @@ def _cmd_simulate(args) -> int:
             "tv_exact": f"{tv_to_uniform(exact):.12g}",
             "tv_empirical": f"{tv_to_uniform(emp):.12g}",
         })
-    payload = {**_tool_stamp(cfg), "trials": args.trials, "steps": args.steps,
-               "rows": rows}
+    stamp = _tool_stamp(cfg)
+    del stamp["config"]["tol"]  # simulate takes no --tol
+    payload = {**stamp, "trials": args.trials, "steps": args.steps, "rows": rows}
     _emit(_render_rows(rows, cfg.format, payload), args.out)
     return 0
 

@@ -7,13 +7,12 @@ counter-based generator, so a fixed seed reproduces the histogram bit for
 bit.
 
 The walk is step-major: step s draws one uniform per trial, the block
-[s*trials, (s+1)*trials) of the seed's stream, and maps it to an increment
-by inverse CDF. A walk of n steps is therefore a prefix of every longer
-walk with the same seed, and one walk yields the histogram at every
-requested n. Each step multiplies (a, k)(b, m) = (a + M_k b, k m) through
-two tables with |K| |G| columns, so memory is O(trials + |K| |G|): neither
-the trials x steps uniforms nor the |G| x |G| multiplication table is
-built.
+[s*trials, (s+1)*trials) of the seed's stream, maps it to an increment by
+inverse CDF and multiplies through the group's multiplication table. A
+walk of n steps is therefore a prefix of every longer walk with the same
+seed, and one walk yields the histogram at every requested n. Memory
+beyond the table is O(trials): the trials x steps uniforms are never
+materialised.
 """
 from __future__ import annotations
 
@@ -70,29 +69,17 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of steps >= 0, got {list(ns)}")
     cfg = WalkConfig(steps=max(ns), trials=trials, seed=seed)
-    modulus, nk = g.abelian.modulus, g.k.order
     cdf = _increment_cdf(mu)
-    # column k*|G| + y: the coordinates of M_k a_y, and the K-index k k_y
-    yvecs = np.repeat(g.abelian.vectors(), nk, axis=0)
-    moved = np.einsum("kde,ye->dky", g.k.action, yvecs) % modulus
-    moved = moved.reshape(g.abelian.rank, -1)
-    ktab = g.k.table[:, np.tile(np.arange(nk), g.abelian.size)].reshape(-1)
-    pow_basis = modulus ** np.arange(g.abelian.rank - 1, -1, -1, dtype=np.int64)
-
+    table = g.mult_table()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    a = np.zeros((g.abelian.rank, cfg.trials), dtype=np.int64)
-    k = np.zeros(cfg.trials, dtype=np.int64)
+    x = np.zeros(cfg.trials, dtype=np.int64)
     wanted = set(ns)
     for step in range(cfg.steps + 1):
         if step in wanted:
-            yield step, (pow_basis @ a) * nk + k
+            yield step, x
         if step == cfg.steps:
             return
-        col = k * g.size + np.searchsorted(cdf, rng.random(cfg.trials), side="right")
-        for coord, table in zip(a, moved):
-            coord += table[col]
-            np.subtract(coord, modulus, out=coord, where=coord >= modulus)
-        k = ktab[col]
+        x = table[x, np.searchsorted(cdf, rng.random(cfg.trials), side="right")]
 
 
 def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:

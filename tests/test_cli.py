@@ -218,7 +218,9 @@ def test_simulate_rows_from_one_walk(tmp_path, d5, capsys):
     mpath = write_measure(tmp_path / "w.json", mu)
     assert main(["simulate", "--group", gpath, "--measure", mpath,
                  "--steps", "20", "--trials", "3000", "--seed", "5"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    payload = json.loads(capsys.readouterr().out)
+    assert "tol" not in payload["config"]  # simulate takes no --tol
+    rows = payload["rows"]
     assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
     for r in rows:
         emp = empirical_distribution(g, mu, r["n"], 3000, seed=5)

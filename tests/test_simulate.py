@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from motionwalk.errors import NotProbability
-from motionwalk.groups import GElem, build_motion_group, multiply
+from motionwalk.groups import GElem, multiply
 from motionwalk.measures import delta, from_weights, tv_norm, uniform
 from motionwalk.simulate import (
     WalkConfig,
@@ -92,20 +92,17 @@ def test_exact_power_basics(order10):
 
 
 def test_exact_power_and_verify_srf_build_no_mult_table():
-    # convolution runs on the FFT and the dual table, never on |G| x |G|,
-    # and the sampler steps through tables with |K| |G| columns
+    # convolution runs on the FFT and the dual table, never on |G| x |G|
     g = negation_group(6)
     mu = two_atom_walk(g)
     exact_power(mu, 5)
     verify_srf(mu)
-    sample_path(g, mu, WalkConfig(steps=5, trials=50, seed=1))
-    empirical_distribution(g, mu, 5, 50, seed=1)
     assert g._mult_table is None
 
 
 def _oracle_walk(g, mu, steps, trials, seed):
-    """Positions after 0..steps steps: the same step-major uniforms and
-    draw, multiplied through the dense mult_table."""
+    """Positions after 0..steps steps, from the whole steps x trials block
+    of uniforms drawn at once."""
     u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
     increments = np.searchsorted(_increment_cdf(mu), u, side="right")
     table = g.mult_table()
@@ -117,25 +114,10 @@ def _oracle_walk(g, mu, steps, trials, seed):
     return out
 
 
-def dihedral_group(n):
-    """(Z_n)^2 x| D_4, the square's symmetries: a non-abelian K."""
-    r, s = np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])
-    mats = [np.linalg.matrix_power(r, i) @ np.linalg.matrix_power(s, j)
-            for j in (0, 1) for i in range(4)]
-    keys = [tuple((m % n).ravel()) for m in mats]
-    table = [[keys.index(tuple((x @ y % n).ravel())) for y in mats] for x in mats]
-    return build_motion_group(n, 2, table, mats)
-
-
-@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "dihedral3"])
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_walk_matches_mult_table_oracle(request, group, dense):
-    if group == "rotation4":
-        g = rotation_group(4)
-    elif group == "dihedral3":
-        g = dihedral_group(3)
-    else:
-        g = request.getfixturevalue(group)
+def test_streamed_walk_matches_block_oracle(request, group, dense):
+    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
     rng = np.random.default_rng(4)
     w = np.zeros(g.size)
     if dense:
