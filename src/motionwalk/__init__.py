@@ -66,6 +66,7 @@ from .simulate import (
     empirical_distribution,
     empirical_distributions,
     exact_power,
+    exact_powers,
     sample_path,
     tv_to_uniform,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "empirical_distribution",
     "empirical_distributions",
     "exact_power",
+    "exact_powers",
     "sample_path",
     "tv_to_uniform",
     "QSqrt5",

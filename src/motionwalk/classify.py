@@ -161,7 +161,11 @@ class Verdict:
 
 # ---------------------------------------------------------------- spectral
 
-def _nontrivial_blocks(mu: GroupMeasure) -> List[Tuple[Character, bool, np.ndarray]]:
+# (representative, is the complement block, Fourier block)
+_Blocks = List[Tuple[Character, bool, np.ndarray]]
+
+
+def _nontrivial_blocks(mu: GroupMeasure) -> _Blocks:
     """All nonzero-orbit Fourier blocks plus the zero-orbit complement."""
     g = mu.group
     orbits = dual_orbits(g)
@@ -178,9 +182,12 @@ def _nontrivial_blocks(mu: GroupMeasure) -> List[Tuple[Character, bool, np.ndarr
 def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """Spectral radius < 1 on every nontrivial block, tri-state."""
     require_probability(mu)
+    return _sr_from_blocks(_nontrivial_blocks(mu), tol)
+
+
+def _sr_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
     records = tuple(
-        BlockRecord(alpha, comp, spectral_radius(m))
-        for alpha, comp, m in _nontrivial_blocks(mu))
+        BlockRecord(alpha, comp, spectral_radius(m)) for alpha, comp, m in blocks)
     worst = max(records, key=lambda r: r.value, default=None)
     if worst is None or worst.value < 1.0 - tol:
         verdict, witness = TriState.HOLDS, worst
@@ -194,9 +201,13 @@ def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
 def check_s(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """1 not in the spectrum of any nontrivial block, by singular-value margin."""
     require_probability(mu)
+    return _s_from_blocks(_nontrivial_blocks(mu), tol)
+
+
+def _s_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
     records = tuple(
         BlockRecord(alpha, comp, one_in_spectrum(m, tol=tol).margin)
-        for alpha, comp, m in _nontrivial_blocks(mu))
+        for alpha, comp, m in blocks)
     worst = min(records, key=lambda r: r.value, default=None)
     if worst is None or worst.value > tol:
         verdict, witness = TriState.HOLDS, worst
@@ -455,8 +466,9 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = 512) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    sr = check_sr(mu, tol)
-    s = check_s(mu, tol)
+    blocks = _nontrivial_blocks(mu)
+    sr = _sr_from_blocks(blocks, tol)
+    s = _s_from_blocks(blocks, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
     mix = empirical_mixing(mu, n_max=mixing_n_max)

@@ -42,7 +42,7 @@ from .errors import (
 from .groups import GElem, MotionGroup, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
-from .simulate import empirical_distributions, exact_power, tv_to_uniform
+from .simulate import empirical_distributions, exact_powers, tv_to_uniform
 from .spectral import SpectralReport, verify_srf
 
 __all__ = [
@@ -83,10 +83,17 @@ class RunConfig:
         }
 
 
-def _tool_stamp(cfg: Optional[RunConfig]) -> dict:
+_SETTINGS = ("tol", "n_max", "seed")
+
+
+def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = ()) -> dict:
+    """Tool and version, and for a run its config: the paths, the format
+    and, of the settings, only those named in reads (the ones the command
+    reads)."""
     stamp = {"tool": "motionwalk", "version": __version__}
     if cfg is not None:
-        stamp["config"] = cfg.to_dict()
+        stamp["config"] = {key: val for key, val in cfg.to_dict().items()
+                           if key not in _SETTINGS or key in reads}
     return stamp
 
 
@@ -251,11 +258,11 @@ def _classify_exit(v: Verdict) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = RunConfig(args.group, args.measure, tol=args.tol,
-                    n_max=args.n_max, format=args.format, seed=args.seed)
+                    n_max=args.n_max, format=args.format)
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
-    payload = {**_tool_stamp(cfg), "report": verdict.to_dict()}
+    payload = {**_tool_stamp(cfg, ("tol", "n_max")), "report": verdict.to_dict()}
     _emit(_render_rows(_classify_rows(verdict), cfg.format, payload), args.out)
     return _classify_exit(verdict)
 
@@ -282,8 +289,7 @@ def _spectral_rows(report: SpectralReport) -> List[dict]:
 
 
 def _cmd_verify_srf(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol,
-                    n_max=args.n_max, format=args.format, seed=args.seed)
+    cfg = RunConfig(args.group, args.measure, tol=args.tol, format=args.format)
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     report = verify_srf(mu, tol=cfg.tol)
@@ -295,18 +301,17 @@ def _cmd_verify_srf(args) -> int:
         "one_in_spectrum": report.passed,
         "margin": f"{report.formula_gap:.6g}",
     })
-    payload = {**_tool_stamp(cfg), "report": report.to_dict()}
+    payload = {**_tool_stamp(cfg, ("tol",)), "report": report.to_dict()}
     _emit(_render_rows(rows, cfg.format, payload), args.out)
     return 0 if report.passed else 2
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol,
-                    n_max=args.n_max, format=args.format, seed=args.seed)
+    cfg = RunConfig(args.group, args.measure, tol=args.tol, format=args.format)
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     report = verify_srf(mu, tol=cfg.tol)
-    payload = {**_tool_stamp(cfg), "report": report.to_dict()}
+    payload = {**_tool_stamp(cfg, ("tol",)), "report": report.to_dict()}
     _emit(_render_rows(_spectral_rows(report), cfg.format, payload), args.out)
     return 0
 
@@ -323,24 +328,19 @@ def _dyadic_upto(n: int) -> List[int]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = RunConfig(args.group, args.measure, n_max=args.n_max,
-                    format=args.format, seed=args.seed)
+    cfg = RunConfig(args.group, args.measure, format=args.format, seed=args.seed)
     if args.steps < 1 or args.trials < 1:
         raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     ns = _dyadic_upto(args.steps)
-    rows = []
-    for n, emp in zip(ns, empirical_distributions(g, mu, ns, args.trials, cfg.seed)):
-        exact = exact_power(mu, n)
-        rows.append({
-            "n": n,
-            "tv_exact": f"{tv_to_uniform(exact):.12g}",
-            "tv_empirical": f"{tv_to_uniform(emp):.12g}",
-        })
-    stamp = _tool_stamp(cfg)
-    del stamp["config"]["tol"]  # simulate takes no --tol
-    payload = {**stamp, "trials": args.trials, "steps": args.steps, "rows": rows}
+    empirical = empirical_distributions(g, mu, ns, args.trials, cfg.seed)
+    rows = [{"n": n,
+             "tv_exact": f"{tv_to_uniform(exact):.12g}",
+             "tv_empirical": f"{tv_to_uniform(emp):.12g}"}
+            for n, exact, emp in zip(ns, exact_powers(mu, ns), empirical)]
+    payload = {**_tool_stamp(cfg, ("seed",)), "trials": args.trials, "steps": args.steps,
+               "rows": rows}
     _emit(_render_rows(rows, cfg.format, payload), args.out)
     return 0
 
@@ -377,9 +377,7 @@ def _add_io_flags(sub, with_measure: bool = True) -> None:
     sub.add_argument("--group", required=True, help="group definition JSON")
     if with_measure:
         sub.add_argument("--measure", required=True, help="measure definition JSON")
-    sub.add_argument("--n-max", type=int, default=1024, dest="n_max")
     sub.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -393,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("classify", help="six-condition verdict with cross-checks")
     _add_io_flags(p)
     p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--n-max", type=int, default=1024, dest="n_max")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("verify-srf", help="radius formula check on one measure")
@@ -409,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("rosenblatt",

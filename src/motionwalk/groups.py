@@ -29,6 +29,7 @@ __all__ = [
     "dual_action",
     "dual_table",
     "dual_orbits",
+    "right_products",
 ]
 
 
@@ -157,11 +158,12 @@ class MotionGroup:
         return tuple(int(v) for v in (m @ vec) % self.abelian.modulus)
 
     def mult_table(self) -> np.ndarray:
-        """Dense |G| x |G| index table, built once and shared read-only."""
+        """Dense |G| x |G| index table, right_products over every element,
+        built once and shared read-only."""
         if self._mult_table is None:
             with self._lock:
                 if self._mult_table is None:
-                    self._mult_table = _build_mult_table(self)
+                    self._mult_table = right_products(self, np.arange(self.size))
         return self._mult_table
 
     def inv_perm(self) -> np.ndarray:
@@ -312,22 +314,25 @@ def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
     return orbits
 
 
-def _build_mult_table(g: MotionGroup) -> np.ndarray:
-    n = g.abelian.modulus
-    na, nk = g.abelian.size, g.k.order
+def right_products(g: MotionGroup, ys: Sequence[int]) -> np.ndarray:
+    """(|G|, len(ys)) int32 index table whose entry [x, j] is the index of
+    x * ys[j], from (a, k)(b, m) = (a + M_k b, k m): the one array form of
+    the group law. Built one left K-part k at a time (rows k, k + |K|, ...),
+    with a + M_k b computed coordinate by coordinate once per distinct
+    A-part b among ys."""
+    n, nk = g.abelian.modulus, g.k.order
+    ys = np.asarray(ys, dtype=np.int64)
+    b_idx, b_of = np.unique(ys // nk, return_inverse=True)
     avecs = g.abelian.vectors()
     pow_basis = n ** np.arange(g.abelian.rank - 1, -1, -1, dtype=np.int64)
-    table = np.empty((g.size, g.size), dtype=np.int32)
-    for ki in range(nk):
-        moved = (avecs @ g.k.action[ki].T) % n            # phi_{ki}(a_j) for all j
-        summed = (avecs[:, None, :] + moved[None, :, :]) % n
-        out_a = summed @ pow_basis                        # (na, na) target a-index
-        for kj in range(nk):
-            out_idx = out_a * nk + int(g.k.table[ki, kj])
-            rows = np.arange(na) * nk + ki
-            cols = np.arange(na) * nk + kj
-            table[np.ix_(rows, cols)] = out_idx
-    return table
+    out = np.empty((g.size, len(ys)), dtype=np.int32)
+    for k in range(nk):
+        moved = (avecs[b_idx] @ g.k.action[k].T) % n      # M_k b per distinct b
+        out_a = 0
+        for c in range(g.abelian.rank):
+            out_a = out_a + (avecs[:, c, None] + moved[None, :, c]) % n * pow_basis[c]
+        out[k::nk] = out_a[:, b_of] * nk + g.k.table[k, ys % nk]
+    return out
 
 
 def _build_inv_perm(g: MotionGroup) -> np.ndarray:

@@ -7,11 +7,13 @@ counter-based generator, so a fixed seed reproduces the histogram bit for
 bit.
 
 The walk is step-major: step s draws one uniform per trial, the block
-[s*trials, (s+1)*trials) of the seed's stream, maps it to an increment by
-inverse CDF and multiplies through the group's multiplication table. A
-walk of n steps is therefore a prefix of every longer walk with the same
-seed, and one walk yields the histogram at every requested n. Memory
-beyond the table is O(trials): the trials x steps uniforms are never
+[s*trials, (s+1)*trials) of the seed's stream, maps it to an atom of the
+measure by inverse CDF over the atoms only, and steps x -> x * atom
+through the (|G|, #atoms) table of right products by the atoms. The dense
+|G| x |G| multiplication table is never built. A walk of n steps is
+therefore a prefix of every longer walk with the same seed, and one walk
+yields the histogram at every requested n. Memory beyond the (|G|,
+#atoms) table is O(trials): the trials x steps uniforms are never
 materialised.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .groups import MotionGroup
+from .groups import MotionGroup, right_products
 from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "empirical_distribution",
     "empirical_distributions",
     "exact_power",
+    "exact_powers",
     "tv_to_uniform",
 ]
 
@@ -69,9 +72,14 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of steps >= 0, got {list(ns)}")
     cfg = WalkConfig(steps=max(ns), trials=trials, seed=seed)
+    # a search of the full table stops only where it rises, so searching
+    # the rises alone draws the same element for every u
     cdf = _increment_cdf(mu)
-    table = g.mult_table()
+    atoms = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
+    cdf = cdf[atoms]
+    table = right_products(g, atoms).ravel()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    u = np.empty(cfg.trials)
     x = np.zeros(cfg.trials, dtype=np.int64)
     wanted = set(ns)
     for step in range(cfg.steps + 1):
@@ -79,7 +87,7 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
             yield step, x
         if step == cfg.steps:
             return
-        x = table[x, np.searchsorted(cdf, rng.random(cfg.trials), side="right")]
+        x = table[x * len(atoms) + np.searchsorted(cdf, rng.random(out=u), side="right")]
 
 
 def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:
@@ -107,21 +115,32 @@ def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
     return empirical_distributions(g, mu, [n], trials, seed)[0]
 
 
+def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
+    """mu^n for each entry of ns, in its order, from one chain of
+    squarings mu, mu^2, mu^4, ... up to max(ns). Each power is the product
+    of the chain's entries at the set bits of n, lowest bit first, and
+    starts from its first factor; n = 0 gives the point mass at the
+    identity. The power at n does not depend on the other entries of ns,
+    so it equals exact_power(mu, n) bit for bit."""
+    if len(ns) == 0 or min(ns) < 0:
+        raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
+    squares = [mu]
+    while 2 ** len(squares) <= max(ns):
+        squares.append(convolve(squares[-1], squares[-1]))
+    powers = []
+    for n in ns:
+        result = None
+        for bit, square in enumerate(squares):
+            if n >> bit & 1:
+                result = square if result is None else convolve(result, square)
+        powers.append(delta(mu.group, mu.group.identity()) if result is None else result)
+    return powers
+
+
 def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:
     """mu^n by square-and-multiply convolution; n = 0 gives the point
     mass at the identity."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    result = delta(mu.group, mu.group.identity())
-    base = mu
-    e = n
-    while e:
-        if e & 1:
-            result = convolve(result, base)
-        e >>= 1
-        if e:
-            base = convolve(base, base)
-    return result
+    return exact_powers(mu, [n])[0]
 
 
 def tv_to_uniform(dist: GroupMeasure) -> float:

@@ -15,7 +15,7 @@ from motionwalk.cli import (
 )
 from motionwalk.errors import ParseError
 from motionwalk.measures import from_weights
-from motionwalk.simulate import empirical_distribution, tv_to_uniform
+from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
 
 
 def write_group(path, g):
@@ -234,6 +234,48 @@ def test_simulate_has_no_tol_flag(tmp_path, d5, capsys):
         main(["simulate", "--group", gpath, "--measure", mpath, "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_simulate_exact_rows_match_exact_power(tmp_path, d5, capsys):
+    # the exact rows come from one chain of squarings
+    g, gpath = d5
+    mu = 0.5 * delta(g, GElem((1,), 0)) + 0.5 * delta(g, GElem((0,), 1))
+    mpath = write_measure(tmp_path / "w.json", mu)
+    assert main(["simulate", "--group", gpath, "--measure", mpath,
+                 "--steps", "20", "--trials", "50"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
+    for r in rows:
+        assert r["tv_exact"] == f"{tv_to_uniform(exact_power(mu, r['n'])):.12g}"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--n-max"), ("spectrum", "--n-max"), ("verify-srf", "--n-max"),
+    ("classify", "--seed"), ("spectrum", "--seed"), ("verify-srf", "--seed"),
+])
+def test_unread_flags_are_usage_errors(tmp_path, d5, capsys, command, flag):
+    g, gpath = d5
+    mpath = write_measure(tmp_path / "u.json", uniform(g))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", gpath, "--measure", mpath, flag, "64"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, settings", [
+    ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64}),
+    ("verify-srf", [], {"tol": 1e-6}),
+    ("spectrum", ["--tol", "1e-7"], {"tol": 1e-7}),
+    ("simulate", ["--steps", "4", "--trials", "50", "--seed", "3"], {"seed": 3}),
+])
+def test_config_stamp_carries_what_the_command_reads(tmp_path, d5, capsys,
+                                                     command, extra, settings):
+    g, gpath = d5
+    mpath = write_measure(tmp_path / "u.json", uniform(g))
+    assert main([command, "--group", gpath, "--measure", mpath, *extra]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"group_path": gpath, "measure_path": mpath, "format": "json",
+                      **settings}
 
 
 def test_rosenblatt_subcommand(capsys):

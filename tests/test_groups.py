@@ -16,6 +16,7 @@ from motionwalk.groups import (
     dual_table,
     inverse,
     multiply,
+    right_products,
 )
 
 from conftest import (
@@ -110,6 +111,20 @@ def test_mult_table_matches_elementwise(order10):
     inv = order10.inv_perm()
     for i in range(order10.size):
         assert order10.element(int(inv[i])) == inverse(order10, order10.element(i))
+
+
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21"])
+def test_right_products_match_mult_table(request, group):
+    # the per-atom table is the columns ys of the dense table, repeats and
+    # unsorted entries included, and each entry is the elementwise product
+    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+    ys = np.array([g.size - 1, 0, 3, 3, g.size // 2 + 1, 1])
+    table = right_products(g, ys)
+    assert table.dtype == np.int32 and table.shape == (g.size, len(ys))
+    assert np.array_equal(table, g.mult_table()[:, ys])
+    for x in range(g.size):
+        for j, y in enumerate(ys):
+            assert table[x, j] == g.index(multiply(g, g.element(x), g.element(int(y))))
 
 
 def test_dual_action_examples(order10):

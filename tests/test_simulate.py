@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from motionwalk.errors import NotProbability
+from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
-from motionwalk.measures import delta, from_weights, tv_norm, uniform
+from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
 from motionwalk.simulate import (
     WalkConfig,
     _increment_cdf,
@@ -12,6 +13,7 @@ from motionwalk.simulate import (
     empirical_distribution,
     empirical_distributions,
     exact_power,
+    exact_powers,
     sample_path,
     tv_to_uniform,
 )
@@ -114,23 +116,92 @@ def _oracle_walk(g, mu, steps, trials, seed):
     return out
 
 
-@pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_streamed_walk_matches_block_oracle(request, group, dense):
-    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+def _oracle_weights(g, kind):
     rng = np.random.default_rng(4)
     w = np.zeros(g.size)
-    if dense:
+    if kind == "dense":
         w[:] = rng.random(g.size)
-    else:
+    elif kind == "sparse":
         w[rng.choice(g.size, size=3, replace=False)] = rng.random(3) + 0.1
-    mu = from_weights(g, w / w.sum())
+    elif kind == "zero-width":
+        # 1e-20 right after an atom of 0.5 leaves the CDF flat there
+        w[[1, 2, g.size - 3]] = [0.5, 1e-20, 0.5]
+    else:
+        # total 1 + 9e-13: the CDF exceeds 1 before it is sealed
+        w[[2, 5]] = [1.0 + 5e-13, 4e-13]
+    return w / w.sum() if kind in ("dense", "sparse") else w
+
+
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero-width", "above-one"])
+def test_streamed_walk_matches_block_oracle(request, group, kind):
+    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+    mu = from_weights(g, _oracle_weights(g, kind))
     steps, trials, seed = 12, 500, 17
     ref = _oracle_walk(g, mu, steps, trials, seed)
     assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
     ns = [0, 1, 3, 7, 12]
     for n, x in _walk(g, mu, ns, trials, seed):
         assert np.array_equal(x, ref[n])
+
+
+def test_walk_builds_no_mult_table():
+    # the walk steps through right products by the atoms only
+    g = negation_group(6)
+    mu = two_atom_walk(g)
+    empirical_distributions(g, mu, [3, 8], 200, seed=1)
+    sample_path(g, mu, WalkConfig(5, 200, 1))
+    assert g._mult_table is None
+
+
+def test_walk_on_large_group_builds_no_mult_table():
+    # |G| = 65536, where the dense table would take 16 GiB; the first trials
+    # are replayed element by element from the same uniforms
+    g = rotation_group(128)
+    atoms = [g.index(g.identity()), g.index(GElem((1, 0), 0)), g.index(GElem((0, 0), 1)),
+             g.index(GElem((5, 90), 3)), g.index(GElem((127, 2), 2))]
+    w = np.zeros(g.size)
+    w[atoms] = [0.5, 0.2, 0.1, 0.1, 0.1]
+    mu = from_weights(g, w)
+    steps, trials, seed = 16, 1000, 2
+    final = sample_path(g, mu, WalkConfig(steps, trials, seed))
+    assert g._mult_table is None
+    u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
+    increments = np.searchsorted(_increment_cdf(mu), u, side="right")
+    for t in range(20):
+        x = g.identity()
+        for step in range(steps):
+            x = multiply(g, x, g.element(int(increments[step, t])))
+        assert final[t] == g.index(x)
+
+
+def test_exact_powers_square_one_chain(order18, monkeypatch):
+    # dyadic rows are squares of the previous row; a non-dyadic n multiplies
+    # the chain's entries; every power equals its own exact_power bit for bit
+    mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    monkeypatch.setattr(simulate, "convolve", counting)
+    ns = [1, 2, 4, 8, 16, 32, 64, 128]
+    powers = exact_powers(mu, ns)
+    assert len(calls) == 7
+    assert np.array_equal(powers[0].weights, mu.weights)
+    for prev, cur in zip(powers, powers[1:]):
+        assert np.array_equal(cur.weights, convolve(prev, prev).weights)
+    calls.clear()
+    ns = [1, 2, 4, 8, 16, 20, 0, 3]
+    powers = exact_powers(mu, ns)
+    assert len(calls) == 6  # four squarings, 4 * 16 and 1 * 2
+    for n, power in zip(ns, powers):
+        assert np.array_equal(power.weights, exact_power(mu, n).weights)
+    assert np.array_equal(powers[6].weights, delta(order18, order18.identity()).weights)
+    for bad in ([], [2, -1]):
+        with pytest.raises(ValueError):
+            exact_powers(mu, bad)
 
 
 def test_empirical_distributions_rows_are_prefixes(order18):
