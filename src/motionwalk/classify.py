@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, dual_orbits, dual_table
+from .groups import Character, DualOrbit, MotionGroup, dual_orbits, dual_table
 from .measures import GroupMeasure, convolve, require_probability
-from .reps import _blocks, all_fourier_blocks, compress_to_complement
+from .reps import _blocks, compress_to_complement
 from .spectral import one_in_spectrum, spectral_radius
 
 __all__ = [
@@ -165,24 +165,18 @@ class Verdict:
 _Blocks = List[Tuple[Character, bool, np.ndarray]]
 
 
-def _nontrivial_blocks(mu: GroupMeasure) -> _Blocks:
+def _nontrivial_blocks(mu: GroupMeasure, orbits: List[DualOrbit]) -> _Blocks:
     """All nonzero-orbit Fourier blocks plus the zero-orbit complement."""
     g = mu.group
-    orbits = dual_orbits(g)
-    blocks = all_fourier_blocks(mu)
-    out = []
-    for orb, block in zip(orbits, blocks):
-        if not orb.representative.is_trivial():
-            out.append((orb.representative, False, block))
-    zero = orbits[0].representative
-    out.append((zero, True, compress_to_complement(g, blocks[0])))
-    return out
+    blocks = _blocks(g, mu.weights[g.inv_perm()], [o.representative for o in orbits])
+    out = [(o.representative, False, b) for o, b in zip(orbits[1:], blocks[1:])]
+    return out + [(orbits[0].representative, True, compress_to_complement(g, blocks[0]))]
 
 
 def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """Spectral radius < 1 on every nontrivial block, tri-state."""
     require_probability(mu)
-    return _sr_from_blocks(_nontrivial_blocks(mu), tol)
+    return _sr_from_blocks(_nontrivial_blocks(mu, dual_orbits(mu.group)), tol)
 
 
 def _sr_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
@@ -201,7 +195,7 @@ def _sr_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
 def check_s(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """1 not in the spectrum of any nontrivial block, by singular-value margin."""
     require_probability(mu)
-    return _s_from_blocks(_nontrivial_blocks(mu), tol)
+    return _s_from_blocks(_nontrivial_blocks(mu, dual_orbits(mu.group)), tol)
 
 
 def _s_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
@@ -306,6 +300,47 @@ def _right_convolution_matrix(mu: GroupMeasure) -> np.ndarray:
     return mu.weights[g.mult_table()[g.inv_perm(), :]]
 
 
+# complex entries a Cesaro term may build from one chunk (about 256 KB):
+# enough to amortise the Python loop on small groups, and stays in cache
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _cesaro_sums(start: np.ndarray, m: np.ndarray, n_max: int, per_step: int,
+                 term: Callable[[np.ndarray], np.ndarray]
+                 ) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (n, sum_{k=1..n} term(start m^k)) at each dyadic n <= n_max,
+    a sum the next chunk updates in place.
+
+    term gets the powers in chunks of w steps (the largest power of two with
+    w * per_step <= _CHUNK_ENTRIES; none crosses a dyadic n) and sums over
+    them. A dense m gives (w, |G|) rows, one vector-matrix product per step;
+    an (orbits, nk, nk) stack gives orbit-major (orbits, w * nk, nk) stacks,
+    doubled up to w steps and then advanced as chunk @ m^w.
+    """
+    w = 1 << max(0, (_CHUNK_ENTRIES // per_step).bit_length() - 1)
+    if m.ndim == 2:
+        rows = np.tile(start, (min(w, n_max) + 1, 1))
+    powers, jump = start, m
+    acc, done = None, 0
+    for n in _dyadic_checkpoints(n_max):
+        while done < n:
+            size = min(w, n - done)
+            if m.ndim == 2:
+                for j in range(size):
+                    np.matmul(rows[j], m, out=rows[j + 1])
+                chunk = rows[1:size + 1]
+                rows[0] = rows[size]
+            elif 0 < done < w:      # powers 1..done times m^done
+                chunk = powers @ jump
+                powers = np.concatenate((powers, chunk), axis=1)
+                jump = jump @ jump
+            else:                   # start m, then the last w powers times m^w
+                chunk = powers = powers @ jump
+            acc = term(chunk) if acc is None else np.add(acc, term(chunk), out=acc)
+            done += size
+        yield n, acc
+
+
 def empirical_mixing(mu: GroupMeasure, n_max: int = 1024,
                      threshold: float = 1e-6) -> DecayCurve:
     """sup_x tv_norm(f_x * mu^n) at dyadic n via repeated squaring."""
@@ -331,17 +366,11 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = 512,
     """
     require_probability(mu)
     g = mu.group
-    checkpoints = set(_dyadic_checkpoints(n_max))
-    m = _right_convolution_matrix(mu)
     p = np.zeros(g.size, dtype=np.complex128)
     p[g.index(g.identity())] = 1.0
-    acc = np.zeros_like(p)
-    points = []
-    for count in range(1, n_max + 1):
-        p = p @ m
-        acc += p
-        if count in checkpoints:
-            points.append((count, _translate_gap(g, acc / count)))
+    sums = _cesaro_sums(p, _right_convolution_matrix(mu), n_max, g.size,
+                        lambda rows: rows.sum(axis=0))
+    points = [(n, _translate_gap(g, acc / n)) for n, acc in sums]
     verdict, decays = _decide(points, threshold, "ERGODIC", "NOT_ERGODIC")
     return DecayCurve(tuple(points), threshold, verdict, decays)
 
@@ -372,11 +401,17 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
     evaluated exactly through matrix powers of the represented measure.
     """
     require_probability(mu)
-    g = mu.group
-    checkpoints = set(_dyadic_checkpoints(n_max))
-    nk = g.k.order
+    return _weak_mixing(mu, dual_orbits(mu.group), n_max, threshold,
+                        test_functions, n_random, seed)
 
-    use_blocks = test_functions is None
+
+def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = 512,
+                 threshold: float = 0.01,
+                 test_functions: Optional[Sequence[np.ndarray]] = None,
+                 n_random: int = 3, seed: int = 7) -> DecayCurve:
+    """empirical_weak_mixing on a probability measure, given dual_orbits."""
+    g = mu.group
+    nk = g.k.order
     extra: List[np.ndarray] = []
     if test_functions is not None:
         extra = [np.asarray(h, dtype=np.complex128) for h in test_functions]
@@ -390,40 +425,28 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
             h = rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size)
             extra.append(h / max(1.0, np.abs(h).max()))
 
-    if use_blocks:
-        reps = [o.representative for o in dual_orbits(g)]
-        gap_stack = _stacked_lambda_gaps(g, reps)          # (orb, |G|nk, nk)
+    # averages run over k = 1..n: the k = 0 term is n-independent and would
+    # mask the decay (uniform mu must come out exactly 0)
+    sums = []
+    if test_functions is None:
+        reps = [o.representative for o in orbits]
+        gap_stack = _stacked_lambda_gaps(g, reps)[:, None]  # (orb, 1, |G|nk, nk)
         cstack = _blocks(g, mu.weights, reps)
-        powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
-        block_acc = np.zeros(gap_stack.shape, dtype=np.float64)
-
+        sums.append(_cesaro_sums(
+            np.broadcast_to(np.eye(nk), cstack.shape), cstack, n_max, gap_stack.size,
+            lambda pw: np.abs(gap_stack @ pw.reshape(len(reps), -1, nk, nk)).sum(axis=1)))
     if extra:
         table = g.mult_table()
         hmats = np.stack([h[table] for h in extra])        # (nh, |G|, |G|)
         hvecs = np.stack(extra)
         nu = np.zeros(g.size, dtype=np.complex128)
         nu[g.index(g.identity())] = 1.0
-        m = _right_convolution_matrix(mu)
-        rand_acc = np.zeros((len(extra), g.size), dtype=np.float64)
+        sums.append(_cesaro_sums(
+            nu, _right_convolution_matrix(mu), n_max, len(extra) * g.size,
+            lambda rows: np.abs(hmats @ rows.T - (hvecs @ rows.T)[:, None, :]).sum(axis=2)))
 
-    # averages run over k = 1..n: the k = 0 term is n-independent and would
-    # mask the decay (uniform mu must come out exactly 0)
-    points = []
-    for count in range(1, n_max + 1):
-        if use_blocks:
-            powers = powers @ cstack
-            block_acc += np.abs(gap_stack @ powers)
-        if extra:
-            nu = nu @ m
-            base = hvecs @ nu
-            rand_acc += np.abs(hmats @ nu - base[:, None])
-        if count in checkpoints:
-            best = 0.0
-            if use_blocks:
-                best = float(block_acc.max()) / count
-            if extra:
-                best = max(best, float(rand_acc.max()) / count)
-            points.append((count, best))
+    points = [(n, max((float(next(it)[1].max()) for it in sums), default=0.0) / n)
+              for n in _dyadic_checkpoints(n_max)]
     verdict, decays = _decide(points, threshold, "WEAK_MIXING",
                               "NOT_WEAK_MIXING")
     return DecayCurve(tuple(points), threshold, verdict, decays)
@@ -466,13 +489,14 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = 512) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    blocks = _nontrivial_blocks(mu)
+    orbits = dual_orbits(mu.group)
+    blocks = _nontrivial_blocks(mu, orbits)
     sr = _sr_from_blocks(blocks, tol)
     s = _s_from_blocks(blocks, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
     mix = empirical_mixing(mu, n_max=mixing_n_max)
     erg = empirical_ergodic(mu, n_max=ergodic_n_max)
-    wm = empirical_weak_mixing(mu, n_max=ergodic_n_max)
+    wm = _weak_mixing(mu, orbits, n_max=ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

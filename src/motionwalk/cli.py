@@ -43,7 +43,7 @@ from .groups import GElem, MotionGroup, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
 from .simulate import empirical_distributions, exact_powers, tv_to_uniform
-from .spectral import SpectralReport, verify_srf
+from .spectral import OrbitSpectral, orbit_spectra, verify_srf
 
 __all__ = [
     "RunConfig",
@@ -85,6 +85,10 @@ class RunConfig:
 
 _SETTINGS = ("tol", "n_max", "seed")
 
+# largest |G| a group file may declare: every command first allocates a
+# |G|-long complex measure (16 MB here)
+MAX_GROUP_ORDER = 1 << 20
+
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = ()) -> dict:
     """Tool and version, and for a run its config: the paths, the format
@@ -113,11 +117,14 @@ def parse_group_data(data) -> MotionGroup:
         raise ParseError("group file: expected a JSON object")
     try:
         ab, kpart = data["abelian"], data["k"]
-        return build_motion_group(int(ab["modulus"]), int(ab["rank"]),
-                                  kpart["table"], kpart["action"])
-    except (NotAGroupTable, NotAHomomorphism, NotInvertible):
+        n, d, table = int(ab["modulus"]), int(ab["rank"]), kpart["table"]
+        # for n >= 2, n^21 already exceeds the budget: cap the power there
+        if n >= 2 and d >= 1 and n ** min(d, 21) * len(table) > MAX_GROUP_ORDER:
+            raise ParseError(f"group file: |G| exceeds {MAX_GROUP_ORDER} elements")
+        return build_motion_group(n, d, table, kpart["action"])
+    except (NotAGroupTable, NotAHomomorphism, NotInvertible, ParseError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"group file: missing or malformed field ({exc})") from exc
 
 
@@ -135,7 +142,7 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
             a = tuple(int(v) for v in atom["a"])
             k = int(atom.get("k", 0))
             weight = float(atom.get("re", 0.0)) + 1j * float(atom.get("im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"measure file: atom {i} malformed ({exc})") from exc
         if len(a) != g.abelian.rank:
             raise ParseError(
@@ -267,25 +274,16 @@ def _cmd_classify(args) -> int:
     return _classify_exit(verdict)
 
 
-def _spectral_rows(report: SpectralReport) -> List[dict]:
-    rows = []
-    for orbit in report.per_orbit:
-        rows.append({
-            "block": "alpha=" + str(tuple(orbit.representative.alpha)),
-            "spectral_radius": f"{orbit.spectral_radius:.12g}",
-            "op_norm": f"{orbit.op_norm:.12g}",
-            "one_in_spectrum": orbit.one_in_spectrum,
-            "margin": f"{orbit.margin:.6g}",
-        })
-    comp = report.lambda0_complement
-    rows.append({
-        "block": "complement",
-        "spectral_radius": f"{comp.spectral_radius:.12g}",
-        "op_norm": f"{comp.op_norm:.12g}",
-        "one_in_spectrum": comp.one_in_spectrum,
-        "margin": f"{comp.margin:.6g}",
-    })
-    return rows
+def _spectral_rows(per_orbit: Sequence[OrbitSpectral],
+                   comp: OrbitSpectral) -> List[dict]:
+    labelled = [("alpha=" + str(tuple(o.representative.alpha)), o) for o in per_orbit]
+    return [{
+        "block": label,
+        "spectral_radius": f"{o.spectral_radius:.12g}",
+        "op_norm": f"{o.op_norm:.12g}",
+        "one_in_spectrum": o.one_in_spectrum,
+        "margin": f"{o.margin:.6g}",
+    } for label, o in labelled + [("complement", comp)]]
 
 
 def _cmd_verify_srf(args) -> int:
@@ -293,7 +291,7 @@ def _cmd_verify_srf(args) -> int:
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     report = verify_srf(mu, tol=cfg.tol)
-    rows = _spectral_rows(report)
+    rows = _spectral_rows(report.per_orbit, report.lambda0_complement)
     rows.append({
         "block": "formula",
         "spectral_radius": f"{report.formula_radius:.12g}",
@@ -310,9 +308,11 @@ def _cmd_spectrum(args) -> int:
     cfg = RunConfig(args.group, args.measure, tol=args.tol, format=args.format)
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
-    report = verify_srf(mu, tol=cfg.tol)
-    payload = {**_tool_stamp(cfg, ("tol",)), "report": report.to_dict()}
-    _emit(_render_rows(_spectral_rows(report), cfg.format, payload), args.out)
+    per_orbit, comp = orbit_spectra(mu, tol=cfg.tol)
+    payload = {**_tool_stamp(cfg, ("tol",)),
+               "report": {"per_orbit": [o.to_dict() for o in per_orbit],
+                          "lambda0_complement": comp.to_dict()}}
+    _emit(_render_rows(_spectral_rows(per_orbit, comp), cfg.format, payload), args.out)
     return 0
 
 
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spectrum", help="per-block radius, norm, and margin")
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="margin at or below which 1 counts as in a block's spectrum")
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("simulate", help="Monte Carlo decay toward uniform")

@@ -189,9 +189,9 @@ def _int_det(m: Sequence[Sequence[int]]) -> int:
 
 
 def _validate_k_table(table: np.ndarray) -> np.ndarray:
-    order = table.shape[0]
-    if table.shape != (order, order):
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroupTable(f"table must be square, got shape {table.shape}")
+    order = table.shape[0]
     if not np.issubdtype(table.dtype, np.integer):
         raise NotAGroupTable("table entries must be integers")
     if table.min() < 0 or table.max() >= order:

@@ -33,6 +33,7 @@ __all__ = [
     "gelfand_radius",
     "gelfand_sequence",
     "star_norm",
+    "orbit_spectra",
     "verify_srf",
     "SINGULAR_REASON",
 ]
@@ -217,6 +218,20 @@ def _orbit_record(alpha: Character, block: np.ndarray,
     )
 
 
+def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
+                  ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
+    """Records of every dual-orbit Fourier block, zero orbit first, and of
+    the zero-orbit block compressed to the complement of the constants."""
+    g = mu.group
+    orbits = dual_orbits(g)
+    blocks = all_fourier_blocks(mu)
+    per_orbit = tuple(_orbit_record(o.representative, b, tol)
+                      for o, b in zip(orbits, blocks))
+    comp = _orbit_record(orbits[0].representative,
+                         compress_to_complement(g, blocks[0]), tol)
+    return per_orbit, comp
+
+
 def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,
                one_tol: float = 1e-8) -> SpectralReport:
     """Cross-check the radius formula on one measure.
@@ -226,16 +241,9 @@ def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,
     included). The complement record splits off the constants line of the
     zero-orbit block; it informs classification, not the formula gap.
     """
-    g = mu.group
-    orbits = dual_orbits(g)
-    blocks = all_fourier_blocks(mu)
-    per_orbit = tuple(_orbit_record(o.representative, b, one_tol)
-                      for o, b in zip(orbits, blocks))
-    comp = _orbit_record(orbits[0].representative,
-                         compress_to_complement(g, blocks[0]), one_tol)
+    per_orbit, comp = orbit_spectra(mu, one_tol)
     gel = gelfand_radius(mu, kmax=kmax)
-    block_side = max(max((o.spectral_radius for o in per_orbit), default=0.0),
-                     0.0)
+    block_side = max((o.spectral_radius for o in per_orbit), default=0.0)
     gap = abs(gel - block_side)
     return SpectralReport(
         gelfand_radius_estimate=gel,

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from motionwalk import GElem, delta, negation_group, scaling_group, uniform
+from motionwalk import GElem, delta, negation_group, scaling_group, swap_group, uniform
 from motionwalk.cli import (
     RunConfig,
     group_to_data,
@@ -135,15 +137,20 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
 
 
 @pytest.mark.parametrize("group, atom, extra", [
-    ({"modulus": 0}, {"re": 1.0}, ["spectrum"]),
+    ({"abelian": {"modulus": 0}}, {"re": 1.0}, ["spectrum"]),
     ({}, {"re": "nan"}, ["spectrum"]),
     ({}, {"re": "1e400"}, ["spectrum"]),
     ({}, {"re": 1.0}, ["simulate", "--trials", "0"]),
     ({}, {"re": 1.0}, ["simulate", "--steps", "0"]),
-], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps"])
+    # Z_n x Z_2 with the trivial action is a valid group for every n
+    ({"abelian": {"modulus": 10**15}, "k": {"action": [[[1]], [[1]]]}}, {"re": 1.0},
+     ["verify-srf"]),
+], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
+        "order-over-budget"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
     data = group_to_data(negation_group(5))
-    data["abelian"].update(group)
+    for part, fields in group.items():
+        data[part].update(fields)
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(data))
     mpath = tmp_path / "m.json"
@@ -301,3 +308,61 @@ def test_out_flag_writes_file(tmp_path, d5, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["tool"] == "motionwalk"
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.sampled_from([10**6, 10**30, -(10**30), 1e400, -1e400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.integers(-2, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _paths(node, prefix=()):
+    """Every location inside a JSON tree, as key/index paths."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, draw):
+    """Replace, delete or wrap in a list one location of a JSON tree."""
+    paths = list(_paths(data))
+    if not paths:
+        return
+    path = draw(st.sampled_from(paths))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    how = draw(st.sampled_from(["replace", "delete", "wrap"]))
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "wrap":
+        parent[path[-1]] = [parent[path[-1]]]
+    else:
+        parent[path[-1]] = draw(_JUNK)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, data):
+    g = data.draw(st.sampled_from([negation_group(3), swap_group(2)]))
+    group = group_to_data(g)
+    w = np.zeros(g.size, dtype=complex)
+    w[g.index(GElem((1,) * g.abelian.rank, 0))] = 0.5
+    w[g.index(GElem((0,) * g.abelian.rank, 1))] = 0.5
+    measure = measure_to_data(from_weights(g, w))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data.draw(st.sampled_from([group, measure])), data.draw)
+    gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
+    gpath.write_text(json.dumps(group))
+    mpath.write_text(json.dumps(measure))
+    command = data.draw(st.sampled_from([
+        ["classify", "--n-max", "16"], ["verify-srf"], ["spectrum"],
+        ["simulate", "--steps", "4", "--trials", "20"]]))
+    code = main([command[0], "--group", str(gpath), "--measure", str(mpath), *command[1:]])
+    err = capsys.readouterr().err
+    assert code in {0, 2, 3, 64, 65}
+    assert "Traceback" not in err

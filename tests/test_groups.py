@@ -71,6 +71,8 @@ def test_broken_table_rejected():
         build_motion_group(3, 1, [[0, 1], [1, 1]], [[[1]], [[1]]])
     with pytest.raises(NotAGroupTable):
         build_motion_group(3, 1, [[1, 0], [0, 1]], [[[1]], [[1]]])
+    with pytest.raises(NotAGroupTable):
+        build_motion_group(1, 1, 5, [[[1]]])
     # Latin square with unit and two-sided inverses that cannot be a group:
     # every element squares to the identity but the order is 5
     latin = [
