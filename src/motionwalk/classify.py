@@ -29,7 +29,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, DualOrbit, MotionGroup, dual_orbits, dual_table
+from .groups import (Character, DualOrbit, MotionGroup, dual_orbits, dual_table,
+                     right_products)
 from .measures import GroupMeasure, convolve, require_probability
 from .reps import _blocks, compress_to_complement
 from .spectral import one_in_spectrum, spectral_radius
@@ -54,6 +55,11 @@ __all__ = [
 
 # fraction of tol separating FAILS from INDETERMINATE
 GUARD_FRACTION = 8.0
+
+# fixed budgets of the Cesaro curves: the last n of the ergodic and
+# weak-mixing averages, and the seed of the random test functions
+CESARO_N_MAX = 512
+WEAK_MIXING_SEED = 7
 
 
 class TriState(str, Enum):
@@ -217,13 +223,13 @@ def _s_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
 def _semigroup_closure(g: MotionGroup, seed: Sequence[int]) -> np.ndarray:
     """Indices of the subgroup generated by seed (finite, so the
     multiplicative closure already contains inverses)."""
-    table = g.mult_table()
     gens = np.unique(np.asarray(list(seed), dtype=np.int64))
+    table = right_products(g, gens)
     member = np.zeros(g.size, dtype=bool)
     member[gens] = True
     frontier = gens
     while frontier.size:
-        prods = np.unique(table[np.ix_(frontier, gens)])
+        prods = np.unique(table[frontier])
         fresh = prods[~member[prods]]
         member[fresh] = True
         frontier = fresh
@@ -270,10 +276,15 @@ def _dyadic_checkpoints(n_max: int) -> List[int]:
     return out
 
 
+def _translates(g: MotionGroup, w: np.ndarray) -> np.ndarray:
+    """|G| x |G| matrix T[x, y] = w(x^{-1} y): row x is delta_x * w, and
+    p * w = p @ T."""
+    return w[g.mult_table()[g.inv_perm(), :]]
+
+
 def _translate_gap(g: MotionGroup, w: np.ndarray) -> float:
     """max over x of tv_norm(delta_x * w - w): the mean-zero basis sweep."""
-    shifted = w[g.mult_table()[g.inv_perm(), :]]
-    return float(np.abs(shifted - w[None, :]).sum(axis=1).max())
+    return float(np.abs(_translates(g, w) - w).sum(axis=1).max())
 
 
 def _decide(points: List[Tuple[int, float]], threshold: float,
@@ -294,13 +305,7 @@ def _decide(points: List[Tuple[int, float]], threshold: float,
     return "INCONCLUSIVE", None
 
 
-def _right_convolution_matrix(mu: GroupMeasure) -> np.ndarray:
-    """Matrix M with (p convolved with mu) = p @ M."""
-    g = mu.group
-    return mu.weights[g.mult_table()[g.inv_perm(), :]]
-
-
-# complex entries a Cesaro term may build from one chunk (about 256 KB):
+# entries a Cesaro term may build from one chunk (about 256 KB complex):
 # enough to amortise the Python loop on small groups, and stays in cache
 _CHUNK_ENTRIES = 1 << 14
 
@@ -313,21 +318,25 @@ def _cesaro_sums(start: np.ndarray, m: np.ndarray, n_max: int, per_step: int,
 
     term gets the powers in chunks of w steps (the largest power of two with
     w * per_step <= _CHUNK_ENTRIES; none crosses a dyadic n) and sums over
-    them. A dense m gives (w, |G|) rows, one vector-matrix product per step;
-    an (orbits, nk, nk) stack gives orbit-major (orbits, w * nk, nk) stacks,
-    doubled up to w steps and then advanced as chunk @ m^w.
+    them. A dense m walks a (rows, |G|) start and gives (w, rows, |G|)
+    chunks, one matrix product per step; an (orbits, nk, nk) stack gives
+    orbit-major (orbits, w * nk, nk) stacks, doubled up to w steps and then
+    advanced as chunk @ m^w.
     """
     w = 1 << max(0, (_CHUNK_ENTRIES // per_step).bit_length() - 1)
     if m.ndim == 2:
-        rows = np.tile(start, (min(w, n_max) + 1, 1))
+        rows = np.repeat(start[None], min(w, n_max) + 1, axis=0)
+        # np.dot on prebuilt (power, next power) views: on small groups the
+        # per-call overhead is most of a step, and matmul's is twice as high
+        steps = list(zip(rows, rows[1:]))
     powers, jump = start, m
     acc, done = None, 0
     for n in _dyadic_checkpoints(n_max):
         while done < n:
             size = min(w, n - done)
             if m.ndim == 2:
-                for j in range(size):
-                    np.matmul(rows[j], m, out=rows[j + 1])
+                for power, nxt in steps[:size]:
+                    np.dot(power, m, out=nxt)
                 chunk = rows[1:size + 1]
                 rows[0] = rows[size]
             elif 0 < done < w:      # powers 1..done times m^done
@@ -356,21 +365,21 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024,
     return DecayCurve(tuple(points), threshold, verdict, decays)
 
 
-def empirical_ergodic(mu: GroupMeasure, n_max: int = 512,
+def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
                       threshold: float = 0.02) -> DecayCurve:
     """sup_x tv_norm(f_x * S_n) for S_n = (1/n) sum_{k=1..n} mu^k, dyadic n.
 
     The k = 0 term is left out: it contributes a fixed tv_norm(f_x)/n
     that says nothing about mu and would dominate every average (the
-    uniform measure must come out exactly 0).
+    uniform measure must come out exactly 0). The powers walk on the real
+    part of mu: a probability measure is real within PROBABILITY_TOL.
     """
     require_probability(mu)
     g = mu.group
-    p = np.zeros(g.size, dtype=np.complex128)
-    p[g.index(g.identity())] = 1.0
-    sums = _cesaro_sums(p, _right_convolution_matrix(mu), n_max, g.size,
+    start = np.eye(1, g.size, g.index(g.identity()))
+    sums = _cesaro_sums(start, _translates(g, mu.weights.real), n_max, g.size,
                         lambda rows: rows.sum(axis=0))
-    points = [(n, _translate_gap(g, acc / n)) for n, acc in sums]
+    points = [(n, _translate_gap(g, acc[0] / n)) for n, acc in sums]
     verdict, decays = _decide(points, threshold, "ERGODIC", "NOT_ERGODIC")
     return DecayCurve(tuple(points), threshold, verdict, decays)
 
@@ -390,40 +399,39 @@ def _stacked_lambda_gaps(g: MotionGroup, reps: List[Character]) -> np.ndarray:
     return s.reshape(len(reps), g.size * nk, nk)
 
 
-def empirical_weak_mixing(mu: GroupMeasure, n_max: int = 512,
+def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
                           threshold: float = 0.01,
                           test_functions: Optional[Sequence[np.ndarray]] = None,
-                          n_random: int = 3, seed: int = 7) -> DecayCurve:
+                          n_random: int = 3, seed: int = WEAK_MIXING_SEED) -> DecayCurve:
     """Cesaro averages of |<f_x * mu^k, h>| over test functions h.
 
     By default h ranges over every matrix coefficient of every induced
     block plus a few seeded random bounded functions; the block part is
     evaluated exactly through matrix powers of the represented measure.
+    The other functions walk on the real part of mu: a probability measure
+    is real within PROBABILITY_TOL.
     """
     require_probability(mu)
     return _weak_mixing(mu, dual_orbits(mu.group), n_max, threshold,
                         test_functions, n_random, seed)
 
 
-def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = 512,
+def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = CESARO_N_MAX,
                  threshold: float = 0.01,
                  test_functions: Optional[Sequence[np.ndarray]] = None,
-                 n_random: int = 3, seed: int = 7) -> DecayCurve:
+                 n_random: int = 3, seed: int = WEAK_MIXING_SEED) -> DecayCurve:
     """empirical_weak_mixing on a probability measure, given dual_orbits."""
     g = mu.group
     nk = g.k.order
-    extra: List[np.ndarray] = []
-    if test_functions is not None:
-        extra = [np.asarray(h, dtype=np.complex128) for h in test_functions]
-        for h in extra:
-            if h.shape != (g.size,):
-                raise ValueError(f"test function has shape {h.shape}, "
-                                 f"expected ({g.size},)")
-    elif n_random > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(n_random):
-            h = rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size)
-            extra.append(h / max(1.0, np.abs(h).max()))
+    if test_functions is None:
+        u = np.random.default_rng(seed).uniform(-1, 1, (n_random, 2, g.size))
+        hs = u[:, 0] + 1j * u[:, 1]
+        hs /= np.maximum(1.0, np.abs(hs).max(axis=1, keepdims=True))
+    else:
+        hs = np.asarray(test_functions, dtype=np.complex128)
+        if len(hs) and hs.shape[1:] != (g.size,):
+            raise ValueError(f"test functions have shape {hs.shape}, "
+                             f"expected ({len(hs)}, {g.size})")
 
     # averages run over k = 1..n: the k = 0 term is n-independent and would
     # mask the decay (uniform mu must come out exactly 0)
@@ -435,15 +443,19 @@ def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = 512,
         sums.append(_cesaro_sums(
             np.broadcast_to(np.eye(nk), cstack.shape), cstack, n_max, gap_stack.size,
             lambda pw: np.abs(gap_stack @ pw.reshape(len(reps), -1, nk, nk)).sum(axis=1)))
-    if extra:
-        table = g.mult_table()
-        hmats = np.stack([h[table] for h in extra])        # (nh, |G|, |G|)
-        hvecs = np.stack(extra)
-        nu = np.zeros(g.size, dtype=np.complex128)
-        nu[g.index(g.identity())] = 1.0
-        sums.append(_cesaro_sums(
-            nu, _right_convolution_matrix(mu), n_max, len(extra) * g.size,
-            lambda rows: np.abs(hmats @ rows.T - (hvecs @ rows.T)[:, None, :]).sum(axis=2)))
+    if len(hs):
+        # <f_x * mu^k, h> = e_k(x) - e_k(e), e_0 = h and e_k = e_{k-1} T^T for
+        # the real translate matrix T of mu: Re h and Im h walk as rows
+        # through T^T, which is the translate matrix of the reversed measure
+        e, nh = g.index(g.identity()), len(hs)
+
+        def term(rows: np.ndarray) -> np.ndarray:
+            gaps = rows - rows[:, :, e, None]
+            return np.hypot(gaps[:, :nh], gaps[:, nh:]).sum(axis=0)
+
+        sums.append(_cesaro_sums(np.concatenate((hs.real, hs.imag)),
+                                 _translates(g, mu.weights.real[g.inv_perm()]), n_max,
+                                 2 * hs.size, term))
 
     points = [(n, max((float(next(it)[1].max()) for it in sums), default=0.0) / n)
               for n in _dyadic_checkpoints(n_max)]
@@ -486,7 +498,7 @@ def _grid_violations(sr: ConditionCheck, s: ConditionCheck,
 
 
 def cross_check(mu: GroupMeasure, tol: float = 1e-8,
-                mixing_n_max: int = 1024, ergodic_n_max: int = 512) -> Verdict:
+                mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
     orbits = dual_orbits(mu.group)

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import Verdict, cross_check
+from .classify import CESARO_N_MAX, WEAK_MIXING_SEED, Verdict, cross_check
 from .errors import (
     NotAGroupTable,
     NotAHomomorphism,
@@ -90,14 +90,14 @@ _SETTINGS = ("tol", "n_max", "seed")
 MAX_GROUP_ORDER = 1 << 20
 
 
-def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = ()) -> dict:
-    """Tool and version, and for a run its config: the paths, the format
-    and, of the settings, only those named in reads (the ones the command
-    reads)."""
+def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
+    """Tool and version, and for a run its config: the paths, the format,
+    of the settings only those named in reads (the ones the command reads),
+    and the fixed budgets it uses, which no flag reaches."""
     stamp = {"tool": "motionwalk", "version": __version__}
     if cfg is not None:
         stamp["config"] = {key: val for key, val in cfg.to_dict().items()
-                           if key not in _SETTINGS or key in reads}
+                           if key not in _SETTINGS or key in reads} | fixed
     return stamp
 
 
@@ -112,16 +112,27 @@ def _read_json(path: str):
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _integral(value, what: str):
+    """value, a JSON number or nested lists of them, once each number is
+    integral: int() and an int64 cast would read 0.5 as 0 and true as 1."""
+    for v in np.asarray(value, dtype=object).flat:
+        if isinstance(v, bool) or not (isinstance(v, int)
+                                       or isinstance(v, float) and v.is_integer()):
+            raise ParseError(f"{what}: {v!r} is not an integer")
+    return value
+
+
 def parse_group_data(data) -> MotionGroup:
     if not isinstance(data, dict):
         raise ParseError("group file: expected a JSON object")
     try:
         ab, kpart = data["abelian"], data["k"]
-        n, d, table = int(ab["modulus"]), int(ab["rank"]), kpart["table"]
+        n, d = (int(_integral(ab[key], f"group file: {key}")) for key in ("modulus", "rank"))
+        table, action = (_integral(kpart[key], f"group file: k {key}") for key in ("table", "action"))
         # for n >= 2, n^21 already exceeds the budget: cap the power there
         if n >= 2 and d >= 1 and n ** min(d, 21) * len(table) > MAX_GROUP_ORDER:
             raise ParseError(f"group file: |G| exceeds {MAX_GROUP_ORDER} elements")
-        return build_motion_group(n, d, table, kpart["action"])
+        return build_motion_group(n, d, table, action)
     except (NotAGroupTable, NotAHomomorphism, NotInvertible, ParseError):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -139,8 +150,8 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
         if not isinstance(atom, dict):
             raise ParseError(f"measure file: atom {i} is not an object")
         try:
-            a = tuple(int(v) for v in atom["a"])
-            k = int(atom.get("k", 0))
+            a = tuple(int(v) for v in _integral(atom["a"], f"measure file: atom {i} a"))
+            k = int(_integral(atom.get("k", 0), f"measure file: atom {i} k"))
             weight = float(atom.get("re", 0.0)) + 1j * float(atom.get("im", 0.0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"measure file: atom {i} malformed ({exc})") from exc
@@ -269,7 +280,9 @@ def _cmd_classify(args) -> int:
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
-    payload = {**_tool_stamp(cfg, ("tol", "n_max")), "report": verdict.to_dict()}
+    payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX,
+                             weak_mixing_seed=WEAK_MIXING_SEED),
+               "report": verdict.to_dict()}
     _emit(_render_rows(_classify_rows(verdict), cfg.format, payload), args.out)
     return _classify_exit(verdict)
 

@@ -336,7 +336,9 @@ def right_products(g: MotionGroup, ys: Sequence[int]) -> np.ndarray:
 
 
 def _build_inv_perm(g: MotionGroup) -> np.ndarray:
-    out = np.empty(g.size, dtype=np.int64)
-    for idx in range(g.size):
-        out[idx] = g.index(inverse(g, g.element(idx)))
-    return out
+    """Index of x^{-1} for every x = (a, k), from
+    (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1})."""
+    n, d = g.abelian.modulus, g.abelian.rank
+    moved = np.einsum("ad,kmd->akm", g.abelian.vectors(), g.k.action[g.k.inverses])
+    a_idx = (-moved % n) @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    return (a_idx * g.k.order + g.k.inverses).ravel()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionwalk.classify import (
+    AdaptedResult,
     TriState,
     _decide,
     _stacked_lambda_gaps,
@@ -113,6 +114,20 @@ def test_adapted(order10):
     assert not r.adapted and r.subgroup_size == 5
     r = adapted(two_atom_walk(order10))
     assert r.adapted and r.subgroup_size == 10
+
+
+def test_adapted_on_large_group_builds_no_mult_table():
+    # |G| = 65536, where the dense table would take 16 GiB: the closure
+    # reads only the right products of the generators
+    g = rotation_group(128)
+    w = np.zeros(g.size)
+    w[[g.index(g.identity()), g.index(GElem((1, 0), 0)), g.index(GElem((0, 0), 1))]] = 1 / 3
+    assert adapted(from_weights(g, w)) == AdaptedResult(True, g.size)
+    w[g.index(GElem((0, 0), 1))] = 0.0
+    w[g.index(GElem((0, 0), 2))] = 1 / 3
+    # the half-turn maps (1, 0) to its negative: only the first axis is reached
+    assert adapted(from_weights(g, w)) == AdaptedResult(False, 2 * 128)
+    assert g._mult_table is None
 
 
 def test_strictly_aperiodic(order10):
@@ -367,11 +382,18 @@ def test_cesaro_curves_match_per_step_loop(maker):
                 from_weights(g, 0.5 * eye[g.k.order] + 0.5 * eye[1]),  # translation, bare k
                 from_weights(g, sparse / sparse.sum())]
     hs = [rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size) for _ in range(2)]
-    for mu in measures:
+    # a probability measure within PROBABILITY_TOL of the sparse one: the
+    # ergodic walk runs on its real part, so its curve is that of the real part
+    nearly_real = from_weights(g, measures[-1].weights
+                               + 1e-13j * rng.uniform(-1, 1, g.size))
+    for mu in measures + [nearly_real]:
         for n_max in (1, 2, 64, 512):
             erg = empirical_ergodic(mu, n_max=n_max)
             want = _per_step_ergodic_points(mu, n_max)
-            _assert_curve_matches(erg, want)
+            if mu is nearly_real:
+                assert erg == empirical_ergodic(from_weights(g, mu.weights.real), n_max=n_max)
+            else:
+                _assert_curve_matches(erg, want)
             assert erg.verdict == _decide(want, 0.02, "ERGODIC", "NOT_ERGODIC")[0]
             for kwargs in ({}, {"test_functions": hs}, {"n_random": 0}):
                 wm = empirical_weak_mixing(mu, n_max=n_max, **kwargs)

@@ -145,8 +145,16 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     # Z_n x Z_2 with the trivial action is a valid group for every n
     ({"abelian": {"modulus": 10**15}, "k": {"action": [[[1]], [[1]]]}}, {"re": 1.0},
      ["verify-srf"]),
+    # integer fields: each of these used to be truncated into a valid input
+    ({"k": {"table": [[0, 1], [1, 0.5]]}}, {"re": 1.0}, ["spectrum"]),
+    ({"k": {"action": [[[1]], [[-1.0000001]]]}}, {"re": 1.0}, ["spectrum"]),
+    ({"abelian": {"modulus": 3.5}}, {"re": 1.0}, ["spectrum"]),
+    ({}, {"a": [0.5], "re": 1.0}, ["spectrum"]),
+    ({}, {"k": 0.9, "re": 1.0}, ["spectrum"]),
+    ({}, {"a": [True], "re": 1.0}, ["spectrum"]),
 ], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
-        "order-over-budget"])
+        "order-over-budget", "fractional-table-entry", "fractional-action-entry",
+        "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
     data = group_to_data(negation_group(5))
     for part, fields in group.items():
@@ -270,7 +278,8 @@ def test_unread_flags_are_usage_errors(tmp_path, d5, capsys, command, flag):
 
 
 @pytest.mark.parametrize("command, extra, settings", [
-    ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64}),
+    ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64,
+                                     "cesaro_n_max": 512, "weak_mixing_seed": 7}),
     ("verify-srf", [], {"tol": 1e-6}),
     ("spectrum", ["--tol", "1e-7"], {"tol": 1e-7}),
     ("simulate", ["--steps", "4", "--trials", "50", "--seed", "3"], {"seed": 3}),

@@ -104,15 +104,19 @@ def test_inverse_example(order10):
         assert inverse(order10, inverse(order10, x)) == x
 
 
-def test_mult_table_matches_elementwise(order10):
+def test_mult_table_matches_elementwise(request, order10):
     t = order10.mult_table()
     for i in range(order10.size):
         for j in range(order10.size):
             expect = multiply(order10, order10.element(i), order10.element(j))
             assert t[i, j] == order10.index(expect)
-    inv = order10.inv_perm()
-    for i in range(order10.size):
-        assert order10.element(int(inv[i])) == inverse(order10, order10.element(i))
+    # the vectorised inverse permutation, on the groups of the right_products check
+    for g in (order10, request.getfixturevalue("order18"), rotation_group(4),
+              request.getfixturevalue("order21")):
+        inv = g.inv_perm()
+        assert inv.dtype == np.int64 and inv.shape == (g.size,)
+        for i in range(g.size):
+            assert g.element(int(inv[i])) == inverse(g, g.element(i))
 
 
 @pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21"])
