@@ -283,8 +283,12 @@ def _translates(g: MotionGroup, w: np.ndarray) -> np.ndarray:
 
 
 def _translate_gap(g: MotionGroup, w: np.ndarray) -> float:
-    """max over x of tv_norm(delta_x * w - w): the mean-zero basis sweep."""
-    return float(np.abs(_translates(g, w) - w).sum(axis=1).max())
+    """max over x of tv_norm(delta_x * w - w): the mean-zero basis sweep.
+    Row x of w[mult_table] is w(x .) = delta_{x^-1} * w, so its rows are
+    the same translates in another order."""
+    d = w[g.mult_table()]
+    d -= w
+    return float(np.abs(d).sum(axis=1).max())
 
 
 def _decide(points: List[Tuple[int, float]], threshold: float,

@@ -88,6 +88,9 @@ _SETTINGS = ("tol", "n_max", "seed")
 # largest |G| a group file may declare: every command first allocates a
 # |G|-long complex measure (16 MB here)
 MAX_GROUP_ORDER = 1 << 20
+# largest |G| classify takes: cross_check builds |G| x |G| tables, about
+# 61 bytes per |G|^2 at peak (about 1 GB at the bound)
+MAX_CLASSIFY_ORDER = 1 << 12
 
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
@@ -278,6 +281,8 @@ def _cmd_classify(args) -> int:
     cfg = RunConfig(args.group, args.measure, tol=args.tol,
                     n_max=args.n_max, format=args.format)
     g = load_group(args.group)
+    if g.size > MAX_CLASSIFY_ORDER:
+        raise ParseError(f"classify: |G| = {g.size} exceeds {MAX_CLASSIFY_ORDER} elements")
     mu = load_measure(args.measure, g)
     verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
     payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX,

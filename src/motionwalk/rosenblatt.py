@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -225,18 +225,18 @@ def phi_window(n: int) -> WindowVector:
 
 
 def _exponent_sweep(t: Sequence[QSqrt5], lo: int, hi: int,
-                    vs: Sequence[Tuple[int, int]]) -> Dict[int, List[QSqrt5]]:
-    """Exact exponents t*Gamma^{-m}*v' for m in [lo, hi), one incremental
-    Gamma^{-1} multiply per step."""
-    out: Dict[int, List[QSqrt5]] = {}
+                    vs: Sequence[Tuple[int, int]]) -> List[List[QSqrt5]]:
+    """Exact exponents t*Gamma^{-m}*v' for m in [lo, hi), row m - lo, one
+    incremental Gamma^{-1} multiply per step."""
+    out: List[List[QSqrt5]] = []
     g = gamma_power(-lo)
-    for m in range(lo, hi):
+    for _ in range(lo, hi):
         row = []
         for v in vs:
             u0 = g[0][0] * v[0] + g[0][1] * v[1]
             u1 = g[1][0] * v[0] + g[1][1] * v[1]
             row.append(t[0].scale(u0) + t[1].scale(u1))
-        out[m] = row
+        out.append(row)
         g = _mat_mul(g, GAMMA_INV)
     return out
 
@@ -251,7 +251,7 @@ def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
     for x, w in atoms:
         sweep = _exponent_sweep(t, lo, hi, [(x.n1, x.n2)])
         for m in range(lo, hi):
-            out[m - lo] += float(w) * _phase(sweep[m][0]) * phi.at(m - x.k)
+            out[m - lo] += float(w) * _phase(sweep[m - lo][0]) * phi.at(m - x.k)
     return WindowVector(lo, out)
 
 
@@ -260,20 +260,27 @@ _V_BC = (9, 15)
 _V_CC = (10, 16)
 
 
+def _phases(t: Sequence[QSqrt5], lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 3) table of E_m(1,2), E_m(9,15), E_m(10,16) for m in
+    [lo, hi), with E_m(v) = exp(2 pi i t Gamma^{-m} v'), from one sweep."""
+    sweep = _exponent_sweep(t, lo, hi, [_V_B, _V_BC, _V_CC])
+    return np.array([[_phase(q) for q in row] for row in sweep], dtype=complex)
+
+
+def _collapsed(e: np.ndarray, phi: WindowVector) -> WindowVector:
+    """The collapsed operator on phi, given the phase table e of its rows
+    [offset, offset + len + 2)."""
+    p = np.pad(phi.values, 2)  # p[i + 2] = phi(offset + i)
+    return WindowVector(phi.offset, 0.25 * (1.0 + e[:, 0]) * p[1:-1]
+                        + 0.25 * (e[:, 1] + e[:, 2]) * p[:-2])
+
+
 def apply_lambda_mu(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
     """The walk operator in collapsed form: the k=1 atoms contribute
     (1/4)[1 + E_m(1,2)] phi(m-1) and the k=2 atoms
     (1/4)[E_m(9,15) + E_m(10,16)] phi(m-2), with
     E_m(v) = exp(2 pi i t Gamma^{-m} v'). Window grows by two."""
-    lo = phi.offset
-    hi = phi.offset + len(phi.values) + 2
-    sweep = _exponent_sweep(t, lo, hi, [_V_B, _V_BC, _V_CC])
-    out = np.zeros(hi - lo, dtype=complex)
-    for m in range(lo, hi):
-        eb, ebc, ecc = (_phase(q) for q in sweep[m])
-        out[m - lo] = 0.25 * (1.0 + eb) * phi.at(m - 1) \
-            + 0.25 * (ebc + ecc) * phi.at(m - 2)
-    return WindowVector(lo, out)
+    return _collapsed(_phases(t, phi.offset, phi.offset + len(phi.values) + 2), phi)
 
 
 @dataclass(frozen=True)
@@ -289,7 +296,9 @@ class DefectResult:
 def defect_norm(t: Sequence[QSqrt5], n: int) -> DefectResult:
     """Squared defect ||A phi_n - phi_n||^2 of the walk operator A on the
     normalized window phi_n, via two routes: the operator itself and a
-    closed-form row expansion.
+    closed-form row expansion. Both read one phase table of rows
+    [0, n + 2); measure_apply, with its own per-atom sweep, is the oracle
+    the operator is tested against.
 
     The expansion groups rows of A phi_n - phi_n by position: m=0 gives
     1/n; m=1 gives |1 + E_1(1,2) - 4|^2/(16n); interior rows 2 <= j <=
@@ -301,25 +310,15 @@ def defect_norm(t: Sequence[QSqrt5], n: int) -> DefectResult:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     phi = phi_window(n)
-    diff = apply_lambda_mu(t, phi).sub(phi)
-    direct = diff.norm() ** 2
+    e = _phases(t, 0, n + 2)
+    direct = _collapsed(e, phi).sub(phi).norm() ** 2
 
-    sweep = _exponent_sweep(t, 1, n + 2, [_V_B, _V_BC, _V_CC])
-
-    def phases(m: int) -> Tuple[complex, complex, complex]:
-        eb, ebc, ecc = (_phase(q) for q in sweep[m])
-        return eb, ebc, ecc
-
-    eb1, _, _ = phases(1)
-    closed = 1.0 / n
-    closed += abs(1.0 + eb1 - 4.0) ** 2 / (16.0 * n)
-    ebn1, ebcn1, eccn1 = phases(n + 1)
-    closed += abs(ebcn1 + eccn1) ** 2 / (16.0 * n)
-    ebn, ebcn, eccn = phases(n)
-    closed += abs(1.0 + ebn + ebcn + eccn) ** 2 / (16.0 * n)
-    for j in range(2, n):
-        ebj, ebcj, eccj = phases(j)
-        closed += abs(1.0 + ebj + ebcj + eccj - 4.0) ** 2 / (16.0 * n)
+    eb, ebc, ecc = e[1:].T  # rows m = 1 .. n+1
+    rows = 1.0 + eb + ebc + ecc
+    rows[:n - 1] -= 4.0
+    rows[0] = 1.0 + eb[0] - 4.0
+    rows[n] = ebc[n] + ecc[n]
+    closed = 1.0 / n + float(np.sum(np.abs(rows) ** 2 / (16.0 * n)))
     return DefectResult(n, direct, closed)
 
 

@@ -23,6 +23,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import GroupMismatch
 from .groups import MotionGroup, right_products
 from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
 
@@ -69,6 +70,8 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     """Yield (n, position index of X_n per trial) for each distinct n in
     ns, in increasing order, from one walk of max(ns) steps."""
     require_probability(mu)
+    if g is not mu.group:
+        raise GroupMismatch("the measure lives on another group")
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of steps >= 0, got {list(ns)}")
     cfg = WalkConfig(steps=max(ns), trials=trials, seed=seed)

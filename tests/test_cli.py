@@ -152,9 +152,13 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     ({}, {"a": [0.5], "re": 1.0}, ["spectrum"]),
     ({}, {"k": 0.9, "re": 1.0}, ["spectrum"]),
     ({}, {"a": [True], "re": 1.0}, ["spectrum"]),
+    # |G| = 4098, inside MAX_GROUP_ORDER but over MAX_CLASSIFY_ORDER
+    ({"abelian": {"modulus": 2049}, "k": {"action": [[[1]], [[1]]]}}, {"re": 1.0},
+     ["classify"]),
 ], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
         "order-over-budget", "fractional-table-entry", "fractional-action-entry",
-        "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate"])
+        "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate",
+        "classify-order-over-budget"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
     data = group_to_data(negation_group(5))
     for part, fields in group.items():

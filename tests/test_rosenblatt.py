@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionwalk import rosenblatt
 from motionwalk.errors import BudgetExceeded
 from motionwalk.rosenblatt import (
     DefectResult,
@@ -148,6 +149,27 @@ def test_defect_two_routes_agree():
         r = defect_norm(t, n)
         assert abs(r.direct - r.closed_form) <= 1e-10
         assert r.direct > 0 and r.closed_form > 0
+
+
+def test_defect_norm_sweeps_once(monkeypatch):
+    windows = []
+    sweep = rosenblatt._exponent_sweep
+
+    def counted(t, lo, hi, vs):
+        windows.append((lo, hi))
+        return sweep(t, lo, hi, vs)
+
+    monkeypatch.setattr(rosenblatt, "_exponent_sweep", counted)
+    defect_norm(eigen_parameter()[0], 16)
+    assert windows == [(0, 18)]
+
+
+@pytest.mark.parametrize("eigen", [True, False], ids=["eigen", "zero"])
+def test_defect_direct_is_the_operator_route(eigen):
+    t = eigen_parameter()[0] if eigen else T_ZERO
+    for n in (3, 8, 64):
+        phi = phi_window(n)
+        assert defect_norm(t, n).direct == apply_lambda_mu(t, phi).sub(phi).norm() ** 2
 
 
 def test_defect_decreases_toward_zero():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from motionwalk.errors import NotProbability
+from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
 from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
@@ -251,6 +251,15 @@ def test_probability_is_enforced(order10):
         sample_path(order10, bad, WalkConfig(4, 10, 0))
     with pytest.raises(NotProbability):
         tv_to_uniform(bad)
+
+
+def test_walk_rejects_a_measure_from_another_group():
+    mu = two_atom_walk(negation_group(5))
+    g = rotation_group(2)
+    with pytest.raises(GroupMismatch):
+        sample_path(g, mu, WalkConfig(4, 10, 0))
+    with pytest.raises(GroupMismatch):
+        empirical_distributions(g, mu, [1, 2], 100, 0)
 
 
 def test_walk_config_validation():
