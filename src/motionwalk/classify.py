@@ -29,11 +29,10 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import (Character, DualOrbit, MotionGroup, dual_orbits, dual_table,
-                     right_products)
+from .groups import Character, MotionGroup, dual_orbits, dual_table, right_products
 from .measures import GroupMeasure, convolve, require_probability
-from .reps import _blocks, compress_to_complement
-from .spectral import one_in_spectrum, spectral_radius
+from .reps import _blocks
+from .spectral import OrbitSpectral, orbit_spectra
 
 __all__ = [
     "TriState",
@@ -167,27 +166,26 @@ class Verdict:
 
 # ---------------------------------------------------------------- spectral
 
-# (representative, is the complement block, Fourier block)
-_Blocks = List[Tuple[Character, bool, np.ndarray]]
+# orbit_spectra's records: every dual orbit, zero orbit first, and the complement
+_Spectra = Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]
 
 
-def _nontrivial_blocks(mu: GroupMeasure, orbits: List[DualOrbit]) -> _Blocks:
-    """All nonzero-orbit Fourier blocks plus the zero-orbit complement."""
-    g = mu.group
-    blocks = _blocks(g, mu.weights[g.inv_perm()], [o.representative for o in orbits])
-    out = [(o.representative, False, b) for o, b in zip(orbits[1:], blocks[1:])]
-    return out + [(orbits[0].representative, True, compress_to_complement(g, blocks[0]))]
+def _nontrivial(spectra: _Spectra) -> List[Tuple[OrbitSpectral, bool]]:
+    """The nonzero-orbit records, then the complement's, each paired with
+    whether it is the complement."""
+    per_orbit, comp = spectra
+    return [(o, False) for o in per_orbit[1:]] + [(comp, True)]
 
 
 def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """Spectral radius < 1 on every nontrivial block, tri-state."""
     require_probability(mu)
-    return _sr_from_blocks(_nontrivial_blocks(mu, dual_orbits(mu.group)), tol)
+    return _sr_from_spectra(orbit_spectra(mu, tol), tol)
 
 
-def _sr_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
-    records = tuple(
-        BlockRecord(alpha, comp, spectral_radius(m)) for alpha, comp, m in blocks)
+def _sr_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
+    records = tuple(BlockRecord(o.representative, comp, o.spectral_radius)
+                    for o, comp in _nontrivial(spectra))
     worst = max(records, key=lambda r: r.value, default=None)
     if worst is None or worst.value < 1.0 - tol:
         verdict, witness = TriState.HOLDS, worst
@@ -201,13 +199,12 @@ def _sr_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
 def check_s(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """1 not in the spectrum of any nontrivial block, by singular-value margin."""
     require_probability(mu)
-    return _s_from_blocks(_nontrivial_blocks(mu, dual_orbits(mu.group)), tol)
+    return _s_from_spectra(orbit_spectra(mu, tol), tol)
 
 
-def _s_from_blocks(blocks: _Blocks, tol: float) -> ConditionCheck:
-    records = tuple(
-        BlockRecord(alpha, comp, one_in_spectrum(m, tol=tol).margin)
-        for alpha, comp, m in blocks)
+def _s_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
+    records = tuple(BlockRecord(o.representative, comp, o.margin)
+                    for o, comp in _nontrivial(spectra))
     worst = min(records, key=lambda r: r.value, default=None)
     if worst is None or worst.value > tol:
         verdict, witness = TriState.HOLDS, worst
@@ -416,15 +413,16 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
     is real within PROBABILITY_TOL.
     """
     require_probability(mu)
-    return _weak_mixing(mu, dual_orbits(mu.group), n_max, threshold,
-                        test_functions, n_random, seed)
+    reps = [o.representative for o in dual_orbits(mu.group)]
+    return _weak_mixing(mu, reps, n_max, threshold, test_functions, n_random, seed)
 
 
-def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = CESARO_N_MAX,
+def _weak_mixing(mu: GroupMeasure, reps: List[Character], n_max: int = CESARO_N_MAX,
                  threshold: float = 0.01,
                  test_functions: Optional[Sequence[np.ndarray]] = None,
                  n_random: int = 3, seed: int = WEAK_MIXING_SEED) -> DecayCurve:
-    """empirical_weak_mixing on a probability measure, given dual_orbits."""
+    """empirical_weak_mixing on a probability measure, given the dual-orbit
+    representatives."""
     g = mu.group
     nk = g.k.order
     if test_functions is None:
@@ -441,7 +439,6 @@ def _weak_mixing(mu: GroupMeasure, orbits: List[DualOrbit], n_max: int = CESARO_
     # mask the decay (uniform mu must come out exactly 0)
     sums = []
     if test_functions is None:
-        reps = [o.representative for o in orbits]
         gap_stack = _stacked_lambda_gaps(g, reps)[:, None]  # (orb, 1, |G|nk, nk)
         cstack = _blocks(g, mu.weights, reps)
         sums.append(_cesaro_sums(
@@ -505,14 +502,13 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    orbits = dual_orbits(mu.group)
-    blocks = _nontrivial_blocks(mu, orbits)
-    sr = _sr_from_blocks(blocks, tol)
-    s = _s_from_blocks(blocks, tol)
+    spectra = orbit_spectra(mu, tol)
+    sr = _sr_from_spectra(spectra, tol)
+    s = _s_from_spectra(spectra, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
     mix = empirical_mixing(mu, n_max=mixing_n_max)
     erg = empirical_ergodic(mu, n_max=ergodic_n_max)
-    wm = _weak_mixing(mu, orbits, n_max=ergodic_n_max)
+    wm = _weak_mixing(mu, [o.representative for o in spectra[0]], n_max=ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

@@ -67,8 +67,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ParseError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ParseError(f"tol must be positive and finite, got {self.tol}")
         if self.n_max < 1 or self.n_max & (self.n_max - 1):
             raise ParseError(f"n_max must be a power of two, got {self.n_max}")
 

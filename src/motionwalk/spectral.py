@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoConvergence, Overflow
 from .groups import Character, dual_orbits
 from .measures import GroupMeasure, convolve, tv_norm
-from .reps import all_fourier_blocks, compress_to_complement
+from .reps import _blocks, all_fourier_blocks, compress_to_complement
 
 __all__ = [
     "OneInSpectrumResult",
@@ -99,29 +99,41 @@ class SpectralReport:
         }
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a dense complex square matrix."""
+def _stack(m: np.ndarray, square: bool = True) -> np.ndarray:
+    """m as a finite (..., rows, cols) array, square unless told otherwise."""
     a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
+    if a.ndim < 2 or square and a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a {'square ' * square}matrix or stack of them, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def _scalar(x: np.ndarray, a: np.ndarray) -> float | bool | np.ndarray:
+    """x per matrix of a: a Python scalar for a single matrix."""
+    return x.item() if a.ndim == 2 else x
+
+
+def spectral_radius(m: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue magnitude of a dense square matrix, or of each
+    matrix of a (..., n, n) stack; 0 for an empty block."""
+    a = _stack(m)
     try:
         ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.abs(ev).max())
+    return _scalar(np.abs(ev).max(axis=-1, initial=0.0), a)
 
 
-def op_norm(m: np.ndarray) -> float:
-    """Operator (largest singular value) norm; 0 for an empty block."""
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
+def op_norm(m: np.ndarray) -> float | np.ndarray:
+    """Operator (largest singular value) norm of a matrix, or of each matrix
+    of a (..., rows, cols) stack; 0 for an empty block."""
+    a = _stack(m, square=False)
     try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+        s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed: {exc}") from exc
+    return _scalar(s.max(axis=-1, initial=0.0), a)
 
 
 def one_in_spectrum(m: np.ndarray, tol: float = 1e-8) -> OneInSpectrumResult:
@@ -130,23 +142,20 @@ def one_in_spectrum(m: np.ndarray, tol: float = 1e-8) -> OneInSpectrumResult:
     The singular-value margin is the primary, backward-stable criterion;
     the eigenvalue distance to 1 is kept as a secondary diagnostic.
     An empty (0 x 0) block has no spectrum: verdict false, infinite margin.
+    On a (..., n, n) stack every field is an array over the stack.
     """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        return OneInSpectrumResult(False, math.inf, math.inf)
-    gap = np.eye(a.shape[0]) - a
+    a = _stack(m)
     try:
-        s = np.linalg.svd(gap, compute_uv=False)
+        s = np.linalg.svd(np.eye(a.shape[-1]) - a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed: {exc}") from exc
-    margin = float(s[-1])
+    margin = s.min(axis=-1, initial=math.inf)
     try:
-        eigen_distance = float(np.abs(np.linalg.eigvals(a) - 1.0).min())
+        eigen_distance = np.abs(np.linalg.eigvals(a) - 1.0).min(axis=-1, initial=math.inf)
     except np.linalg.LinAlgError:
-        eigen_distance = math.nan
-    return OneInSpectrumResult(margin <= tol, margin, eigen_distance)
+        eigen_distance = np.full(a.shape[:-2], math.nan)
+    return OneInSpectrumResult(_scalar(margin <= tol, a), _scalar(margin, a),
+                               _scalar(eigen_distance, a))
 
 
 def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
@@ -203,33 +212,26 @@ def star_norm(mu: GroupMeasure) -> float:
     = conj(Lambda_alpha(mu)), so both families have the same norms up to a
     permutation of orbits.
     """
-    return max(op_norm(b) for b in all_fourier_blocks(mu))
-
-
-def _orbit_record(alpha: Character, block: np.ndarray,
-                  tol: float) -> OrbitSpectral:
-    ois = one_in_spectrum(block, tol=tol)
-    return OrbitSpectral(
-        representative=alpha,
-        spectral_radius=spectral_radius(block),
-        op_norm=op_norm(block),
-        one_in_spectrum=ois.verdict,
-        margin=ois.margin,
-    )
+    return float(op_norm(all_fourier_blocks(mu)).max())
 
 
 def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
     """Records of every dual-orbit Fourier block, zero orbit first, and of
-    the zero-orbit block compressed to the complement of the constants."""
+    the zero-orbit block compressed to the complement of the constants:
+    one FFT, and one call of each spectral function per stack."""
     g = mu.group
-    orbits = dual_orbits(g)
-    blocks = all_fourier_blocks(mu)
-    per_orbit = tuple(_orbit_record(o.representative, b, tol)
-                      for o, b in zip(orbits, blocks))
-    comp = _orbit_record(orbits[0].representative,
-                         compress_to_complement(g, blocks[0]), tol)
-    return per_orbit, comp
+    reps = [o.representative for o in dual_orbits(g)]
+    blocks = _blocks(g, mu.weights[g.inv_perm()], reps)
+
+    def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
+        ois = one_in_spectrum(stack, tol=tol)
+        return tuple(map(OrbitSpectral, alphas, spectral_radius(stack).tolist(),
+                         op_norm(stack).tolist(), ois.verdict.tolist(),
+                         ois.margin.tolist()))
+
+    comp = compress_to_complement(g, blocks[0])[None]
+    return records(reps, blocks), records(reps[:1], comp)[0]
 
 
 def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,

@@ -1,5 +1,6 @@
 """Round-trip serialization and exit-code contract for the command line."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,8 +77,9 @@ def test_measure_parse_rejects_bad_atoms():
 
 
 def test_run_config_validation():
-    with pytest.raises(ParseError):
-        RunConfig("g", "m", tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ParseError):
+            RunConfig("g", "m", tol=tol)
     with pytest.raises(ParseError):
         RunConfig("g", "m", n_max=100)
     cfg = RunConfig("g", "m")
@@ -155,10 +157,15 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     # |G| = 4098, inside MAX_GROUP_ORDER but over MAX_CLASSIFY_ORDER
     ({"abelian": {"modulus": 2049}, "k": {"action": [[[1]], [[1]]]}}, {"re": 1.0},
      ["classify"]),
+    # a non-finite tol used to pass every block, or none, without a word
+    ({}, {"re": 1.0}, ["verify-srf", "--tol", "inf"]),
+    ({}, {"re": 1.0}, ["spectrum", "--tol", "nan"]),
+    ({}, {"re": 1.0}, ["classify", "--tol", "inf"]),
 ], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
         "order-over-budget", "fractional-table-entry", "fractional-action-entry",
         "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate",
-        "classify-order-over-budget"])
+        "classify-order-over-budget", "verify-srf-tol-inf", "spectrum-tol-nan",
+        "classify-tol-inf"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
     data = group_to_data(negation_group(5))
     for part, fields in group.items():

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motionwalk.classify
+import motionwalk.reps
+import motionwalk.spectral
+from motionwalk.classify import cross_check
 from motionwalk.groups import GElem, dual_orbits, inverse, multiply
 from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
 from motionwalk.reps import all_fourier_blocks, fourier
@@ -17,6 +21,7 @@ from motionwalk.spectral import (
     gelfand_sequence,
     one_in_spectrum,
     op_norm,
+    orbit_spectra,
     spectral_radius,
     star_norm,
     verify_srf,
@@ -48,9 +53,58 @@ def test_spectral_radius_frozen_values():
     assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
-def test_spectral_radius_rejects_nonfinite():
+BAD_INPUTS = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "1-d": np.ones(3),
+    "non-square": np.ones((2, 3)),
+}
+
+
+@pytest.mark.parametrize("f, bad", [
+    (f, bad) for f in (spectral_radius, op_norm, one_in_spectrum) for bad in BAD_INPUTS
+    if bad != "non-square" or f is not op_norm
+], ids=lambda v: getattr(v, "__name__", v))
+def test_spectral_functions_reject_bad_input(f, bad):
     with pytest.raises(ValueError):
-        spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        f(BAD_INPUTS[bad])
+
+
+def test_op_norm_accepts_rectangular():
+    assert abs(op_norm(np.ones((2, 3))) - math.sqrt(6.0)) < 1e-12
+    assert np.allclose(op_norm(np.ones((4, 2, 3))), math.sqrt(6.0), atol=1e-12)
+
+
+def _stacks():
+    rng = np.random.default_rng(53)
+    blocks = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    # upper triangular with a 1 on the diagonal: eigenvalue exactly 1
+    blocks[2] = np.triu(blocks[2])
+    blocks[2, 1, 1] = 1.0
+    return {"random": blocks, "one-element": blocks[:1], "empty-blocks": np.zeros((3, 0, 0))}
+
+
+@pytest.mark.parametrize("name", ["random", "one-element", "empty-blocks"])
+def test_stacked_values_equal_per_block_values(name):
+    stack = _stacks()[name]
+    assert np.array_equal(spectral_radius(stack), [spectral_radius(b) for b in stack])
+    assert np.array_equal(op_norm(stack), [op_norm(b) for b in stack])
+    got, want = one_in_spectrum(stack), [one_in_spectrum(b) for b in stack]
+    assert np.array_equal(got.verdict, [r.verdict for r in want])
+    assert np.array_equal(got.margin, [r.margin for r in want])
+    assert np.array_equal(got.eigen_distance, [r.eigen_distance for r in want])
+    if name == "random":
+        assert got.verdict.tolist() == [False, False, True, False, False, False]
+
+
+def test_single_matrix_gives_python_scalars():
+    m = _stacks()["random"][2]
+    assert type(spectral_radius(m)) is float
+    assert type(op_norm(m)) is float
+    r = one_in_spectrum(m)
+    assert type(r.verdict) is bool and type(r.margin) is float
+    assert type(r.eigen_distance) is float
+    assert type(spectral_radius(np.zeros((0, 0)))) is float
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,6 +203,25 @@ def test_star_norm(order10):
         w = rng.normal(size=10) + 1j * rng.normal(size=10)
         mu = from_weights(order10, w)
         assert star_norm(mu) <= tv_norm(mu) + 1e-10
+
+
+def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return dual_orbits(g)
+
+    for module in (motionwalk.reps, motionwalk.spectral, motionwalk.classify):
+        monkeypatch.setattr(module, "dual_orbits", counted)
+    g = rotation_group(4)
+    rng = np.random.default_rng(67)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    orbit_spectra(from_weights(g, w))
+    assert len(calls) == 1
+    calls.clear()
+    cross_check(uniform(g))
+    assert len(calls) == 1
 
 
 def test_power_consistency(order10):
