@@ -91,6 +91,10 @@ MAX_GROUP_ORDER = 1 << 20
 # largest |G| classify takes: cross_check builds |G| x |G| tables, about
 # 61 bytes per |G|^2 at peak (about 1 GB at the bound)
 MAX_CLASSIFY_ORDER = 1 << 12
+# largest window rosenblatt takes: the exact phase sweep's integers grow
+# linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
+# at the bound)
+MAX_DEFECT_N = 1 << 14
 
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
@@ -370,6 +374,8 @@ def _parse_n_list(text: str) -> List[int]:
         raise ParseError(f"--n-list: {exc}") from exc
     if not values or any(v < 3 for v in values):
         raise ParseError("--n-list needs integers >= 3")
+    if any(v > MAX_DEFECT_N for v in values):
+        raise ParseError(f"--n-list: n exceeds {MAX_DEFECT_N}")
     return values
 
 
@@ -414,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-srf", help="radius formula check on one measure")
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="largest gap between the Gelfand estimate and the largest "
+                        "block radius that passes; the one_in_spectrum column "
+                        "ignores it and always takes a margin of at most 1e-8")
     p.set_defaults(func=_cmd_verify_srf)
 
     p = subs.add_parser("spectrum", help="per-block radius, norm, and margin")

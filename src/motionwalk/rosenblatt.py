@@ -14,14 +14,16 @@ exponentials.
 Entries of Gamma^{-m} grow like (2+sqrt5)^m, and the eigen-phase
 lambda^m * (t.v) is the difference of two such giants, so the mod-1
 reduction uses an integer square root carried to an adaptive precision a
-little past the coefficient size.
+little past the coefficient size. The sweep holds every exponent as an
+integer pair (X, Y) over the one common denominator d of t, so the
+exponent is (X + Y*sqrt5)/d and no rational is ever normalized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -165,23 +167,21 @@ def eigen_parameter() -> Tuple[Tuple[QSqrt5, QSqrt5], QSqrt5]:
 
 
 @lru_cache(maxsize=None)
-def _sqrt5_fraction(prec: int) -> Fraction:
-    # floor(sqrt(5*4^prec)) / 2^prec, within 2^-prec of sqrt 5
-    return Fraction(isqrt(5 << (2 * prec)), 1 << prec)
+def _sqrt5_scaled(p: int) -> int:
+    # floor(sqrt5 * 2^p), within 1 of sqrt5 * 2^p
+    return isqrt(5 << (2 * p))
 
 
-def _fractional_part(q: QSqrt5) -> float:
-    if q.y == 0:
-        return float(q.x % 1)
-    mag = q.y.numerator.bit_length() - q.y.denominator.bit_length()
-    prec = max(mag, 0) + 128
-    prec += -prec % 256  # quantize so the cached root is reused
-    approx = q.x + q.y * _sqrt5_fraction(prec)
-    return float(approx % 1)
-
-
-def _phase(q: QSqrt5) -> complex:
-    return complex(np.exp(2j * np.pi * _fractional_part(q)))
+def _fractional_part(x: int, y: int, d: int) -> float:
+    """(x + y*sqrt5)/d mod 1, with sqrt5 cut to p bits past the point. p
+    is at least 128 past the bit size of y/d in lowest terms, so the cut
+    moves the result by less than 2^-127."""
+    r = gcd(y, d)
+    mag = (y // r).bit_length() - (d // r).bit_length()
+    p = max(mag, 0) + 128
+    p += -p % 256  # quantize so the cached root is reused
+    den = d << p
+    return ((x << p) + y * _sqrt5_scaled(p)) % den / den
 
 
 def phase_exponent(t: Sequence[QSqrt5], m: int, v: Tuple[int, int]) -> QSqrt5:
@@ -225,20 +225,26 @@ def phi_window(n: int) -> WindowVector:
 
 
 def _exponent_sweep(t: Sequence[QSqrt5], lo: int, hi: int,
-                    vs: Sequence[Tuple[int, int]]) -> List[List[QSqrt5]]:
-    """Exact exponents t*Gamma^{-m}*v' for m in [lo, hi), row m - lo, one
-    incremental Gamma^{-1} multiply per step."""
-    out: List[List[QSqrt5]] = []
+                    vs: Sequence[Tuple[int, int]]
+                    ) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """Exact exponents t*Gamma^{-m}*v' for m in [lo, hi) as (d, rows):
+    row m - lo holds one integer pair (X, Y) per v, the exponent being
+    (X + Y*sqrt5)/d over the common denominator d of t. One incremental
+    Gamma^{-1} multiply per step."""
+    coeffs = [c for q in t for c in (q.x, q.y)]
+    d = lcm(*(c.denominator for c in coeffs))
+    a0, b0, a1, b1 = (int(c * d) for c in coeffs)
+    out: List[List[Tuple[int, int]]] = []
     g = gamma_power(-lo)
     for _ in range(lo, hi):
         row = []
         for v in vs:
             u0 = g[0][0] * v[0] + g[0][1] * v[1]
             u1 = g[1][0] * v[0] + g[1][1] * v[1]
-            row.append(t[0].scale(u0) + t[1].scale(u1))
+            row.append((a0 * u0 + a1 * u1, b0 * u0 + b1 * u1))
         out.append(row)
         g = _mat_mul(g, GAMMA_INV)
-    return out
+    return d, out
 
 
 def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
@@ -249,9 +255,9 @@ def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
     hi = phi.offset + len(phi.values) + 2
     out = np.zeros(hi - lo, dtype=complex)
     for x, w in atoms:
-        sweep = _exponent_sweep(t, lo, hi, [(x.n1, x.n2)])
+        e = _phases(t, lo, hi, [(x.n1, x.n2)])[:, 0]
         for m in range(lo, hi):
-            out[m - lo] += float(w) * _phase(sweep[m - lo][0]) * phi.at(m - x.k)
+            out[m - lo] += float(w) * e[m - lo] * phi.at(m - x.k)
     return WindowVector(lo, out)
 
 
@@ -260,11 +266,14 @@ _V_BC = (9, 15)
 _V_CC = (10, 16)
 
 
-def _phases(t: Sequence[QSqrt5], lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, 3) table of E_m(1,2), E_m(9,15), E_m(10,16) for m in
-    [lo, hi), with E_m(v) = exp(2 pi i t Gamma^{-m} v'), from one sweep."""
-    sweep = _exponent_sweep(t, lo, hi, [_V_B, _V_BC, _V_CC])
-    return np.array([[_phase(q) for q in row] for row in sweep], dtype=complex)
+def _phases(t: Sequence[QSqrt5], lo: int, hi: int,
+            vs: Sequence[Tuple[int, int]] = (_V_B, _V_BC, _V_CC)) -> np.ndarray:
+    """(hi - lo, len(vs)) table of E_m(v) = exp(2 pi i t Gamma^{-m} v') for
+    m in [lo, hi), from one sweep; by default the columns are E_m(1,2),
+    E_m(9,15), E_m(10,16)."""
+    d, rows = _exponent_sweep(t, lo, hi, vs)
+    table = np.array([[_fractional_part(x, y, d) for x, y in row] for row in rows])
+    return np.exp(2j * np.pi * table)
 
 
 def _collapsed(e: np.ndarray, phi: WindowVector) -> WindowVector:

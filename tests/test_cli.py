@@ -317,6 +317,31 @@ def test_rosenblatt_subcommand(capsys):
 
     assert main(["rosenblatt", "--n-list", "2"]) == 64
     capsys.readouterr()
+    # n is capped at MAX_DEFECT_N = 2^14 before any sweep starts
+    for n in (16385, 10 ** 30):
+        assert main(["rosenblatt", "--n-list", f"8,{n}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16384" in captured.err and "Traceback" not in captured.err
+
+
+def test_verify_srf_tol_bounds_the_formula_gap_only(tmp_path, d5, capsys):
+    # spectrum --tol is the one_in_spectrum margin; verify-srf --tol bounds
+    # |Gelfand estimate - block radius| and its column keeps the fixed 1e-8
+    g, gpath = d5
+    mu = 0.4 * uniform(g) + 0.6 * delta(g, g.identity())
+    mpath = write_measure(tmp_path / "m.json", mu)
+    args = ["--group", gpath, "--measure", mpath, "--tol", "0.5"]
+    reports = {}
+    for command in ("spectrum", "verify-srf"):
+        assert main([command, *args]) == 0
+        reports[command] = json.loads(capsys.readouterr().out)["report"]
+    for command, in_spectrum in (("spectrum", True), ("verify-srf", False)):
+        report = reports[command]
+        blocks = report["per_orbit"][1:] + [report["lambda0_complement"]]
+        assert [b["margin"] for b in blocks] == pytest.approx([0.4] * len(blocks))
+        assert all(b["one_in_spectrum"] is in_spectrum for b in blocks)
+    assert reports["verify-srf"]["passed"] is True
 
 
 def test_out_flag_writes_file(tmp_path, d5, capsys):

@@ -1,4 +1,5 @@
 """Exact-arithmetic lattice walk: products, eigen data, defect decay."""
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,8 @@ from motionwalk.rosenblatt import (
 
 Q0 = QSqrt5(Fraction(0), Fraction(0))
 T_ZERO = (Q0, Q0)
+# coefficient denominators 3, 7, 6, 2: the sweep's common denominator is 42
+T_ODD = (QSqrt5(Fraction(1, 3), Fraction(2, 7)), QSqrt5(Fraction(-5, 6), Fraction(1, 2)))
 
 small_int = st.integers(min_value=-30, max_value=30)
 small_k = st.integers(min_value=-6, max_value=6)
@@ -133,6 +136,42 @@ def test_collapsed_operator_matches_atom_sum():
                 WindowVector(-4, rng.normal(size=9) + 1j * rng.normal(size=9))):
         gap = apply_lambda_mu(t, phi).sub(measure_apply(t, phi)).norm()
         assert gap <= 1e-12
+
+
+def _decimal_fractional_part(q: QSqrt5) -> float:
+    # q mod 1 in decimal, carried 40 digits past the size of q's coefficients
+    digits = max(len(str(abs(c.numerator))) + len(str(c.denominator)) for c in (q.x, q.y))
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        val = (Decimal(q.x.numerator) / Decimal(q.x.denominator)
+               + Decimal(q.y.numerator) / Decimal(q.y.denominator) * Decimal(5).sqrt())
+        return float(val - val.to_integral_value(rounding=ROUND_FLOOR))
+
+
+@pytest.mark.parametrize("t, denominator", [
+    (eigen_parameter()[0], 2),
+    (T_ODD, 42),
+    ((QSqrt5(Fraction(1, 3), 0), QSqrt5(Fraction(-2, 5), 0)), 15),  # no sqrt5 part
+], ids=["eigen", "odd", "rational"])
+def test_integer_sweep_matches_decimal_oracle(t, denominator):
+    vs = [(1, 2), (9, 15), (10, 16)]
+    d, rows = rosenblatt._exponent_sweep(t, 0, 2001, vs)
+    assert d == denominator
+    for m in (0, 1, 7, 300, 2000):
+        for (x, y), v in zip(rows[m], vs):
+            q = phase_exponent(t, m, v)
+            assert (Fraction(x, d), Fraction(y, d)) == (q.x, q.y)
+            gap = abs(rosenblatt._fractional_part(x, y, d) - _decimal_fractional_part(q))
+            assert min(gap, 1.0 - gap) <= 1e-15
+
+
+def test_odd_denominator_parameter_routes_agree():
+    for n in (3, 8, 64, 1024):
+        r = defect_norm(T_ODD, n)
+        assert abs(r.direct - r.closed_form) <= 1e-12
+    for n in (8, 64):
+        phi = phi_window(n)
+        assert apply_lambda_mu(T_ODD, phi).sub(measure_apply(T_ODD, phi)).norm() <= 1e-12
 
 
 def test_defect_zero_parameter_hand_value():
