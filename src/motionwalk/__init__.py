@@ -41,13 +41,12 @@ from .measures import (
     uniform,
     uniform_on,
 )
-from .reps import fourier, lambda0_complement_block, lambda_elem
+from .reps import fourier
 from .spectral import (
     SpectralReport,
     gelfand_radius,
     op_norm,
     spectral_radius,
-    star_norm,
     verify_srf,
 )
 from .classify import (
@@ -103,13 +102,10 @@ __all__ = [
     "uniform",
     "uniform_on",
     "fourier",
-    "lambda0_complement_block",
-    "lambda_elem",
     "SpectralReport",
     "gelfand_radius",
     "op_norm",
     "spectral_radius",
-    "star_norm",
     "verify_srf",
     "Verdict",
     "adapted",

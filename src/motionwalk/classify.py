@@ -29,7 +29,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, dual_orbits, dual_table, right_products
+from .groups import Character, MotionGroup, Record, dual_orbits, dual_table, right_products
 from .measures import GroupMeasure, convolve, require_probability
 from .reps import _blocks
 from .spectral import OrbitSpectral, orbit_spectra
@@ -60,6 +60,11 @@ GUARD_FRACTION = 8.0
 CESARO_N_MAX = 512
 WEAK_MIXING_SEED = 7
 
+# final values below which the empirical curves count as decayed
+MIXING_THRESHOLD = 1e-6
+ERGODIC_THRESHOLD = 0.02
+WEAK_MIXING_THRESHOLD = 0.01
+
 
 class TriState(str, Enum):
     HOLDS = "HOLDS"
@@ -68,59 +73,36 @@ class TriState(str, Enum):
 
 
 @dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(Record):
     """One nontrivial block with the quantity the condition tests."""
     representative: Character
     is_complement: bool
     value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "representative": list(self.representative.alpha),
-            "is_complement": self.is_complement,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     condition: str
     verdict: TriState
     records: Tuple[BlockRecord, ...]
     witness: Optional[BlockRecord]
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict.value,
-            "records": [r.to_dict() for r in self.records],
-            "witness": self.witness.to_dict() if self.witness else None,
-            "tol": self.tol,
-        }
-
 
 @dataclass(frozen=True)
-class AdaptedResult:
+class AdaptedResult(Record):
     adapted: bool
     subgroup_size: int
 
-    def to_dict(self) -> dict:
-        return {"adapted": self.adapted, "subgroup_size": self.subgroup_size}
-
 
 @dataclass(frozen=True)
-class AperiodicResult:
+class AperiodicResult(Record):
     strictly_aperiodic: bool
     closure_size: int
 
-    def to_dict(self) -> dict:
-        return {"strictly_aperiodic": self.strictly_aperiodic,
-                "closure_size": self.closure_size}
-
 
 @dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(Record):
     """An empirical decay quantity sampled at dyadic times."""
     points: Tuple[Tuple[int, float], ...]
     threshold: float
@@ -131,17 +113,9 @@ class DecayCurve:
     def conclusive(self) -> bool:
         return self.decays is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [[n, v] for n, v in self.points],
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "decays": self.decays,
-        }
-
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     sr: ConditionCheck
     s: ConditionCheck
     adapted: AdaptedResult
@@ -150,18 +124,6 @@ class Verdict:
     empirical_ergodic: DecayCurve
     weak_mixing_empirical: DecayCurve
     consistency: Tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "sr": self.sr.to_dict(),
-            "s": self.s.to_dict(),
-            "adapted": self.adapted.to_dict(),
-            "strictly_aperiodic": self.strictly_aperiodic.to_dict(),
-            "empirical_mixing": self.empirical_mixing.to_dict(),
-            "empirical_ergodic": self.empirical_ergodic.to_dict(),
-            "weak_mixing_empirical": self.weak_mixing_empirical.to_dict(),
-            "consistency": list(self.consistency),
-        }
 
 
 # ---------------------------------------------------------------- spectral
@@ -351,8 +313,7 @@ def _cesaro_sums(start: np.ndarray, m: np.ndarray, n_max: int, per_step: int,
         yield n, acc
 
 
-def empirical_mixing(mu: GroupMeasure, n_max: int = 1024,
-                     threshold: float = 1e-6) -> DecayCurve:
+def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
     """sup_x tv_norm(f_x * mu^n) at dyadic n via repeated squaring."""
     require_probability(mu)
     g = mu.group
@@ -362,12 +323,11 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024,
     for n in checkpoints[1:]:
         cur = convolve(cur, cur)
         points.append((n, _translate_gap(g, cur.weights)))
-    verdict, decays = _decide(points, threshold, "MIXING", "NOT_MIXING")
-    return DecayCurve(tuple(points), threshold, verdict, decays)
+    verdict, decays = _decide(points, MIXING_THRESHOLD, "MIXING", "NOT_MIXING")
+    return DecayCurve(tuple(points), MIXING_THRESHOLD, verdict, decays)
 
 
-def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
-                      threshold: float = 0.02) -> DecayCurve:
+def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
     """sup_x tv_norm(f_x * S_n) for S_n = (1/n) sum_{k=1..n} mu^k, dyadic n.
 
     The k = 0 term is left out: it contributes a fixed tv_norm(f_x)/n
@@ -381,8 +341,8 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
     sums = _cesaro_sums(start, _translates(g, mu.weights.real), n_max, g.size,
                         lambda rows: rows.sum(axis=0))
     points = [(n, _translate_gap(g, acc[0] / n)) for n, acc in sums]
-    verdict, decays = _decide(points, threshold, "ERGODIC", "NOT_ERGODIC")
-    return DecayCurve(tuple(points), threshold, verdict, decays)
+    verdict, decays = _decide(points, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")
+    return DecayCurve(tuple(points), ERGODIC_THRESHOLD, verdict, decays)
 
 
 def _stacked_lambda_gaps(g: MotionGroup, reps: List[Character]) -> np.ndarray:
@@ -401,9 +361,8 @@ def _stacked_lambda_gaps(g: MotionGroup, reps: List[Character]) -> np.ndarray:
 
 
 def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
-                          threshold: float = 0.01,
                           test_functions: Optional[Sequence[np.ndarray]] = None,
-                          n_random: int = 3, seed: int = WEAK_MIXING_SEED) -> DecayCurve:
+                          n_random: int = 3) -> DecayCurve:
     """Cesaro averages of |<f_x * mu^k, h>| over test functions h.
 
     By default h ranges over every matrix coefficient of every induced
@@ -414,19 +373,18 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
     """
     require_probability(mu)
     reps = [o.representative for o in dual_orbits(mu.group)]
-    return _weak_mixing(mu, reps, n_max, threshold, test_functions, n_random, seed)
+    return _weak_mixing(mu, reps, n_max, test_functions, n_random)
 
 
 def _weak_mixing(mu: GroupMeasure, reps: List[Character], n_max: int = CESARO_N_MAX,
-                 threshold: float = 0.01,
                  test_functions: Optional[Sequence[np.ndarray]] = None,
-                 n_random: int = 3, seed: int = WEAK_MIXING_SEED) -> DecayCurve:
+                 n_random: int = 3) -> DecayCurve:
     """empirical_weak_mixing on a probability measure, given the dual-orbit
     representatives."""
     g = mu.group
     nk = g.k.order
     if test_functions is None:
-        u = np.random.default_rng(seed).uniform(-1, 1, (n_random, 2, g.size))
+        u = np.random.default_rng(WEAK_MIXING_SEED).uniform(-1, 1, (n_random, 2, g.size))
         hs = u[:, 0] + 1j * u[:, 1]
         hs /= np.maximum(1.0, np.abs(hs).max(axis=1, keepdims=True))
     else:
@@ -460,9 +418,9 @@ def _weak_mixing(mu: GroupMeasure, reps: List[Character], n_max: int = CESARO_N_
 
     points = [(n, max((float(next(it)[1].max()) for it in sums), default=0.0) / n)
               for n in _dyadic_checkpoints(n_max)]
-    verdict, decays = _decide(points, threshold, "WEAK_MIXING",
+    verdict, decays = _decide(points, WEAK_MIXING_THRESHOLD, "WEAK_MIXING",
                               "NOT_WEAK_MIXING")
-    return DecayCurve(tuple(points), threshold, verdict, decays)
+    return DecayCurve(tuple(points), WEAK_MIXING_THRESHOLD, verdict, decays)
 
 
 # ------------------------------------------------------------- cross-check

@@ -39,7 +39,7 @@ from .errors import (
     NotProbability,
     ParseError,
 )
-from .groups import GElem, MotionGroup, build_motion_group
+from .groups import GElem, MotionGroup, Record, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
 from .simulate import empirical_distributions, exact_powers, tv_to_uniform
@@ -58,7 +58,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     group_path: str
     measure_path: str
     tol: float = 1e-8
@@ -71,16 +71,6 @@ class RunConfig:
             raise ParseError(f"tol must be positive and finite, got {self.tol}")
         if self.n_max < 1 or self.n_max & (self.n_max - 1):
             raise ParseError(f"n_max must be a power of two, got {self.n_max}")
-
-    def to_dict(self) -> dict:
-        return {
-            "group_path": self.group_path,
-            "measure_path": self.measure_path,
-            "tol": self.tol,
-            "n_max": self.n_max,
-            "format": self.format,
-            "seed": self.seed,
-        }
 
 
 _SETTINGS = ("tol", "n_max", "seed")
@@ -95,6 +85,15 @@ MAX_CLASSIFY_ORDER = 1 << 12
 # linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
 # at the bound)
 MAX_DEFECT_N = 1 << 14
+# largest --trials simulate takes: the walk holds a few trial-long arrays,
+# about 30 bytes per trial at peak (about 0.5 GB at the bound)
+MAX_SIM_TRIALS = 1 << 24
+# largest --steps: every step is a pass of a Python loop, about 9 us even
+# at one trial (about 9 s at the bound)
+MAX_SIM_STEPS = 1 << 20
+# largest --steps x --trials: about 36 ns per trial step (about 40 s at
+# the bound)
+MAX_SIM_TRIAL_STEPS = 1 << 30
 
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
@@ -353,6 +352,10 @@ def _cmd_simulate(args) -> int:
     cfg = RunConfig(args.group, args.measure, format=args.format, seed=args.seed)
     if args.steps < 1 or args.trials < 1:
         raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")
+    if args.trials > MAX_SIM_TRIALS or args.steps > MAX_SIM_STEPS \
+            or args.steps * args.trials > MAX_SIM_TRIAL_STEPS:
+        raise ParseError(f"simulate: need --trials <= {MAX_SIM_TRIALS}, --steps <= "
+                         f"{MAX_SIM_STEPS} and their product <= {MAX_SIM_TRIAL_STEPS}")
     g = load_group(args.group)
     mu = load_measure(args.measure, g)
     ns = _dyadic_upto(args.steps)

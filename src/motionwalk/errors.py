@@ -6,8 +6,6 @@ __all__ = [
     "NotAHomomorphism",
     "NotInvertible",
     "GroupMismatch",
-    "ContainsZeroCharacter",
-    "NotOrbitClosed",
     "NotProbability",
     "NoConvergence",
     "Overflow",
@@ -31,14 +29,6 @@ class NotInvertible(ValueError):
 
 class GroupMismatch(ValueError):
     """Two measures live on different groups."""
-
-
-class ContainsZeroCharacter(ValueError):
-    """Central-measure support set must avoid the trivial character."""
-
-
-class NotOrbitClosed(ValueError):
-    """Central-measure support set must be a union of dual orbits."""
 
 
 class NotProbability(ValueError):

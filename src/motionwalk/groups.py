@@ -8,7 +8,8 @@ pairing, and K acts on characters through the inverse matrices.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from math import gcd
 from typing import Iterator, List, Sequence, Tuple
 
@@ -22,6 +23,7 @@ __all__ = [
     "MotionGroup",
     "GElem",
     "Character",
+    "Record",
     "DualOrbit",
     "build_motion_group",
     "multiply",
@@ -95,6 +97,27 @@ class Character:
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.alpha)
+
+
+class Record:
+    """Base of the report dataclasses. to_dict is their JSON form: fields
+    in declaration order, a Character as its vector, an enum as its value,
+    tuples as lists, nested records recursively."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(v):
+    if isinstance(v, Record):
+        return v.to_dict()
+    if isinstance(v, Character):
+        return list(v.alpha)
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,17 @@ total-variation norm is the l1 norm of the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContainsZeroCharacter, GroupMismatch, NotOrbitClosed, NotProbability
-from .groups import Character, GElem, MotionGroup, dual_action, dual_table
+from .errors import GroupMismatch, NotProbability
+from .groups import GElem, MotionGroup, dual_table
 
 __all__ = [
     "GroupMeasure",
     "convolve",
     "tv_norm",
-    "push_k",
-    "central_measure",
-    "mean_zero_basis",
     "delta",
     "uniform",
     "uniform_on",
@@ -40,10 +37,11 @@ class GroupMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.complex128)
+        w = np.array(self.weights, dtype=np.complex128)
         if w.shape != (self.group.size,):
             raise ValueError(f"weights must have length {self.group.size}, got {w.shape}")
-        w = w.copy()
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -86,7 +84,8 @@ def uniform(g: MotionGroup) -> GroupMeasure:
 
 
 def uniform_on(g: MotionGroup, elems: Iterable[GElem]) -> GroupMeasure:
-    idxs = [g.index(x) for x in elems]
+    """Uniform over the distinct elements of elems."""
+    idxs = list({g.index(x) for x in elems})
     if not idxs:
         raise ValueError("uniform_on needs a nonempty element collection")
     w = np.zeros(g.size, dtype=np.complex128)
@@ -139,55 +138,3 @@ def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     moved = h[dual_table(g)[:, inv, None], g.k.table[inv][None, :, :]]  # [xi, k1, k]
     out = np.einsum("xj,xjk->xk", f, moved)
     return GroupMeasure(g, np.fft.ifftn(out.reshape(shape), axes=axes).reshape(-1))
-
-
-def push_k(mu: GroupMeasure) -> np.ndarray:
-    """Pushforward to K as a (|K|,) weight array: pi_K(mu)(k) = sum_a mu(a, k)."""
-    g = mu.group
-    return mu.weights.reshape(g.abelian.size, g.k.order).sum(axis=0)
-
-
-def _orbit_closure_check(g: MotionGroup, s: Set[Character]) -> None:
-    for ch in s:
-        if ch.is_trivial():
-            raise ContainsZeroCharacter("support set must not contain the zero character")
-    for ch in s:
-        for k in range(g.k.order):
-            if dual_action(g, k, ch) not in s:
-                raise NotOrbitClosed(f"{ch} leaves the set under the action of k={k}")
-
-
-def central_measure(g: MotionGroup, s: Iterable[Character]) -> GroupMeasure:
-    """Central measure nu = (h dlambda_A) x delta_{identity of K}, where h is
-    the inverse A-Fourier transform of the indicator of s.
-
-    nu commutes with every measure on G, and its Fourier block at alpha is
-    the identity when alpha lies in s and zero otherwise.  s must be a union
-    of nontrivial dual orbits.
-    """
-    sset = set(s)
-    _orbit_closure_check(g, sset)
-    ab = g.abelian
-    n = ab.modulus
-    w = np.zeros(g.size, dtype=np.complex128)
-    if sset:
-        alphas = np.array([ch.alpha for ch in sorted(sset, key=lambda c: c.alpha)])
-        for a_idx in range(ab.size):
-            avec = np.asarray(ab.vector(a_idx), dtype=np.int64)
-            exps = (alphas @ avec) % n
-            h = np.exp(2j * np.pi * exps / n).sum() / ab.size
-            w[a_idx * g.k.order + 0] = h
-    return GroupMeasure(g, w)
-
-
-def mean_zero_basis(g: MotionGroup) -> List[GroupMeasure]:
-    """Basis f_x = delta_x - delta_e of the mean-zero functions, x != e."""
-    e = g.identity()
-    de = delta(g, e)
-    out = []
-    for idx in range(g.size):
-        x = g.element(idx)
-        if x == e:
-            continue
-        out.append(delta(g, x) - de)
-    return out

@@ -29,6 +29,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded
+from .groups import Record
 
 __all__ = [
     "ZElem",
@@ -293,13 +294,10 @@ def apply_lambda_mu(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
 
 
 @dataclass(frozen=True)
-class DefectResult:
+class DefectResult(Record):
     n: int
     direct: float
     closed_form: float
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "direct": self.direct, "closed_form": self.closed_form}
 
 
 def defect_norm(t: Sequence[QSqrt5], n: int) -> DefectResult:

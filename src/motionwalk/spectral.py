@@ -1,10 +1,12 @@
 """Dense spectral computations for measures on finite motion groups.
 
 Spectral radius, operator norm and 1-in-spectrum tests on Fourier blocks,
-the Gelfand radius of a measure by repeated convolution squaring, the
-measure star-norm, and a numeric cross-check of the radius formula
+the Gelfand radius of a measure by repeated convolution squaring, and a
+numeric cross-check of the radius formula
 
-    gelfand_radius(mu) = max over dual orbits of block spectral radius.
+    gelfand_radius(mu) = max over dual orbits of block spectral radius
+
+whose report also carries the measure star-norm.
 
 On a discrete group every measure is absolutely continuous with respect to
 counting measure, so the singular term of the general formula is
@@ -14,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import NoConvergence, Overflow
-from .groups import Character, dual_orbits
+from .groups import Character, Record, dual_orbits
 from .measures import GroupMeasure, convolve, tv_norm
-from .reps import _blocks, all_fourier_blocks, compress_to_complement
+from .reps import _blocks, compress_to_complement
 
 __all__ = [
     "OneInSpectrumResult",
@@ -32,7 +34,6 @@ __all__ = [
     "one_in_spectrum",
     "gelfand_radius",
     "gelfand_sequence",
-    "star_norm",
     "orbit_spectra",
     "verify_srf",
     "SINGULAR_REASON",
@@ -50,25 +51,16 @@ class OneInSpectrumResult:
 
 
 @dataclass(frozen=True)
-class OrbitSpectral:
+class OrbitSpectral(Record):
     representative: Character
     spectral_radius: float
     op_norm: float
     one_in_spectrum: bool
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "representative": list(self.representative.alpha),
-            "spectral_radius": self.spectral_radius,
-            "op_norm": self.op_norm,
-            "one_in_spectrum": self.one_in_spectrum,
-            "margin": self.margin,
-        }
-
 
 @dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Record):
     gelfand_radius_estimate: float
     per_orbit: Tuple[OrbitSpectral, ...]
     lambda0_complement: OrbitSpectral
@@ -84,19 +76,6 @@ class SpectralReport:
         """Block side of the formula: sup of orbit radii and singular term."""
         block = max((o.spectral_radius for o in self.per_orbit), default=0.0)
         return max(block, self.singular_term)
-
-    def to_dict(self) -> dict:
-        return {
-            "gelfand_radius_estimate": self.gelfand_radius_estimate,
-            "per_orbit": [o.to_dict() for o in self.per_orbit],
-            "lambda0_complement": self.lambda0_complement.to_dict(),
-            "star_norm": self.star_norm,
-            "singular_term": self.singular_term,
-            "singular_reason": self.singular_reason,
-            "formula_gap": self.formula_gap,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def _stack(m: np.ndarray, square: bool = True) -> np.ndarray:
@@ -203,18 +182,6 @@ def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
     return gelfand_sequence(mu, kmax)[kmax]
 
 
-def star_norm(mu: GroupMeasure) -> float:
-    """sup over unitary duals of the operator norm of the represented measure.
-
-    Every irreducible embeds in an induced block, so the sup is attained
-    over dual-orbit representatives.  It is read off the Fourier blocks:
-    mu_hat(Lambda_alpha) = Lambda_alpha(conj mu)^* and Lambda_{-alpha}(conj mu)
-    = conj(Lambda_alpha(mu)), so both families have the same norms up to a
-    permutation of orbits.
-    """
-    return float(op_norm(all_fourier_blocks(mu)).max())
-
-
 def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
     """Records of every dual-orbit Fourier block, zero orbit first, and of
@@ -234,16 +201,18 @@ def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
     return records(reps, blocks), records(reps[:1], comp)[0]
 
 
-def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20,
-               one_tol: float = 1e-8) -> SpectralReport:
+def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20) -> SpectralReport:
     """Cross-check the radius formula on one measure.
 
     Compares the repeated-squaring Gelfand estimate against the max block
     spectral radius over all dual orbits (full blocks, zero orbit
     included). The complement record splits off the constants line of the
     zero-orbit block; it informs classification, not the formula gap.
+    star_norm is the sup over the unitary dual of the operator norm of the
+    represented measure: every irreducible embeds in an induced block, so
+    it is the largest block operator norm.
     """
-    per_orbit, comp = orbit_spectra(mu, one_tol)
+    per_orbit, comp = orbit_spectra(mu)
     gel = gelfand_radius(mu, kmax=kmax)
     block_side = max((o.spectral_radius for o in per_orbit), default=0.0)
     gap = abs(gel - block_side)

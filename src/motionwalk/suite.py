@@ -105,7 +105,7 @@ def _dense_probability(g: MotionGroup, rng: np.random.Generator) -> GroupMeasure
 
 def fast_mixer(g: MotionGroup, beta: float, nu: GroupMeasure) -> GroupMeasure:
     """(1-beta)*uniform + beta*nu; nontrivial spectral radii <= beta."""
-    return uniform(g) * (1.0 - beta) + nu * beta
+    return GroupMeasure(g, uniform(g).weights * (1.0 - beta) + nu.weights * beta)
 
 
 def coset_walk(g: MotionGroup, k: int = 1) -> GroupMeasure:

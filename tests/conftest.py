@@ -1,6 +1,7 @@
 """Shared group fixtures for the test suite."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from motionwalk.families import (
@@ -11,7 +12,7 @@ from motionwalk.families import (
     swap_group,
     trivial_group,
 )
-from motionwalk.groups import MotionGroup
+from motionwalk.groups import MotionGroup, build_motion_group
 
 __all__ = [
     "cyclic_table",
@@ -20,7 +21,24 @@ __all__ = [
     "scaling_group",
     "swap_group",
     "rotation_group",
+    "d4_group",
 ]
+
+
+def d4_group(n: int) -> MotionGroup:
+    """(Z_n)^2 x| D4, the symmetries of the square acting mod n: the closure
+    of the quarter turn r and the reflection s, a non-abelian K of order 8
+    for n >= 3, with the table read off the matrix products."""
+    gens = [np.array([[0, -1], [1, 0]]) % n, np.array([[1, 0], [0, -1]]) % n]
+    mats = [np.eye(2, dtype=np.int64)]
+    for m in mats:
+        for gen in gens:
+            p = m @ gen % n
+            if not any(np.array_equal(p, q) for q in mats):
+                mats.append(p)
+    keys = [m.tobytes() for m in mats]
+    table = [[keys.index((a @ b % n).tobytes()) for b in mats] for a in mats]
+    return build_motion_group(n, 2, table, mats)
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +71,9 @@ def order20() -> MotionGroup:
 @pytest.fixture(scope="session")
 def order18() -> MotionGroup:
     return swap_group(3)
+
+
+@pytest.fixture(scope="session")
+def order72() -> MotionGroup:
+    # non-abelian K: the dihedral group of order 8
+    return d4_group(3)

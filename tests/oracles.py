@@ -1,0 +1,217 @@
+"""Independent routes the tests compare the package against.
+
+Elementwise induced-representation matrices, K-side reconstructions,
+central measures and the per-step Cesaro loops: each builds its answer a
+different way from the code under test, one element or one step at a
+time.
+"""
+from __future__ import annotations
+
+from typing import Iterable, List, Set
+
+import numpy as np
+
+from motionwalk.classify import _stacked_lambda_gaps
+from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits
+from motionwalk.measures import GroupMeasure, delta
+from motionwalk.reps import compress_to_complement, fourier, rep_of_measure
+
+
+class ContainsZeroCharacter(ValueError):
+    """Central-measure support set must avoid the trivial character."""
+
+
+class NotOrbitClosed(ValueError):
+    """Central-measure support set must be a union of dual orbits."""
+
+
+# ------------------------------------------------------ induced representations
+
+def lambda_elem(g: MotionGroup, alpha: Character, x: GElem) -> np.ndarray:
+    """Matrix of the induced representation at the group element x.
+
+    Phases come from dual_action one row at a time, so this stays an
+    elementwise oracle independent of the FFT builder reps._blocks.
+    """
+    nk = g.k.order
+    n = g.abelian.modulus
+    duals = np.array([dual_action(g, kp, alpha).alpha for kp in range(nk)],
+                     dtype=np.int64)                      # row k': phi_{k'}(alpha)
+    exps = (duals @ np.asarray(x.a, dtype=np.int64)) % n
+    phases = np.exp(2j * np.pi * exps / n)
+    cols = g.k.table[g.k.inv(x.k), :]                     # k'' = k^{-1} k'
+    m = np.zeros((nk, nk), dtype=np.complex128)
+    m[np.arange(nk), cols] = phases
+    return m
+
+
+def left_regular_k(g: MotionGroup, k: int) -> np.ndarray:
+    """Permutation matrix of [L_K(k) phi](k') = phi(k^{-1} k')."""
+    nk = g.k.order
+    m = np.zeros((nk, nk))
+    m[np.arange(nk), g.k.table[g.k.inv(k), :]] = 1.0
+    return m
+
+
+def right_regular_k(g: MotionGroup, k: int) -> np.ndarray:
+    """Permutation matrix of [R_K(k) phi](k') = phi(k' k)."""
+    nk = g.k.order
+    m = np.zeros((nk, nk))
+    m[np.arange(nk), g.k.table[:, k]] = 1.0
+    return m
+
+
+def lambda0_complement_block(mu: GroupMeasure) -> np.ndarray:
+    """mu_hat at the trivial character, compressed to the complement of the
+    constant functions."""
+    g = mu.group
+    return compress_to_complement(g, fourier(mu, Character((0,) * g.abelian.rank)))
+
+
+def orbit_conjugation_check(g: MotionGroup, alpha: Character, kprime: int) -> float:
+    """Max deviation of Lambda_{phi_{k'}(alpha)}(x) from
+    R_K(k') Lambda_alpha(x) R_K(k')^{-1} over a spanning set of x."""
+    moved = dual_action(g, kprime, alpha)
+    r = right_regular_k(g, kprime)
+    rinv = right_regular_k(g, g.k.inv(kprime))
+    worst = 0.0
+    for idx in range(g.size):
+        x = g.element(idx)
+        lhs = lambda_elem(g, moved, x)
+        rhs = r @ lambda_elem(g, alpha, x) @ rinv
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def pik_consistency(mu: GroupMeasure) -> float:
+    """Deviation of mu_hat(Lambda_0) from the K-pushforward reconstruction
+    sum_k pi_K(mu)(k) L_K(k^{-1})."""
+    g = mu.group
+    lhs = fourier(mu, Character((0,) * g.abelian.rank))
+    kw = push_k(mu)
+    rhs = np.zeros_like(lhs)
+    for k in range(g.k.order):
+        rhs += kw[k] * left_regular_k(g, g.k.inv(k))
+    return float(np.abs(lhs - rhs).max())
+
+
+# ------------------------------------------------------------------ measures
+
+def push_k(mu: GroupMeasure) -> np.ndarray:
+    """Pushforward to K as a (|K|,) weight array: pi_K(mu)(k) = sum_a mu(a, k)."""
+    g = mu.group
+    return mu.weights.reshape(g.abelian.size, g.k.order).sum(axis=0)
+
+
+def _orbit_closure_check(g: MotionGroup, s: Set[Character]) -> None:
+    for ch in s:
+        if ch.is_trivial():
+            raise ContainsZeroCharacter("support set must not contain the zero character")
+    for ch in s:
+        for k in range(g.k.order):
+            if dual_action(g, k, ch) not in s:
+                raise NotOrbitClosed(f"{ch} leaves the set under the action of k={k}")
+
+
+def central_measure(g: MotionGroup, s: Iterable[Character]) -> GroupMeasure:
+    """Central measure nu = (h dlambda_A) x delta_{identity of K}, where h is
+    the inverse A-Fourier transform of the indicator of s.
+
+    nu commutes with every measure on G, and its Fourier block at alpha is
+    the identity when alpha lies in s and zero otherwise.  s must be a union
+    of nontrivial dual orbits.
+    """
+    sset = set(s)
+    _orbit_closure_check(g, sset)
+    ab = g.abelian
+    n = ab.modulus
+    w = np.zeros(g.size, dtype=np.complex128)
+    if sset:
+        alphas = np.array([ch.alpha for ch in sorted(sset, key=lambda c: c.alpha)])
+        for a_idx in range(ab.size):
+            avec = np.asarray(ab.vector(a_idx), dtype=np.int64)
+            exps = (alphas @ avec) % n
+            h = np.exp(2j * np.pi * exps / n).sum() / ab.size
+            w[a_idx * g.k.order + 0] = h
+    return GroupMeasure(g, w)
+
+
+def mean_zero_basis(g: MotionGroup) -> List[GroupMeasure]:
+    """Basis f_x = delta_x - delta_e of the mean-zero functions, x != e."""
+    e = g.identity()
+    de = delta(g, e)
+    out = []
+    for idx in range(g.size):
+        x = g.element(idx)
+        if x == e:
+            continue
+        out.append(delta(g, x) - de)
+    return out
+
+
+# ------------------------------------------------------ per-step Cesaro loops
+
+def per_step_ergodic_points(mu, n_max):
+    """The per-step Cesaro loop the chunked routine replaced."""
+    g = mu.group
+    checkpoints = {1 << j for j in range(n_max.bit_length())}
+    m = mu.weights[g.mult_table()[g.inv_perm(), :]]
+    p = np.zeros(g.size, dtype=np.complex128)
+    p[g.index(g.identity())] = 1.0
+    acc = np.zeros_like(p)
+    points = []
+    for count in range(1, n_max + 1):
+        p = p @ m
+        acc += p
+        if count in checkpoints:
+            w = acc / count
+            shifted = w[g.mult_table()[g.inv_perm(), :]]
+            points.append((count, float(np.abs(shifted - w[None, :]).sum(axis=1).max())))
+    return points
+
+
+def per_step_weak_mixing_points(mu, n_max, test_functions=None, n_random=3, seed=7):
+    """The per-step weak-mixing loops the chunked routine replaced."""
+    g = mu.group
+    checkpoints = {1 << j for j in range(n_max.bit_length())}
+    nk = g.k.order
+    use_blocks = test_functions is None
+    if test_functions is not None:
+        extra = [np.asarray(h, dtype=np.complex128) for h in test_functions]
+    else:
+        rng = np.random.default_rng(seed)
+        extra = []
+        for _ in range(n_random):
+            h = rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size)
+            extra.append(h / max(1.0, np.abs(h).max()))
+    if use_blocks:
+        reps = [o.representative for o in dual_orbits(g)]
+        gap_stack = _stacked_lambda_gaps(g, reps)
+        cstack = np.stack([rep_of_measure(mu, alpha) for alpha in reps])
+        powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
+        block_acc = np.zeros(gap_stack.shape)
+    if extra:
+        table = g.mult_table()
+        hmats = np.stack([h[table] for h in extra])
+        hvecs = np.stack(extra)
+        nu = np.zeros(g.size, dtype=np.complex128)
+        nu[g.index(g.identity())] = 1.0
+        m = mu.weights[table[g.inv_perm(), :]]
+        rand_acc = np.zeros((len(extra), g.size))
+    points = []
+    for count in range(1, n_max + 1):
+        if use_blocks:
+            powers = powers @ cstack
+            block_acc += np.abs(gap_stack @ powers)
+        if extra:
+            nu = nu @ m
+            base = hvecs @ nu
+            rand_acc += np.abs(hmats @ nu - base[:, None])
+        if count in checkpoints:
+            best = 0.0
+            if use_blocks:
+                best = float(block_acc.max()) / count
+            if extra:
+                best = max(best, float(rand_acc.max()) / count)
+            points.append((count, best))
+    return points

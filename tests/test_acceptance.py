@@ -14,13 +14,8 @@ import pytest
 
 from motionwalk.classify import TriState, cross_check
 from motionwalk.groups import Character, dual_orbits
-from motionwalk.measures import central_measure, convolve, tv_norm, uniform
-from motionwalk.reps import (
-    fourier,
-    orbit_conjugation_check,
-    pik_consistency,
-    rep_of_measure,
-)
+from motionwalk.measures import convolve, tv_norm
+from motionwalk.reps import fourier, rep_of_measure
 from motionwalk.rosenblatt import (
     GAMMA_INV,
     QSqrt5,
@@ -38,6 +33,8 @@ from motionwalk.suite import (
     roster,
     spectral_sample_groups,
 )
+
+from oracles import central_measure, orbit_conjugation_check, pik_consistency
 
 
 @pytest.fixture(scope="module")

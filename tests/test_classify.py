@@ -25,9 +25,9 @@ from motionwalk.classify import (
 from motionwalk.errors import EmptySupport, NotProbability
 from motionwalk.groups import GElem, dual_orbits
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
-from motionwalk.reps import lambda_elem, rep_of_measure
 
-from conftest import negation_group, rotation_group, scaling_group, swap_group, trivial_group
+from conftest import d4_group, negation_group, rotation_group, scaling_group, swap_group
+from oracles import lambda_elem, per_step_ergodic_points, per_step_weak_mixing_points
 
 
 def two_atom_walk(g):
@@ -275,7 +275,8 @@ def test_random_probability_grid_consistency(seed):
 
 @pytest.mark.parametrize("maker", [lambda: negation_group(5),
                                    lambda: swap_group(3),
-                                   lambda: rotation_group(4)])
+                                   lambda: rotation_group(4),
+                                   lambda: d4_group(3)])
 def test_stacked_lambda_gaps_match_elementwise_oracle(maker):
     g = maker()
     reps = [o.representative for o in dual_orbits(g)]
@@ -296,72 +297,6 @@ def test_point_mass_mixing_curve_stays_flat(x):
     assert max(tail) <= min(tail) * (1.0 + 1e-11)
 
 
-def _per_step_ergodic_points(mu, n_max):
-    """The per-step Cesaro loop the chunked routine replaced."""
-    g = mu.group
-    checkpoints = {1 << j for j in range(n_max.bit_length())}
-    m = mu.weights[g.mult_table()[g.inv_perm(), :]]
-    p = np.zeros(g.size, dtype=np.complex128)
-    p[g.index(g.identity())] = 1.0
-    acc = np.zeros_like(p)
-    points = []
-    for count in range(1, n_max + 1):
-        p = p @ m
-        acc += p
-        if count in checkpoints:
-            w = acc / count
-            shifted = w[g.mult_table()[g.inv_perm(), :]]
-            points.append((count, float(np.abs(shifted - w[None, :]).sum(axis=1).max())))
-    return points
-
-
-def _per_step_weak_mixing_points(mu, n_max, test_functions=None, n_random=3, seed=7):
-    """The per-step weak-mixing loops the chunked routine replaced."""
-    g = mu.group
-    checkpoints = {1 << j for j in range(n_max.bit_length())}
-    nk = g.k.order
-    use_blocks = test_functions is None
-    if test_functions is not None:
-        extra = [np.asarray(h, dtype=np.complex128) for h in test_functions]
-    else:
-        rng = np.random.default_rng(seed)
-        extra = []
-        for _ in range(n_random):
-            h = rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size)
-            extra.append(h / max(1.0, np.abs(h).max()))
-    if use_blocks:
-        reps = [o.representative for o in dual_orbits(g)]
-        gap_stack = _stacked_lambda_gaps(g, reps)
-        cstack = np.stack([rep_of_measure(mu, alpha) for alpha in reps])
-        powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
-        block_acc = np.zeros(gap_stack.shape)
-    if extra:
-        table = g.mult_table()
-        hmats = np.stack([h[table] for h in extra])
-        hvecs = np.stack(extra)
-        nu = np.zeros(g.size, dtype=np.complex128)
-        nu[g.index(g.identity())] = 1.0
-        m = mu.weights[table[g.inv_perm(), :]]
-        rand_acc = np.zeros((len(extra), g.size))
-    points = []
-    for count in range(1, n_max + 1):
-        if use_blocks:
-            powers = powers @ cstack
-            block_acc += np.abs(gap_stack @ powers)
-        if extra:
-            nu = nu @ m
-            base = hvecs @ nu
-            rand_acc += np.abs(hmats @ nu - base[:, None])
-        if count in checkpoints:
-            best = 0.0
-            if use_blocks:
-                best = float(block_acc.max()) / count
-            if extra:
-                best = max(best, float(rand_acc.max()) / count)
-            points.append((count, best))
-    return points
-
-
 def _assert_curve_matches(curve, want):
     assert [n for n, _ in curve.points] == [n for n, _ in want]
     for (_, got), (_, ref) in zip(curve.points, want):
@@ -371,8 +306,9 @@ def _assert_curve_matches(curve, want):
 @pytest.mark.parametrize("maker", [lambda: negation_group(5),
                                    lambda: swap_group(3),
                                    lambda: rotation_group(4),
-                                   lambda: scaling_group(7, 2, 3)],
-                         ids=["order10", "order18", "rotation4", "order21"])
+                                   lambda: scaling_group(7, 2, 3),
+                                   lambda: d4_group(3)],
+                         ids=["order10", "order18", "rotation4", "order21", "d4_3"])
 def test_cesaro_curves_match_per_step_loop(maker):
     g = maker()
     rng = np.random.default_rng(g.size)
@@ -389,7 +325,7 @@ def test_cesaro_curves_match_per_step_loop(maker):
     for mu in measures + [nearly_real]:
         for n_max in (1, 2, 64, 512):
             erg = empirical_ergodic(mu, n_max=n_max)
-            want = _per_step_ergodic_points(mu, n_max)
+            want = per_step_ergodic_points(mu, n_max)
             if mu is nearly_real:
                 assert erg == empirical_ergodic(from_weights(g, mu.weights.real), n_max=n_max)
             else:
@@ -397,7 +333,7 @@ def test_cesaro_curves_match_per_step_loop(maker):
             assert erg.verdict == _decide(want, 0.02, "ERGODIC", "NOT_ERGODIC")[0]
             for kwargs in ({}, {"test_functions": hs}, {"n_random": 0}):
                 wm = empirical_weak_mixing(mu, n_max=n_max, **kwargs)
-                want = _per_step_weak_mixing_points(mu, n_max, **kwargs)
+                want = per_step_weak_mixing_points(mu, n_max, **kwargs)
                 _assert_curve_matches(wm, want)
                 assert wm.verdict == _decide(want, 0.01, "WEAK_MIXING",
                                              "NOT_WEAK_MIXING")[0]

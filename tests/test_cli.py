@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from motionwalk import GElem, delta, negation_group, scaling_group, swap_group, uniform
 from motionwalk.cli import (
+    MAX_SIM_STEPS,
+    MAX_SIM_TRIAL_STEPS,
+    MAX_SIM_TRIALS,
     RunConfig,
     group_to_data,
     main,
@@ -161,11 +164,16 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     ({}, {"re": 1.0}, ["verify-srf", "--tol", "inf"]),
     ({}, {"re": 1.0}, ["spectrum", "--tol", "nan"]),
     ({}, {"re": 1.0}, ["classify", "--tol", "inf"]),
+    # simulate budgets: these used to end in a memory error or run without bound
+    ({}, {"re": 1.0}, ["simulate", "--trials", "10000000000000"]),
+    ({}, {"re": 1.0}, ["simulate", "--steps", "100000000000", "--trials", "10"]),
+    ({}, {"re": 1.0}, ["simulate", "--steps", str(2 ** 20), "--trials", str(2 ** 11)]),
 ], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
         "order-over-budget", "fractional-table-entry", "fractional-action-entry",
         "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate",
         "classify-order-over-budget", "verify-srf-tol-inf", "spectrum-tol-nan",
-        "classify-tol-inf"])
+        "classify-tol-inf", "trials-over-budget", "steps-over-budget",
+        "trial-steps-over-budget"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
     data = group_to_data(negation_group(5))
     for part, fields in group.items():
@@ -178,6 +186,19 @@ def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom,
     err = capsys.readouterr().err
     assert code == 64
     assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    per_step = MAX_SIM_TRIAL_STEPS // MAX_SIM_STEPS
+    for sizes in (["--trials", str(MAX_SIM_TRIALS + 1)], ["--steps", str(MAX_SIM_STEPS + 1)],
+                  ["--steps", str(MAX_SIM_STEPS), "--trials", str(per_step + 1)]):
+        assert main(["simulate", "--group", missing, "--measure", missing, *sizes]) == 64
+        assert capsys.readouterr().err.startswith("error: simulate: need --trials")
+    # at the bounds the budget passes, and the missing file is what fails
+    sizes = ["--steps", str(MAX_SIM_STEPS), "--trials", str(per_step)]
+    assert main(["simulate", "--group", missing, "--measure", missing, *sizes]) == 64
+    assert "absent.json" in capsys.readouterr().err
 
 
 def test_non_probability_exits_65(tmp_path, d5, capsys):

@@ -21,6 +21,7 @@ from motionwalk.groups import (
 
 from conftest import (
     cyclic_table,
+    d4_group,
     negation_group,
     rotation_group,
     scaling_group,
@@ -112,14 +113,14 @@ def test_mult_table_matches_elementwise(request, order10):
             assert t[i, j] == order10.index(expect)
     # the vectorised inverse permutation, on the groups of the right_products check
     for g in (order10, request.getfixturevalue("order18"), rotation_group(4),
-              request.getfixturevalue("order21")):
+              request.getfixturevalue("order21"), request.getfixturevalue("order72")):
         inv = g.inv_perm()
         assert inv.dtype == np.int64 and inv.shape == (g.size,)
         for i in range(g.size):
             assert g.element(int(inv[i])) == inverse(g, g.element(i))
 
 
-@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21"])
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21", "order72"])
 def test_right_products_match_mult_table(request, group):
     # the per-atom table is the columns ys of the dense table, repeats and
     # unsorted entries included, and each entry is the elementwise product
@@ -178,7 +179,8 @@ def test_dual_orbits_order10(order10):
                                    lambda: scaling_group(7, 2, 3),
                                    lambda: swap_group(3),
                                    lambda: scaling_group(5, 2, 4),
-                                   lambda: rotation_group(4)])
+                                   lambda: rotation_group(4),
+                                   lambda: d4_group(5)])
 def test_dual_orbits_partition(maker):
     g = maker()
     table = dual_table(g)

@@ -6,27 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionwalk.errors import (
-    ContainsZeroCharacter,
-    GroupMismatch,
-    NotOrbitClosed,
-    NotProbability,
-)
+from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk.groups import Character, GElem, inverse, multiply
 from motionwalk.measures import (
-    central_measure,
+    GroupMeasure,
     convolve,
     delta,
     from_weights,
     is_probability,
-    mean_zero_basis,
-    push_k,
     require_probability,
     tv_norm,
     uniform,
+    uniform_on,
 )
 
-from conftest import negation_group, rotation_group, scaling_group
+from conftest import negation_group, rotation_group
+from oracles import (
+    ContainsZeroCharacter,
+    NotOrbitClosed,
+    central_measure,
+    mean_zero_basis,
+    push_k,
+)
 
 
 def oracle_convolve(g, mu, nu):
@@ -74,9 +75,9 @@ def test_uniform_convolution_idempotent(order10):
     assert np.allclose(oracle_convolve(order10, u, u), u.weights, atol=1e-14)
 
 
-def test_convolution_matches_oracle(order10, order21, order18):
+def test_convolution_matches_oracle(order10, order21, order18, order72):
     rng = np.random.default_rng(11)
-    for g in (order10, order21, order18, rotation_group(4)):
+    for g in (order10, order21, order18, rotation_group(4), order72):
         for sparse in (False, True):
             mu = random_measure(g, rng, sparse)
             nu = random_measure(g, rng, sparse)
@@ -210,9 +211,23 @@ def test_mean_zero_basis(order10):
     assert np.allclose(recon, w, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)],
+                         ids=["nan", "inf", "complex-inf"])
+def test_non_finite_weights_rejected(order10, bad):
+    w = np.full(10, 0.1, dtype=np.complex128)
+    w[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GroupMeasure(order10, w)
+
+
 def test_probability_validation(order10):
     assert is_probability(uniform(order10))
     require_probability(uniform(order10))
+    # uniform over the distinct elements: a repeat adds no mass
+    x, y = GElem((1,), 0), GElem((2,), 1)
+    mu = uniform_on(order10, [x, x, y])
+    assert is_probability(mu)
+    assert np.array_equal(mu.weights, uniform_on(order10, [y, x]).weights)
     bad = from_weights(order10, np.full(10, 0.1 + 0.01j))
     assert not is_probability(bad)
     with pytest.raises(NotProbability):

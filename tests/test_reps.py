@@ -5,26 +5,18 @@ import numpy as np
 import pytest
 
 from motionwalk.groups import Character, GElem, dual_orbits, inverse, multiply
-from motionwalk.measures import (
+from motionwalk.measures import convolve, delta, from_weights, uniform
+from motionwalk.reps import complement_basis, fourier, rep_of_measure
+
+from conftest import rotation_group, trivial_group
+from oracles import (
     central_measure,
-    convolve,
-    delta,
-    from_weights,
-    uniform,
-)
-from motionwalk.reps import (
-    all_fourier_blocks,
-    complement_basis,
-    fourier,
     lambda0_complement_block,
     lambda_elem,
     left_regular_k,
     orbit_conjugation_check,
     pik_consistency,
-    rep_of_measure,
 )
-
-from conftest import rotation_group, trivial_group
 
 
 def orbit_reps(g):
@@ -99,11 +91,11 @@ def test_fourier_anti_homomorphism(order10, order21):
             assert np.allclose(lhs, rhs, atol=1e-11)
 
 
-def test_fourier_elementwise_consistency(order10, order18):
+def test_fourier_elementwise_consistency(order10, order18, order72):
     # mu_hat(Lambda) = sum_x mu(x) Lambda(x^{-1}), entry by entry; rank 2
     # and |K| = 4 exercise the multi-axis FFT reshape and the K gather
     rng = np.random.default_rng(9)
-    for g in (order10, order18, rotation_group(4)):
+    for g in (order10, order18, rotation_group(4), order72):
         nk = g.k.order
         w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
         mu = from_weights(g, w)
@@ -126,9 +118,9 @@ def test_rep_of_measure_adjoint_identity(order10, order20):
             assert np.allclose(lhs, rhs, atol=1e-13)
 
 
-def test_rep_of_measure_elementwise(order10, order18):
+def test_rep_of_measure_elementwise(order10, order18, order72):
     rng = np.random.default_rng(15)
-    for g in (order10, order18, rotation_group(4)):
+    for g in (order10, order18, rotation_group(4), order72):
         nk = g.k.order
         w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
         mu = from_weights(g, w)
@@ -208,7 +200,7 @@ def test_block_map_is_injective(order10):
     cols = []
     for x in g.elements():
         mu = delta(g, x)
-        cols.append(np.concatenate([b.ravel()
-                                    for b in all_fourier_blocks(mu)]))
+        cols.append(np.concatenate([fourier(mu, alpha).ravel()
+                                    for alpha in orbit_reps(g)]))
     mat = np.column_stack(cols)
     assert np.linalg.matrix_rank(mat, tol=1e-10) == g.size

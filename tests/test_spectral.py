@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motionwalk.classify
-import motionwalk.reps
 import motionwalk.spectral
 from motionwalk.classify import cross_check
 from motionwalk.groups import GElem, dual_orbits, inverse, multiply
 from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
-from motionwalk.reps import all_fourier_blocks, fourier
+from motionwalk.reps import fourier
 from motionwalk.spectral import (
     SINGULAR_REASON,
     gelfand_radius,
@@ -23,7 +22,6 @@ from motionwalk.spectral import (
     op_norm,
     orbit_spectra,
     spectral_radius,
-    star_norm,
     verify_srf,
 )
 
@@ -191,11 +189,14 @@ def test_gelfand_dominates_block_radii(order10, order18):
     for g in (order10, order18):
         w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
         mu = from_weights(g, w / np.abs(w).sum())
-        block = max(spectral_radius(b) for b in all_fourier_blocks(mu))
+        block = max(spectral_radius(fourier(mu, o.representative)) for o in dual_orbits(g))
         assert gelfand_radius(mu) >= block - 1e-9
 
 
 def test_star_norm(order10):
+    def star_norm(mu):
+        return verify_srf(mu).star_norm
+
     assert abs(star_norm(delta(order10, GElem((2,), 1))) - 1.0) < 1e-12
     assert abs(star_norm(uniform(order10)) - 1.0) < 1e-12
     rng = np.random.default_rng(59)
@@ -212,7 +213,7 @@ def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
         calls.append(g)
         return dual_orbits(g)
 
-    for module in (motionwalk.reps, motionwalk.spectral, motionwalk.classify):
+    for module in (motionwalk.spectral, motionwalk.classify):
         monkeypatch.setattr(module, "dual_orbits", counted)
     g = rotation_group(4)
     rng = np.random.default_rng(67)
