@@ -85,13 +85,14 @@ MAX_CLASSIFY_ORDER = 1 << 12
 # linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
 # at the bound)
 MAX_DEFECT_N = 1 << 14
-# largest --trials simulate takes: the walk holds a few trial-long arrays,
-# about 30 bytes per trial at peak (about 0.5 GB at the bound)
+# largest --trials simulate takes: the walk holds the positions and, at a
+# histogram step, two copies of them, about 24 bytes per trial at peak
+# (about 0.4 GB at the bound)
 MAX_SIM_TRIALS = 1 << 24
-# largest --steps: every step is a pass of a Python loop, about 9 us even
-# at one trial (about 9 s at the bound)
+# largest --steps: every step is a pass of a Python loop, about 14 us even
+# at one trial (about 15 s at the bound)
 MAX_SIM_STEPS = 1 << 20
-# largest --steps x --trials: about 36 ns per trial step (about 40 s at
+# largest --steps x --trials: about 15 ns per trial step (about 16 s at
 # the bound)
 MAX_SIM_TRIAL_STEPS = 1 << 30
 

@@ -14,7 +14,21 @@ through the (|G|, #atoms) table of right products by the atoms. The dense
 therefore a prefix of every longer walk with the same seed, and one walk
 yields the histogram at every requested n. Memory beyond the (|G|,
 #atoms) table is O(trials): the trials x steps uniforms are never
-materialised.
+materialised, and a step's scratch is one block of TRIAL_BLOCK trials.
+
+The atom a uniform u draws is defined as searchsorted(cdf, u,
+side="right") over the atoms' CDF. The walk reads that search through a
+guide table (the indexed search of Chen and Asau, 1974; Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. III): u * GUIDE_SIZE
+falls into one of GUIDE_SIZE equal buckets, a bucket that no CDF boundary
+cuts names its atom outright, and only the uniforms in a cut bucket are
+searched. Scaling by a power of two is exact, so every draw is the
+search's own, bit for bit.
+
+The exact powers come from a chain of convolution squares. Each product
+of the chain is put back on the probability simplex (real part, clipped
+at 0, unit mass), so the roundoff of the FFT does not compound over the
+squarings into a measure that is no longer a probability.
 """
 from __future__ import annotations
 
@@ -26,6 +40,12 @@ import numpy as np
 from .errors import GroupMismatch
 from .groups import MotionGroup, right_products
 from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
+
+# buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
+GUIDE_SIZE = 1 << 12
+# trials a walk step handles per pass: three scratch arrays of this length
+# (768 KB) instead of three of the trials' length
+TRIAL_BLOCK = 1 << 15
 
 __all__ = [
     "WalkConfig",
@@ -54,15 +74,47 @@ class WalkConfig:
 def _increment_cdf(mu: GroupMeasure) -> np.ndarray:
     """Inverse-CDF table over the element enumeration: element
     searchsorted(cdf, u, side="right") is the increment for a uniform u in
-    [0, 1). Weights are clipped at 0 so the table is monotone, and it is
-    sealed at 1 from the last atom on, so roundoff in the total never
-    draws an element of weight 0. (A total just above 1 leaves entries
-    above 1 before the seal; every u < 1 still sees cdf > u switch from
-    false to true exactly once, which is all the search needs.)"""
+    [0, 1). That search is the definition of the draw; the walk reads it
+    through a guide table over the atoms' rises (_guide_table, _lookup).
+    Weights are clipped at 0 so the table is monotone, and it is sealed at
+    1 from the last atom on, so roundoff in the total never draws an
+    element of weight 0. (A total just above 1 leaves entries above 1
+    before the seal; every u < 1 still sees cdf > u switch from false to
+    true exactly once, which is all the search needs.)"""
     w = np.clip(np.real(mu.weights), 0.0, None)
     cdf = np.cumsum(w)
     cdf[np.flatnonzero(w)[-1]:] = 1.0
     return cdf
+
+
+def _guide_table(cdf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(cdf * GUIDE_SIZE, guide) for a nondecreasing cdf whose last entry
+    is at least 1. guide[b] is the one index searchsorted(cdf, u,
+    side="right") takes for every u * GUIDE_SIZE in [b, b + 1), and -1 when
+    a boundary of the scaled cdf falls strictly inside that bucket: the
+    entries at or below b and the entries below b + 1 then differ in
+    number."""
+    scaled = cdf * GUIDE_SIZE
+    edges = np.arange(GUIDE_SIZE + 1, dtype=np.float64)
+    lo = np.searchsorted(scaled, edges[:-1], side="right")
+    hi = np.searchsorted(scaled, edges[1:], side="left")
+    return scaled, np.where(lo == hi, lo, -1)
+
+
+def _lookup(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray,
+            bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = searchsorted(cdf, u, side="right") for uniforms u in [0, 1),
+    through _guide_table(cdf) = (scaled, guide); u is scaled in place and
+    bucket is scratch of u's length. Only the uniforms in a cut bucket are
+    searched, and on the scaled cdf, which orders them as the cdf does."""
+    u *= GUIDE_SIZE
+    np.copyto(bucket, u, casting="unsafe")  # truncation: the bucket index
+    # every index is in range (u < 1), so no bounds check and no buffered out
+    np.take(guide, bucket, out=out, mode="clip")
+    cut = np.flatnonzero(out < 0)
+    if cut.size:
+        out[cut] = np.searchsorted(scaled, u[cut], side="right")
+    return out
 
 
 def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
@@ -79,18 +131,31 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     # the rises alone draws the same element for every u
     cdf = _increment_cdf(mu)
     atoms = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
-    cdf = cdf[atoms]
-    table = right_products(g, atoms).ravel()
+    scaled, guide = _guide_table(cdf[atoms])
+    # x is held as the row offset x * #atoms into the flat table, whose
+    # entries are row offsets too: one add and one gather per step
+    k = len(atoms)
+    table = right_products(g, atoms).astype(np.intp).ravel() * k
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    u = np.empty(cfg.trials)
-    x = np.zeros(cfg.trials, dtype=np.int64)
+    x = np.zeros(cfg.trials, dtype=np.intp)
+    # a step runs over blocks of TRIAL_BLOCK trials with one block of
+    # scratch, so only the positions grow with trials; the blocks draw the
+    # step's uniforms in stream order, the same as one draw of all of them
+    width = min(cfg.trials, TRIAL_BLOCK)
+    u, bucket, row = np.empty(width), np.empty(width, np.intp), np.empty(width, np.intp)
+    blocks = []
+    for lo in range(0, cfg.trials, width):
+        xs = x[lo:lo + width]
+        blocks.append((xs, u[:len(xs)], bucket[:len(xs)], row[:len(xs)]))
     wanted = set(ns)
     for step in range(cfg.steps + 1):
         if step in wanted:
-            yield step, x
+            yield step, x // k
         if step == cfg.steps:
             return
-        x = table[x * len(atoms) + np.searchsorted(cdf, rng.random(out=u), side="right")]
+        for xs, us, bs, rs in blocks:
+            np.add(_lookup(scaled, guide, rng.random(out=us), bs, rs), xs, out=rs)
+            np.take(table, rs, out=xs, mode="clip")
 
 
 def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:
@@ -118,31 +183,42 @@ def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
     return empirical_distributions(g, mu, [n], trials, seed)[0]
 
 
+def _on_simplex(nu: GroupMeasure) -> GroupMeasure:
+    """The real part of nu, clipped at 0 and scaled to unit mass. On a
+    convolution of probabilities it removes what the FFT's roundoff left
+    off the simplex: imaginary parts, entries below 0, mass away from 1."""
+    w = np.clip(nu.weights.real, 0.0, None)
+    return GroupMeasure(nu.group, w / w.sum())
+
+
 def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
-    """mu^n for each entry of ns, in its order, from one chain of
-    squarings mu, mu^2, mu^4, ... up to max(ns). Each power is the product
-    of the chain's entries at the set bits of n, lowest bit first, and
-    starts from its first factor; n = 0 gives the point mass at the
-    identity. The power at n does not depend on the other entries of ns,
-    so it equals exact_power(mu, n) bit for bit."""
+    """mu^n of a probability mu for each entry of ns, in its order, from
+    one chain of squarings mu, mu^2, mu^4, ... up to max(ns). Each power is
+    the product of the chain's entries at the set bits of n, lowest bit
+    first, and starts from its first factor; n = 0 gives the point mass at
+    the identity. Every convolution of the chain is put back on the
+    simplex (_on_simplex), so each power is a probability at every n. The
+    power at n does not depend on the other entries of ns, so it equals
+    exact_power(mu, n) bit for bit."""
+    require_probability(mu)
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
     squares = [mu]
     while 2 ** len(squares) <= max(ns):
-        squares.append(convolve(squares[-1], squares[-1]))
+        squares.append(_on_simplex(convolve(squares[-1], squares[-1])))
     powers = []
     for n in ns:
         result = None
         for bit, square in enumerate(squares):
             if n >> bit & 1:
-                result = square if result is None else convolve(result, square)
+                result = square if result is None else _on_simplex(convolve(result, square))
         powers.append(delta(mu.group, mu.group.identity()) if result is None else result)
     return powers
 
 
 def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:
-    """mu^n by square-and-multiply convolution; n = 0 gives the point
-    mass at the identity."""
+    """mu^n of a probability mu by square-and-multiply convolution; n = 0
+    gives the point mass at the identity."""
     return exact_powers(mu, [n])[0]
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motionwalk import GElem, delta, negation_group, scaling_group, swap_group, uniform
+from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_group, swap_group,
+                        uniform)
 from motionwalk.cli import (
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
@@ -294,6 +295,19 @@ def test_simulate_exact_rows_match_exact_power(tmp_path, d5, capsys):
     assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
     for r in rows:
         assert r["tv_exact"] == f"{tv_to_uniform(exact_power(mu, r['n'])):.12g}"
+
+
+def test_simulate_long_walk_exits_zero(tmp_path, capsys):
+    # the roundoff of 16 squarings once pushed mu^(2^16) off the simplex,
+    # and the exact row's TV check exited 65
+    g = rotation_group(16)
+    mu = 0.5 * delta(g, GElem((1, 0), 0)) + 0.5 * delta(g, GElem((0, 0), 1))
+    gpath = write_group(tmp_path / "g.json", g)
+    mpath = write_measure(tmp_path / "m.json", mu)
+    assert main(["simulate", "--group", gpath, "--measure", mpath,
+                 "--steps", "65536", "--trials", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[-1]["n"] == 65536
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -5,10 +5,14 @@ import pytest
 from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
-from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
+from motionwalk.measures import convolve, delta, from_weights, is_probability, tv_norm, uniform
 from motionwalk.simulate import (
+    GUIDE_SIZE,
     WalkConfig,
+    _guide_table,
     _increment_cdf,
+    _lookup,
+    _on_simplex,
     _walk,
     empirical_distribution,
     empirical_distributions,
@@ -126,6 +130,11 @@ def _oracle_weights(g, kind):
     elif kind == "zero-width":
         # 1e-20 right after an atom of 0.5 leaves the CDF flat there
         w[[1, 2, g.size - 3]] = [0.5, 1e-20, 0.5]
+    elif kind == "crowded":
+        # every element but the last has weight 1e-9: all their CDF
+        # boundaries fall inside the first bucket of the guide table
+        w[:-1] = 1e-9
+        w[-1] = 1.0 - w[:-1].sum()
     else:
         # total 1 + 9e-13: the CDF exceeds 1 before it is sealed
         w[[2, 5]] = [1.0 + 5e-13, 4e-13]
@@ -133,7 +142,7 @@ def _oracle_weights(g, kind):
 
 
 @pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
-@pytest.mark.parametrize("kind", ["dense", "sparse", "zero-width", "above-one"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero-width", "above-one", "crowded"])
 def test_streamed_walk_matches_block_oracle(request, group, kind):
     g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
     mu = from_weights(g, _oracle_weights(g, kind))
@@ -142,6 +151,18 @@ def test_streamed_walk_matches_block_oracle(request, group, kind):
     assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
     ns = [0, 1, 3, 7, 12]
     for n, x in _walk(g, mu, ns, trials, seed):
+        assert np.array_equal(x, ref[n])
+
+
+@pytest.mark.parametrize("block, trials", [
+    (64, 500), (64, 64), (simulate.TRIAL_BLOCK, simulate.TRIAL_BLOCK + 5)])
+def test_walk_in_trial_blocks_matches_block_oracle(order10, monkeypatch, block, trials):
+    # whole blocks, a last partial block, and one block exactly: the blocks
+    # of a step read the step's uniforms in stream order
+    monkeypatch.setattr(simulate, "TRIAL_BLOCK", block)
+    mu = from_weights(order10, _oracle_weights(order10, "dense"))
+    ref = _oracle_walk(order10, mu, 3, trials, 23)
+    for n, x in _walk(order10, mu, [1, 3], trials, 23):
         assert np.array_equal(x, ref[n])
 
 
@@ -191,7 +212,7 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
     assert len(calls) == 7
     assert np.array_equal(powers[0].weights, mu.weights)
     for prev, cur in zip(powers, powers[1:]):
-        assert np.array_equal(cur.weights, convolve(prev, prev).weights)
+        assert np.array_equal(cur.weights, _on_simplex(convolve(prev, prev)).weights)
     calls.clear()
     ns = [1, 2, 4, 8, 16, 20, 0, 3]
     powers = exact_powers(mu, ns)
@@ -202,6 +223,21 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError):
             exact_powers(mu, bad)
+
+
+@pytest.mark.parametrize("a, b, ns", [
+    # a translation and a rotation: the mass drifted to -1.8e-12 at 2^16
+    (GElem((1, 0), 0), GElem((0, 0), 1), [2 ** 13, 2 ** 16]),
+    # a lazy screw motion: the imaginary part drifted to 1.9e-12 at 2^19
+    (GElem((0, 0), 0), GElem((1, 0), 1), [2 ** 16, 2 ** 19]),
+])
+def test_exact_powers_stay_probabilities(a, b, ns):
+    g = rotation_group(16)
+    mu = 0.5 * delta(g, a) + 0.5 * delta(g, b)
+    for power in exact_powers(mu, ns):
+        # unit mass to roundoff, far inside PROBABILITY_TOL at every n
+        assert is_probability(power, tol=1e-14)
+        assert 0.0 <= tv_to_uniform(power) < 1.0
 
 
 def test_empirical_distributions_rows_are_prefixes(order18):
@@ -239,6 +275,33 @@ def test_inverse_cdf_draws_last_atom_at_the_top(order10):
     assert drawn.tolist() == [2] * len(u)
 
 
+def _lookup_oracle(cdf, u):
+    scaled, guide = _guide_table(cdf)
+    got = _lookup(scaled, guide, u.copy(), np.empty(len(u), dtype=np.intp),
+                  np.empty(len(u), dtype=np.intp))
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+    return guide
+
+
+def test_guide_lookup_matches_search():
+    # uniforms on and just below every bucket edge, and the top of [0, 1)
+    edges = np.arange(GUIDE_SIZE) / GUIDE_SIZE
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(5).random(5000)])
+    # boundaries exactly on bucket edges: no bucket is cut
+    assert (_lookup_oracle(np.array([0.25, 0.5, 1.0]), u) >= 0).all()
+    # 1000 boundaries 1e-9 apart, all inside bucket 0, and one in bucket 3
+    crowded = np.append(np.arange(1, 1001) * 1e-9, [3.5 / GUIDE_SIZE, 1.0])
+    guide = _lookup_oracle(crowded, np.concatenate([u, crowded[:-1],
+                                                    np.nextafter(crowded[:-1], 0.0)]))
+    assert np.flatnonzero(guide < 0).tolist() == [0, 3]
+    # the walk's own tables: flat steps, and a total above 1 before the seal
+    g = rotation_group(4)
+    for kind in ("dense", "sparse", "zero-width", "above-one", "crowded"):
+        cdf = _increment_cdf(from_weights(g, _oracle_weights(g, kind)))
+        _lookup_oracle(cdf[np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)], u)
+
+
 def test_tv_to_uniform_values(order10):
     assert tv_to_uniform(uniform(order10)) == 0.0
     point = delta(order10, order10.identity())
@@ -251,6 +314,8 @@ def test_probability_is_enforced(order10):
         sample_path(order10, bad, WalkConfig(4, 10, 0))
     with pytest.raises(NotProbability):
         tv_to_uniform(bad)
+    with pytest.raises(NotProbability):
+        exact_powers(bad, [2])
 
 
 def test_walk_rejects_a_measure_from_another_group():
