@@ -10,7 +10,7 @@ product n * defect settling to a constant shows the 1/n rate, which is
 what certifies that 1 lies in the approximate point spectrum even though
 no eigenvector exists.
 
-    python3 scripts/defect_table.py [maxj]
+    PYTHONPATH=src python3 scripts/defect_table.py [maxj]
 
 Default maxj is 12 (under 1 s in total on a 2-vCPU machine, 0.6 s of it
 at n = 4096); the integer arithmetic grows faster than n, so n = 2^13

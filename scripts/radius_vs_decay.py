@@ -5,7 +5,7 @@ prints every Fourier block radius, then tabulates the exact TV distance to
 uniform of mu^n next to the envelope 2|G| rho^n predicted by the top
 nontrivial radius. Run from the repository root:
 
-    python3 scripts/radius_vs_decay.py
+    PYTHONPATH=src python3 scripts/radius_vs_decay.py
 """
 import numpy as np
 

@@ -4,7 +4,7 @@ Useful as a smoke run before trusting the acceptance gate: shows how the
 verdicts distribute, which cases stay inconclusive at the default budgets,
 and whether any case trips the internal consistency checks.
 
-    python3 scripts/suite_census.py
+    PYTHONPATH=src python3 scripts/suite_census.py
 """
 import time
 from collections import Counter

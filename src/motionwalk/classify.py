@@ -55,10 +55,9 @@ __all__ = [
 # fraction of tol separating FAILS from INDETERMINATE
 GUARD_FRACTION = 8.0
 
-# fixed budgets of the Cesaro curves: the last n of the ergodic and
-# weak-mixing averages, and the seed of the random test functions
+# fixed budget of the Cesaro curves: the last n of the ergodic and
+# weak-mixing averages
 CESARO_N_MAX = 512
-WEAK_MIXING_SEED = 7
 
 # final values below which the empirical curves count as decayed
 MIXING_THRESHOLD = 1e-6
@@ -360,64 +359,35 @@ def _stacked_lambda_gaps(g: MotionGroup, reps: List[Character]) -> np.ndarray:
     return s.reshape(len(reps), g.size * nk, nk)
 
 
-def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX,
-                          test_functions: Optional[Sequence[np.ndarray]] = None,
-                          n_random: int = 3) -> DecayCurve:
+def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
     """Cesaro averages of |<f_x * mu^k, h>| over test functions h.
 
-    By default h ranges over every matrix coefficient of every induced
-    block plus a few seeded random bounded functions; the block part is
-    evaluated exactly through matrix powers of the represented measure.
-    The other functions walk on the real part of mu: a probability measure
-    is real within PROBABILITY_TOL.
+    h ranges over every matrix coefficient of every induced block
+    Lambda_alpha, evaluated exactly through matrix powers of the
+    represented measure. These coefficients span all functions on G: by
+    Mackey every irreducible of G sits in some Lambda_alpha, so Peter-Weyl
+    applies. Any other bounded h is a fixed combination of them, so by the
+    triangle inequality its averages decay whenever theirs do.
     """
     require_probability(mu)
     reps = [o.representative for o in dual_orbits(mu.group)]
-    return _weak_mixing(mu, reps, n_max, test_functions, n_random)
+    return _weak_mixing(mu, reps, n_max)
 
 
-def _weak_mixing(mu: GroupMeasure, reps: List[Character], n_max: int = CESARO_N_MAX,
-                 test_functions: Optional[Sequence[np.ndarray]] = None,
-                 n_random: int = 3) -> DecayCurve:
+def _weak_mixing(mu: GroupMeasure, reps: List[Character],
+                 n_max: int = CESARO_N_MAX) -> DecayCurve:
     """empirical_weak_mixing on a probability measure, given the dual-orbit
     representatives."""
     g = mu.group
     nk = g.k.order
-    if test_functions is None:
-        u = np.random.default_rng(WEAK_MIXING_SEED).uniform(-1, 1, (n_random, 2, g.size))
-        hs = u[:, 0] + 1j * u[:, 1]
-        hs /= np.maximum(1.0, np.abs(hs).max(axis=1, keepdims=True))
-    else:
-        hs = np.asarray(test_functions, dtype=np.complex128)
-        if len(hs) and hs.shape[1:] != (g.size,):
-            raise ValueError(f"test functions have shape {hs.shape}, "
-                             f"expected ({len(hs)}, {g.size})")
-
+    gap_stack = _stacked_lambda_gaps(g, reps)[:, None]  # (orb, 1, |G|nk, nk)
+    cstack = _blocks(g, mu.weights, reps)
     # averages run over k = 1..n: the k = 0 term is n-independent and would
     # mask the decay (uniform mu must come out exactly 0)
-    sums = []
-    if test_functions is None:
-        gap_stack = _stacked_lambda_gaps(g, reps)[:, None]  # (orb, 1, |G|nk, nk)
-        cstack = _blocks(g, mu.weights, reps)
-        sums.append(_cesaro_sums(
-            np.broadcast_to(np.eye(nk), cstack.shape), cstack, n_max, gap_stack.size,
-            lambda pw: np.abs(gap_stack @ pw.reshape(len(reps), -1, nk, nk)).sum(axis=1)))
-    if len(hs):
-        # <f_x * mu^k, h> = e_k(x) - e_k(e), e_0 = h and e_k = e_{k-1} T^T for
-        # the real translate matrix T of mu: Re h and Im h walk as rows
-        # through T^T, which is the translate matrix of the reversed measure
-        e, nh = g.index(g.identity()), len(hs)
-
-        def term(rows: np.ndarray) -> np.ndarray:
-            gaps = rows - rows[:, :, e, None]
-            return np.hypot(gaps[:, :nh], gaps[:, nh:]).sum(axis=0)
-
-        sums.append(_cesaro_sums(np.concatenate((hs.real, hs.imag)),
-                                 _translates(g, mu.weights.real[g.inv_perm()]), n_max,
-                                 2 * hs.size, term))
-
-    points = [(n, max((float(next(it)[1].max()) for it in sums), default=0.0) / n)
-              for n in _dyadic_checkpoints(n_max)]
+    sums = _cesaro_sums(
+        np.broadcast_to(np.eye(nk), cstack.shape), cstack, n_max, gap_stack.size,
+        lambda pw: np.abs(gap_stack @ pw.reshape(len(reps), -1, nk, nk)).sum(axis=1))
+    points = [(n, float(acc.max()) / n) for n, acc in sums]
     verdict, decays = _decide(points, WEAK_MIXING_THRESHOLD, "WEAK_MIXING",
                               "NOT_WEAK_MIXING")
     return DecayCurve(tuple(points), WEAK_MIXING_THRESHOLD, verdict, decays)

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import CESARO_N_MAX, WEAK_MIXING_SEED, Verdict, cross_check
+from .classify import CESARO_N_MAX, Verdict, cross_check
 from .errors import (
     NotAGroupTable,
     NotAHomomorphism,
@@ -79,7 +79,7 @@ _SETTINGS = ("tol", "n_max", "seed")
 # |G|-long complex measure (16 MB here)
 MAX_GROUP_ORDER = 1 << 20
 # largest |G| classify takes: cross_check builds |G| x |G| tables, about
-# 61 bytes per |G|^2 at peak (about 1 GB at the bound)
+# 55 bytes per |G|^2 at peak (about 0.9 GB at the bound)
 MAX_CLASSIFY_ORDER = 1 << 12
 # largest window rosenblatt takes: the exact phase sweep's integers grow
 # linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
@@ -289,8 +289,7 @@ def _cmd_classify(args) -> int:
         raise ParseError(f"classify: |G| = {g.size} exceeds {MAX_CLASSIFY_ORDER} elements")
     mu = load_measure(args.measure, g)
     verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
-    payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX,
-                             weak_mixing_seed=WEAK_MIXING_SEED),
+    payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX),
                "report": verdict.to_dict()}
     _emit(_render_rows(_classify_rows(verdict), cfg.format, payload), args.out)
     return _classify_exit(verdict)

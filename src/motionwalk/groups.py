@@ -76,10 +76,6 @@ class AbelianGroup:
         """Integer e with <a, alpha> = exp(2*pi*i*e/n), reduced mod n."""
         return sum(x * y for x, y in zip(a, alpha)) % self.modulus
 
-    def pairing(self, a: Sequence[int], alpha: Sequence[int]) -> complex:
-        e = self.pairing_exponent(a, alpha)
-        return np.exp(2j * np.pi * e / self.modulus)
-
 
 @dataclass(frozen=True)
 class GElem:

@@ -101,7 +101,6 @@ class QSqrt5:
         return self.x == 0 and self.y == 0
 
 
-Q_ZERO = QSqrt5(Fraction(0), Fraction(0))
 Q_ONE = QSqrt5(Fraction(1), Fraction(0))
 
 

@@ -170,48 +170,20 @@ def per_step_ergodic_points(mu, n_max):
     return points
 
 
-def per_step_weak_mixing_points(mu, n_max, test_functions=None, n_random=3, seed=7):
-    """The per-step weak-mixing loops the chunked routine replaced."""
+def per_step_weak_mixing_points(mu, n_max):
+    """The per-step weak-mixing loop the chunked routine replaced."""
     g = mu.group
     checkpoints = {1 << j for j in range(n_max.bit_length())}
     nk = g.k.order
-    use_blocks = test_functions is None
-    if test_functions is not None:
-        extra = [np.asarray(h, dtype=np.complex128) for h in test_functions]
-    else:
-        rng = np.random.default_rng(seed)
-        extra = []
-        for _ in range(n_random):
-            h = rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size)
-            extra.append(h / max(1.0, np.abs(h).max()))
-    if use_blocks:
-        reps = [o.representative for o in dual_orbits(g)]
-        gap_stack = _stacked_lambda_gaps(g, reps)
-        cstack = np.stack([rep_of_measure(mu, alpha) for alpha in reps])
-        powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
-        block_acc = np.zeros(gap_stack.shape)
-    if extra:
-        table = g.mult_table()
-        hmats = np.stack([h[table] for h in extra])
-        hvecs = np.stack(extra)
-        nu = np.zeros(g.size, dtype=np.complex128)
-        nu[g.index(g.identity())] = 1.0
-        m = mu.weights[table[g.inv_perm(), :]]
-        rand_acc = np.zeros((len(extra), g.size))
+    reps = [o.representative for o in dual_orbits(g)]
+    gap_stack = _stacked_lambda_gaps(g, reps)
+    cstack = np.stack([rep_of_measure(mu, alpha) for alpha in reps])
+    powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
+    block_acc = np.zeros(gap_stack.shape)
     points = []
     for count in range(1, n_max + 1):
-        if use_blocks:
-            powers = powers @ cstack
-            block_acc += np.abs(gap_stack @ powers)
-        if extra:
-            nu = nu @ m
-            base = hvecs @ nu
-            rand_acc += np.abs(hmats @ nu - base[:, None])
+        powers = powers @ cstack
+        block_acc += np.abs(gap_stack @ powers)
         if count in checkpoints:
-            best = 0.0
-            if use_blocks:
-                best = float(block_acc.max()) / count
-            if extra:
-                best = max(best, float(rand_acc.max()) / count)
-            points.append((count, best))
+            points.append((count, float(block_acc.max()) / count))
     return points

@@ -203,7 +203,7 @@ def test_coset_walk_is_ergodic_not_mixing(order10):
 
 
 def test_weak_mixing_patterns(order10):
-    curve = empirical_weak_mixing(uniform(order10), n_max=64)
+    curve = empirical_weak_mixing(uniform(order10), n_max=256)
     assert curve.verdict == "WEAK_MIXING"
     assert all(v < 1e-14 for _, v in curve.points)
     curve = empirical_weak_mixing(delta(order10, order10.identity()), n_max=64)
@@ -226,15 +226,30 @@ def test_weak_mixing_agrees_on_designed_cases(order10, z2):
         assert wm.decays == mix.decays == should_mix
 
 
-def test_weak_mixing_explicit_test_functions(order10):
-    rng = np.random.default_rng(3)
-    hs = [rng.uniform(-1, 1, order10.size) for _ in range(2)]
-    curve = empirical_weak_mixing(uniform(order10), n_max=256,
-                                  test_functions=hs)
-    assert curve.verdict == "WEAK_MIXING"
-    assert curve.points[-1][1] < 1e-14
-    with pytest.raises(ValueError):
-        empirical_weak_mixing(uniform(order10), test_functions=[np.ones(3)])
+@pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21", "order72"])
+def test_block_coefficients_span_all_functions(request, group):
+    # every irreducible of G sits in some induced block Lambda_alpha, so the
+    # coefficient functions y -> Lambda_alpha(y)[k', c] over the orbit
+    # representatives span the functions on G: the weak-mixing curve needs
+    # no other test function
+    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+    reps = [o.representative for o in dual_orbits(g)]
+    coeffs = np.array([np.concatenate([lambda_elem(g, alpha, y).ravel() for alpha in reps])
+                       for y in g.elements()])
+    assert np.linalg.matrix_rank(coeffs) == g.size
+
+
+def test_flat_weak_mixing_tail_is_resolved():
+    # a translation times the swap: its square is a pure translation, so no
+    # average of its powers decays, and the block curve sits at exactly 1
+    g = swap_group(3)
+    v = cross_check(delta(g, GElem((1, 0), 1)))
+    wm = v.weak_mixing_empirical
+    assert wm.verdict == "NOT_WEAK_MIXING"
+    assert [p for _, p in wm.points[-3:]] == [1.0, 1.0, 1.0]
+    assert v.sr.verdict == TriState.FAILS
+    assert v.empirical_mixing.verdict == "NOT_MIXING"
+    assert v.consistency == ()
 
 
 def test_cross_check_grid(order10, z2):
@@ -317,7 +332,6 @@ def test_cesaro_curves_match_per_step_loop(maker):
     measures = [uniform(g), delta(g, g.identity()),
                 from_weights(g, 0.5 * eye[g.k.order] + 0.5 * eye[1]),  # translation, bare k
                 from_weights(g, sparse / sparse.sum())]
-    hs = [rng.uniform(-1, 1, g.size) + 1j * rng.uniform(-1, 1, g.size) for _ in range(2)]
     # a probability measure within PROBABILITY_TOL of the sparse one: the
     # ergodic walk runs on its real part, so its curve is that of the real part
     nearly_real = from_weights(g, measures[-1].weights
@@ -331,9 +345,7 @@ def test_cesaro_curves_match_per_step_loop(maker):
             else:
                 _assert_curve_matches(erg, want)
             assert erg.verdict == _decide(want, 0.02, "ERGODIC", "NOT_ERGODIC")[0]
-            for kwargs in ({}, {"test_functions": hs}, {"n_random": 0}):
-                wm = empirical_weak_mixing(mu, n_max=n_max, **kwargs)
-                want = per_step_weak_mixing_points(mu, n_max, **kwargs)
-                _assert_curve_matches(wm, want)
-                assert wm.verdict == _decide(want, 0.01, "WEAK_MIXING",
-                                             "NOT_WEAK_MIXING")[0]
+            wm = empirical_weak_mixing(mu, n_max=n_max)
+            want = per_step_weak_mixing_points(mu, n_max)
+            _assert_curve_matches(wm, want)
+            assert wm.verdict == _decide(want, 0.01, "WEAK_MIXING", "NOT_WEAK_MIXING")[0]

@@ -115,6 +115,20 @@ def test_classify_point_mass_fails_cleanly(tmp_path, d5, capsys):
     assert report["empirical_mixing"]["verdict"] == "NOT_MIXING"
 
 
+def test_classify_flat_weak_mixing_tail_exits_zero(tmp_path, capsys):
+    # the block curve of a translation times the swap is flat at 1, so the
+    # weak-mixing side agrees with SR and mixing instead of staying open
+    g = swap_group(3)
+    gpath = write_group(tmp_path / "g18.json", g)
+    mpath = write_measure(tmp_path / "m.json", delta(g, GElem((1, 0), 1)))
+    code = main(["classify", "--group", gpath, "--measure", mpath])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["weak_mixing_empirical"]["verdict"] == "NOT_WEAK_MIXING"
+    assert report["sr"]["verdict"] == "FAILS"
+    assert report["consistency"] == []
+
+
 def test_classify_inconclusive_exits_three(tmp_path, capsys):
     # slow ergodic walk on the order-20 group: Cesaro gap still above
     # threshold at n = 512, so the empirical side stays open
@@ -325,7 +339,7 @@ def test_unread_flags_are_usage_errors(tmp_path, d5, capsys, command, flag):
 
 @pytest.mark.parametrize("command, extra, settings", [
     ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64,
-                                     "cesaro_n_max": 512, "weak_mixing_seed": 7}),
+                                     "cesaro_n_max": 512}),
     ("verify-srf", [], {"tol": 1e-6}),
     ("spectrum", ["--tol", "1e-7"], {"tol": 1e-7}),
     ("simulate", ["--steps", "4", "--trials", "50", "--seed", "3"], {"seed": 3}),

@@ -1,0 +1,21 @@
+"""The scripts run as their docstrings say, so a removed public name breaks
+a test before it breaks a script."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [["scripts/radius_vs_decay.py"],
+                                  ["scripts/defect_table.py", "6"]],
+                         ids=["radius_vs_decay", "defect_table"])
+def test_script_runs_from_the_repository_root(argv):
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -90,7 +90,6 @@ def test_stacked_values_equal_per_block_values(name):
     got, want = one_in_spectrum(stack), [one_in_spectrum(b) for b in stack]
     assert np.array_equal(got.verdict, [r.verdict for r in want])
     assert np.array_equal(got.margin, [r.margin for r in want])
-    assert np.array_equal(got.eigen_distance, [r.eigen_distance for r in want])
     if name == "random":
         assert got.verdict.tolist() == [False, False, True, False, False, False]
 
@@ -101,7 +100,6 @@ def test_single_matrix_gives_python_scalars():
     assert type(op_norm(m)) is float
     r = one_in_spectrum(m)
     assert type(r.verdict) is bool and type(r.margin) is float
-    assert type(r.eigen_distance) is float
     assert type(spectral_radius(np.zeros((0, 0)))) is float
 
 
@@ -117,7 +115,7 @@ def test_radius_bounded_by_op_norm(seed, n):
 
 def test_one_in_spectrum_frozen():
     r = one_in_spectrum(np.eye(3))
-    assert r.verdict and r.margin < 1e-14 and r.eigen_distance < 1e-14
+    assert r.verdict and r.margin < 1e-14
     r = one_in_spectrum(np.zeros((2, 2)))
     assert not r.verdict and abs(r.margin - 1.0) < 1e-14
     r = one_in_spectrum(np.zeros((0, 0)))
@@ -139,8 +137,8 @@ def test_margin_below_eigen_distance(order10):
     rng = np.random.default_rng(37)
     for _ in range(10):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        r = one_in_spectrum(m)
-        assert r.margin <= r.eigen_distance + 1e-10
+        eigen_distance = np.abs(np.linalg.eigvals(m) - 1.0).min()
+        assert one_in_spectrum(m).margin <= eigen_distance + 1e-10
 
 
 def test_gelfand_point_mass_and_probability(order10):
