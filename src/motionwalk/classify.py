@@ -31,7 +31,7 @@ import numpy as np
 from .errors import EmptySupport
 from .groups import Character, MotionGroup, Record, dual_orbits, dual_table, right_products
 from .measures import GroupMeasure, convolve, require_probability
-from .reps import _blocks
+from .reps import _blocks, _measure_of_blocks
 from .spectral import OrbitSpectral, orbit_spectra
 
 __all__ = [
@@ -234,12 +234,6 @@ def _dyadic_checkpoints(n_max: int) -> List[int]:
     return out
 
 
-def _translates(g: MotionGroup, w: np.ndarray) -> np.ndarray:
-    """|G| x |G| matrix T[x, y] = w(x^{-1} y): row x is delta_x * w, and
-    p * w = p @ T."""
-    return w[g.mult_table()[g.inv_perm(), :]]
-
-
 def _translate_gap(g: MotionGroup, w: np.ndarray) -> float:
     """max over x of tv_norm(delta_x * w - w): the mean-zero basis sweep.
     Row x of w[mult_table] is w(x .) = delta_{x^-1} * w, so its rows are
@@ -272,43 +266,32 @@ def _decide(points: List[Tuple[int, float]], threshold: float,
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _cesaro_sums(start: np.ndarray, m: np.ndarray, n_max: int, per_step: int,
+def _cesaro_sums(m: np.ndarray, n_max: int, per_step: int,
                  term: Callable[[np.ndarray], np.ndarray]
                  ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (n, sum_{k=1..n} term(start m^k)) at each dyadic n <= n_max,
-    a sum the next chunk updates in place.
+    """Yield (n, sum_{k=1..n} term(m^k)) at each dyadic n <= n_max for an
+    (orbits, nk, nk) stack m, a sum the next chunk updates in place.
 
     term gets the powers in chunks of w steps (the largest power of two with
-    w * per_step <= _CHUNK_ENTRIES; none crosses a dyadic n) and sums over
-    them. A dense m walks a (rows, |G|) start and gives (w, rows, |G|)
-    chunks, one matrix product per step; an (orbits, nk, nk) stack gives
-    orbit-major (orbits, w * nk, nk) stacks, doubled up to w steps and then
-    advanced as chunk @ m^w.
+    w * per_step <= _CHUNK_ENTRIES; none crosses a dyadic n) as orbit-major
+    (orbits, w * nk, nk) stacks, doubled up to w steps and then advanced as
+    chunk @ m^w, and sums over them.
     """
     w = 1 << max(0, (_CHUNK_ENTRIES // per_step).bit_length() - 1)
-    if m.ndim == 2:
-        rows = np.repeat(start[None], min(w, n_max) + 1, axis=0)
-        # np.dot on prebuilt (power, next power) views: on small groups the
-        # per-call overhead is most of a step, and matmul's is twice as high
-        steps = list(zip(rows, rows[1:]))
-    powers, jump = start, m
+    powers, jump = m, m
     acc, done = None, 0
     for n in _dyadic_checkpoints(n_max):
         while done < n:
-            size = min(w, n - done)
-            if m.ndim == 2:
-                for power, nxt in steps[:size]:
-                    np.dot(power, m, out=nxt)
-                chunk = rows[1:size + 1]
-                rows[0] = rows[size]
-            elif 0 < done < w:      # powers 1..done times m^done
+            if done == 0:
+                chunk = m
+            elif done < w:          # powers 1..done times m^done
                 chunk = powers @ jump
                 powers = np.concatenate((powers, chunk), axis=1)
                 jump = jump @ jump
-            else:                   # start m, then the last w powers times m^w
+            else:                   # the last w powers times m^w
                 chunk = powers = powers @ jump
             acc = term(chunk) if acc is None else np.add(acc, term(chunk), out=acc)
-            done += size
+            done += min(w, n - done)
         yield n, acc
 
 
@@ -331,15 +314,30 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve
 
     The k = 0 term is left out: it contributes a fixed tv_norm(f_x)/n
     that says nothing about mu and would dominate every average (the
-    uniform measure must come out exactly 0). The powers walk on the real
-    part of mu: a probability measure is real within PROBABILITY_TOL.
+    uniform measure must come out exactly 0). Lambda_alpha(mu^k) is
+    Lambda_alpha(mu)^k, so the sums walk the Fourier-block powers and S_n
+    is read back from the block sums.
     """
     require_probability(mu)
+    reps = [o.representative for o in dual_orbits(mu.group)]
+    return _ergodic(mu, reps, n_max)
+
+
+def _ergodic(mu: GroupMeasure, reps: List[Character],
+             n_max: int = CESARO_N_MAX) -> DecayCurve:
+    """empirical_ergodic on a probability measure, given the dual-orbit
+    representatives. The walk runs on the real part of mu: a probability
+    measure is real within PROBABILITY_TOL, and so is S_n."""
     g = mu.group
-    start = np.eye(1, g.size, g.index(g.identity()))
-    sums = _cesaro_sums(start, _translates(g, mu.weights.real), n_max, g.size,
-                        lambda rows: rows.sum(axis=0))
-    points = [(n, _translate_gap(g, acc[0] / n)) for n, acc in sums]
+    nk = g.k.order
+    cstack = _blocks(g, mu.weights.real, reps)
+    # einsum adds the powers in the order sum(axis=1) does, at a fraction
+    # of its time on these small blocks
+    ns, sums = zip(*((n, acc.copy()) for n, acc in _cesaro_sums(
+        cstack, n_max, cstack.size,
+        lambda pw: np.einsum("rwij->rij", pw.reshape(len(reps), -1, nk, nk)))))
+    weights = _measure_of_blocks(g, np.stack(sums), reps).real
+    points = [(n, _translate_gap(g, w / n)) for n, w in zip(ns, weights)]
     verdict, decays = _decide(points, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")
     return DecayCurve(tuple(points), ERGODIC_THRESHOLD, verdict, decays)
 
@@ -381,11 +379,11 @@ def _weak_mixing(mu: GroupMeasure, reps: List[Character],
     g = mu.group
     nk = g.k.order
     gap_stack = _stacked_lambda_gaps(g, reps)[:, None]  # (orb, 1, |G|nk, nk)
-    cstack = _blocks(g, mu.weights, reps)
+    cstack = _blocks(g, mu.weights.real, reps)
     # averages run over k = 1..n: the k = 0 term is n-independent and would
     # mask the decay (uniform mu must come out exactly 0)
     sums = _cesaro_sums(
-        np.broadcast_to(np.eye(nk), cstack.shape), cstack, n_max, gap_stack.size,
+        cstack, n_max, gap_stack.size,
         lambda pw: np.abs(gap_stack @ pw.reshape(len(reps), -1, nk, nk)).sum(axis=1))
     points = [(n, float(acc.max()) / n) for n, acc in sums]
     verdict, decays = _decide(points, WEAK_MIXING_THRESHOLD, "WEAK_MIXING",
@@ -436,7 +434,8 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
     mix = empirical_mixing(mu, n_max=mixing_n_max)
-    erg = empirical_ergodic(mu, n_max=ergodic_n_max)
-    wm = _weak_mixing(mu, [o.representative for o in spectra[0]], n_max=ergodic_n_max)
+    reps = [o.representative for o in spectra[0]]
+    erg = _ergodic(mu, reps, n_max=ergodic_n_max)
+    wm = _weak_mixing(mu, reps, n_max=ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

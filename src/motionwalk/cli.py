@@ -129,6 +129,14 @@ def _integral(value, what: str):
     return value
 
 
+def _real(value, what: str) -> float:
+    """value as a float once it is a JSON number: float() would read
+    true as 1.0 and the string "0.5" as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what}: {value!r} is not a number")
+    return float(value)
+
+
 def parse_group_data(data) -> MotionGroup:
     if not isinstance(data, dict):
         raise ParseError("group file: expected a JSON object")
@@ -152,14 +160,15 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
     atoms = data["atoms"]
     if not isinstance(atoms, list):
         raise ParseError('measure file: "atoms" must be a list')
-    w = np.zeros(g.size, dtype=complex)
+    idx, weights = [], []
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise ParseError(f"measure file: atom {i} is not an object")
         try:
             a = tuple(int(v) for v in _integral(atom["a"], f"measure file: atom {i} a"))
             k = int(_integral(atom.get("k", 0), f"measure file: atom {i} k"))
-            weight = float(atom.get("re", 0.0)) + 1j * float(atom.get("im", 0.0))
+            weight = complex(*(_real(atom.get(key, 0.0), f"measure file: atom {i} {key}")
+                               for key in ("re", "im")))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"measure file: atom {i} malformed ({exc})") from exc
         if len(a) != g.abelian.rank:
@@ -168,9 +177,16 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
         if not 0 <= k < g.k.order:
             raise ParseError(
                 f"measure file: atom {i} has k={k} outside [0, {g.k.order})")
-        w[g.index(GElem(a, k))] += weight
-    if not np.isfinite(w).all():
-        raise ParseError("measure file: weights must be finite")
+        idx.append(g.index(GElem(a, k)))
+        weights.append(weight)
+    w = np.zeros(g.size, dtype=complex)
+    # a NaN, an infinity, or finite weights whose sum overflows all leave
+    # the total variation non-finite: one check, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(w, np.array(idx, dtype=np.intp), weights)
+        tv = np.abs(w).sum()
+    if not np.isfinite(tv):
+        raise ParseError("measure file: weights must be finite, and so must their total variation")
     return from_weights(g, w)
 
 

@@ -11,7 +11,7 @@ block at the trivial character.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,16 @@ __all__ = [
 ]
 
 
+def _block_index(g: MotionGroup, alphas: Sequence[Character]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) placing the block stack in the (|A|, |K|) transform:
+    entry (r, k', c) of the stack is entry (rows[r, k', 0], cols[0, k', c]),
+    the A-index of beta_{k'} = dual_action(k', alpha_r) and k' c^{-1}."""
+    rows = dual_table(g)[[g.abelian.index(a.alpha) for a in alphas]]
+    cols = g.k.table[:, g.k.inverses]
+    return rows[:, :, None], cols[None, :, :]
+
+
 def _blocks(g: MotionGroup, w: np.ndarray,
             alphas: Sequence[Character]) -> np.ndarray:
     """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per alpha.
@@ -34,14 +44,31 @@ def _blocks(g: MotionGroup, w: np.ndarray,
     beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)
     is the unnormalized inverse A-Fourier transform of w(., k' c^{-1}) at
     beta_{k'}, and one ifftn over the translation axes plus one gather
-    yields every block (the abelian-extension FFT).
+    through _block_index yields every block (the abelian-extension FFT).
     """
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
     f = np.fft.ifftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d)),
                      norm="forward").reshape(n ** d, nk)
-    rows = dual_table(g)[[g.abelian.index(a.alpha) for a in alphas]]  # A-index of beta_{k'}
-    cols = g.k.table[:, g.k.inverses]                                # [k', c] = k' c^{-1}
-    return f[rows[:, :, None], cols[None, :, :]]
+    return f[_block_index(g, alphas)]
+
+
+def _measure_of_blocks(g: MotionGroup, stack: np.ndarray,
+                       reps: Sequence[Character]) -> np.ndarray:
+    """The weights w with _blocks(g, w, reps) == stack, for reps the
+    dual-orbit representatives; a (..., orbits, nk, nk) stack gives
+    (..., |G|) weights.
+
+    The orbits cover the dual group, so the scatter writes every entry of
+    the transform; a beta with a nontrivial stabilizer is written once per
+    k' that sends alpha to it, with equal values on a stack of blocks.
+    One fftn over the translation axes undoes _blocks' ifftn.
+    """
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    lead = stack.shape[:-3]
+    f = np.empty(lead + (n ** d, nk), dtype=np.complex128)
+    f[(...,) + _block_index(g, reps)] = stack
+    return np.fft.fftn(f.reshape(lead + (n,) * d + (nk,)), norm="forward",
+                       axes=tuple(range(len(lead), len(lead) + d))).reshape(lead + (-1,))
 
 
 def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:

@@ -332,8 +332,8 @@ def test_cesaro_curves_match_per_step_loop(maker):
     measures = [uniform(g), delta(g, g.identity()),
                 from_weights(g, 0.5 * eye[g.k.order] + 0.5 * eye[1]),  # translation, bare k
                 from_weights(g, sparse / sparse.sum())]
-    # a probability measure within PROBABILITY_TOL of the sparse one: the
-    # ergodic walk runs on its real part, so its curve is that of the real part
+    # a probability measure within PROBABILITY_TOL of the sparse one: both
+    # Cesaro walks run on its real part, so its curves are those of the real part
     nearly_real = from_weights(g, measures[-1].weights
                                + 1e-13j * rng.uniform(-1, 1, g.size))
     for mu in measures + [nearly_real]:
@@ -348,4 +348,7 @@ def test_cesaro_curves_match_per_step_loop(maker):
             wm = empirical_weak_mixing(mu, n_max=n_max)
             want = per_step_weak_mixing_points(mu, n_max)
             _assert_curve_matches(wm, want)
+            if mu is nearly_real:
+                assert wm == empirical_weak_mixing(from_weights(g, mu.weights.real),
+                                                   n_max=n_max)
             assert wm.verdict == _decide(want, 0.01, "WEAK_MIXING", "NOT_WEAK_MIXING")[0]

@@ -160,6 +160,14 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     ({"abelian": {"modulus": 0}}, {"re": 1.0}, ["spectrum"]),
     ({}, {"re": "nan"}, ["spectrum"]),
     ({}, {"re": "1e400"}, ["spectrum"]),
+    # the JSON literals json.dumps writes for non-finite floats
+    ({}, {"re": float("nan")}, ["spectrum"]),
+    ({}, {"im": float("inf")}, ["classify"]),
+    # two finite atoms whose total variation overflows
+    ({}, [{"re": 1e308}, {"k": 1, "re": 1e308}], ["verify-srf"]),
+    # weights must be JSON numbers: float() would read true and "0.5"
+    ({}, {"re": True}, ["spectrum"]),
+    ({}, {"re": "0.5", "im": 0.0}, ["simulate"]),
     ({}, {"re": 1.0}, ["simulate", "--trials", "0"]),
     ({}, {"re": 1.0}, ["simulate", "--steps", "0"]),
     # Z_n x Z_2 with the trivial action is a valid group for every n
@@ -183,20 +191,24 @@ def test_malformed_json_exits_64(tmp_path, d5, capsys):
     ({}, {"re": 1.0}, ["simulate", "--trials", "10000000000000"]),
     ({}, {"re": 1.0}, ["simulate", "--steps", "100000000000", "--trials", "10"]),
     ({}, {"re": 1.0}, ["simulate", "--steps", str(2 ** 20), "--trials", str(2 ** 11)]),
-], ids=["modulus-0", "nan-weight", "overflow-weight", "zero-trials", "zero-steps",
+], ids=["modulus-0", "nan-weight", "overflow-weight", "nan-literal-weight",
+        "infinity-literal-weight", "tv-overflow", "boolean-weight", "string-weight",
+        "zero-trials", "zero-steps",
         "order-over-budget", "fractional-table-entry", "fractional-action-entry",
         "fractional-modulus", "fractional-coordinate", "fractional-k", "boolean-coordinate",
         "classify-order-over-budget", "verify-srf-tol-inf", "spectrum-tol-nan",
         "classify-tol-inf", "trials-over-budget", "steps-over-budget",
         "trial-steps-over-budget"])
 def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom, extra):
+    # atom: the fields of one atom at (0, 0), or a list of them
     data = group_to_data(negation_group(5))
     for part, fields in group.items():
         data[part].update(fields)
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(data))
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps({"atoms": [{"a": [0], "k": 0, **atom}]}))
+    atoms = atom if isinstance(atom, list) else [atom]
+    mpath.write_text(json.dumps({"atoms": [{"a": [0], "k": 0, **a} for a in atoms]}))
     code = main([extra[0], "--group", str(gpath), "--measure", str(mpath), *extra[1:]])
     err = capsys.readouterr().err
     assert code == 64

@@ -6,9 +6,15 @@ import pytest
 
 from motionwalk.groups import Character, GElem, dual_orbits, inverse, multiply
 from motionwalk.measures import convolve, delta, from_weights, uniform
-from motionwalk.reps import complement_basis, fourier, rep_of_measure
+from motionwalk.reps import (
+    _blocks,
+    _measure_of_blocks,
+    complement_basis,
+    fourier,
+    rep_of_measure,
+)
 
-from conftest import rotation_group, trivial_group
+from conftest import d4_group, rotation_group, trivial_group
 from oracles import (
     central_measure,
     lambda0_complement_block,
@@ -204,3 +210,18 @@ def test_block_map_is_injective(order10):
                                     for alpha in orbit_reps(g)]))
     mat = np.column_stack(cols)
     assert np.linalg.matrix_rank(mat, tol=1e-10) == g.size
+
+
+@pytest.mark.parametrize("group", ["order10", "z2", "order16", "order20", "order21",
+                                   "order18", "order72", "d4_5"])
+def test_measure_of_blocks_inverts_blocks(request, group):
+    g = d4_group(5) if group == "d4_5" else request.getfixturevalue(group)
+    if group == "d4_5":
+        # a beta with stabilizer size s is hit by s of the k', so the
+        # scatter writes its transform entries s times
+        assert {o.stabilizer_size for o in dual_orbits(g)} == {1, 2, 8}
+    reps = orbit_reps(g)
+    rng = np.random.default_rng(g.size)
+    w = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    back = _measure_of_blocks(g, _blocks(g, w, reps), reps)
+    assert np.abs(back - w).max() <= 1e-13
