@@ -169,6 +169,8 @@ def parse_measure_data(g: MotionGroup, data) -> GroupMeasure:
             k = int(_integral(atom.get("k", 0), f"measure file: atom {i} k"))
             weight = complex(*(_real(atom.get(key, 0.0), f"measure file: atom {i} {key}")
                                for key in ("re", "im")))
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"measure file: atom {i} malformed ({exc})") from exc
         if len(a) != g.abelian.rank:

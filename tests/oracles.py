@@ -11,10 +11,9 @@ from typing import Iterable, List, Set
 
 import numpy as np
 
-from motionwalk.classify import _stacked_lambda_gaps
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits
 from motionwalk.measures import GroupMeasure, delta
-from motionwalk.reps import compress_to_complement, fourier, rep_of_measure
+from motionwalk.reps import compress_to_complement, fourier
 
 
 class ContainsZeroCharacter(ValueError):
@@ -171,19 +170,22 @@ def per_step_ergodic_points(mu, n_max):
 
 
 def per_step_weak_mixing_points(mu, n_max):
-    """The per-step weak-mixing loop the chunked routine replaced."""
+    """The per-step mean-square loop: max over every x, k', c and orbit of
+    (1/n) sum_{j=1..n} |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, with
+    P = sum_x mu(x) Lambda_alpha(x) and every matrix from lambda_elem."""
     g = mu.group
     checkpoints = {1 << j for j in range(n_max.bit_length())}
-    nk = g.k.order
-    reps = [o.representative for o in dual_orbits(g)]
-    gap_stack = _stacked_lambda_gaps(g, reps)
-    cstack = np.stack([rep_of_measure(mu, alpha) for alpha in reps])
-    powers = np.broadcast_to(np.eye(nk), cstack.shape).copy()
-    block_acc = np.zeros(gap_stack.shape)
+    eye = np.eye(g.k.order)
+    lams = np.stack([np.stack([lambda_elem(g, o.representative, x) for x in g.elements()])
+                     for o in dual_orbits(g)])                # (orbit, x, k', c)
+    p = np.einsum("x,rxij->rij", mu.weights, lams)
+    gaps = lams - eye
+    power = np.broadcast_to(eye, p.shape)
+    acc = np.zeros(gaps.shape)
     points = []
     for count in range(1, n_max + 1):
-        powers = powers @ cstack
-        block_acc += np.abs(gap_stack @ powers)
+        power = power @ p
+        acc += np.abs(gaps @ power[:, None]) ** 2
         if count in checkpoints:
-            points.append((count, float(block_acc.max()) / count))
+            points.append((count, float(acc.max()) / count))
     return points

@@ -12,7 +12,8 @@ from motionwalk.classify import (
     AdaptedResult,
     TriState,
     _decide,
-    _stacked_lambda_gaps,
+    _phase_orders,
+    _row_max,
     adapted,
     check_s,
     check_sr,
@@ -241,12 +242,12 @@ def test_block_coefficients_span_all_functions(request, group):
 
 def test_flat_weak_mixing_tail_is_resolved():
     # a translation times the swap: its square is a pure translation, so no
-    # average of its powers decays, and the block curve sits at exactly 1
+    # average of its powers decays, and the mean-square curve sits at 1.5
     g = swap_group(3)
     v = cross_check(delta(g, GElem((1, 0), 1)))
     wm = v.weak_mixing_empirical
     assert wm.verdict == "NOT_WEAK_MIXING"
-    assert [p for _, p in wm.points[-3:]] == [1.0, 1.0, 1.0]
+    assert all(abs(p - 1.5) <= 1e-12 for _, p in wm.points[-3:])
     assert v.sr.verdict == TriState.FAILS
     assert v.empirical_mixing.verdict == "NOT_MIXING"
     assert v.consistency == ()
@@ -291,15 +292,27 @@ def test_random_probability_grid_consistency(seed):
 @pytest.mark.parametrize("maker", [lambda: negation_group(5),
                                    lambda: swap_group(3),
                                    lambda: rotation_group(4),
-                                   lambda: d4_group(3)])
-def test_stacked_lambda_gaps_match_elementwise_oracle(maker):
+                                   lambda: d4_group(3)],
+                         ids=["order10", "order18", "rotation4", "d4_3"])
+def test_phase_coset_max_matches_every_element(maker):
+    # the closed-form max over the phase coset and over k against an explicit
+    # max over every x = (a, k), on the Gram sums of three powers of a random
+    # complex stack (generic phases) and of a point mass's blocks (phases on
+    # the coset, so ties)
     g = maker()
     reps = [o.representative for o in dual_orbits(g)]
-    eye = np.eye(g.k.order)
-    want = np.stack([np.concatenate([lambda_elem(g, alpha, x) - eye
-                                     for x in g.elements()])
-                     for alpha in reps])
-    assert np.array_equal(_stacked_lambda_gaps(g, reps), want)
+    nk = g.k.order
+    eye = np.eye(nk)
+    rng = np.random.default_rng(g.size)
+    lams = np.stack([np.stack([lambda_elem(g, alpha, x) for x in g.elements()])
+                     for alpha in reps])                        # (orbit, x, k', c)
+    for p in (rng.normal(size=(len(reps), nk, nk)) + 1j * rng.normal(size=(len(reps), nk, nk)),
+              lams[:, g.size // 2 + 1]):
+        powers = [np.linalg.matrix_power(p, j) for j in (1, 2, 3)]
+        gram = sum(np.einsum("ric,rlc->rcil", pw, pw.conj()) for pw in powers)
+        want = sum(np.abs((lams - eye) @ pw[:, None]) ** 2 for pw in powers).max(axis=1)
+        got = _row_max(gram, _phase_orders(g, reps)).swapaxes(1, 2)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("x", [GElem((0,), 0), GElem((1,), 0), GElem((0,), 1)])

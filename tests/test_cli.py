@@ -116,8 +116,8 @@ def test_classify_point_mass_fails_cleanly(tmp_path, d5, capsys):
 
 
 def test_classify_flat_weak_mixing_tail_exits_zero(tmp_path, capsys):
-    # the block curve of a translation times the swap is flat at 1, so the
-    # weak-mixing side agrees with SR and mixing instead of staying open
+    # the mean-square curve of a translation times the swap is flat at 1.5,
+    # so the weak-mixing side agrees with SR and mixing instead of staying open
     g = swap_group(3)
     gpath = write_group(tmp_path / "g18.json", g)
     mpath = write_measure(tmp_path / "m.json", delta(g, GElem((1, 0), 1)))
@@ -213,6 +213,18 @@ def test_invalid_input_exits_64_without_traceback(tmp_path, capsys, group, atom,
     err = capsys.readouterr().err
     assert code == 64
     assert "Traceback" not in err and err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", [{"k": 0.5}, {"a": [0.5]}], ids=["k", "a"])
+def test_measure_field_error_is_prefixed_once(tmp_path, capsys, field):
+    # the field's own message already names the file and the atom
+    gpath = write_group(tmp_path / "g.json", negation_group(5))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"atoms": [{"a": [0], "k": 0, "re": 1.0, **field}]}))
+    assert main(["spectrum", "--group", gpath, "--measure", str(mpath)]) == 64
+    err = capsys.readouterr().err
+    assert err.count("measure file:") == 1, err
+    assert "is not an integer" in err and "malformed" not in err
 
 
 def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):
