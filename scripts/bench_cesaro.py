@@ -33,7 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-SECONDS = 25
+from paired_runs import pairs
+
+SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
+                    ("peak_rss_mb", True))
+
 PARENT_LADDER_MAX = 24
 BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")}
@@ -86,38 +90,6 @@ def in_checkout(checkout: Path, code: str, *argv: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def suite200(checkout: Path, seed: int) -> dict:
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "suite200",
-                          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-                         cwd=checkout, capture_output=True, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if not result["correct"] or result["failed"]:
-        raise SystemExit(f"suite200 at {checkout}, seed {seed}: {result}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
-
-
-def summary(values) -> dict:
-    q1, med, q3 = (float(f"{v:.4g}") for v in np.percentile(values, [25, 50, 75]))
-    return {"runs": [float(f"{v:.4g}") for v in values], "median": med, "q1": q1, "q3": q3}
-
-
-def pairs(parent: Path, here: Path, n: int) -> dict:
-    sides = {"parent": [], "change": []}
-    for i in range(n):
-        order = [("parent", parent), ("change", here)]
-        for side, checkout in order if i % 2 == 0 else order[::-1]:
-            sides[side].append(suite200(checkout, seed=i + 1))
-            print(f"pair {i + 1} {side}: {sides[side][-1]}", file=sys.stderr)
-    out = {"pairs": n, "seeds": list(range(1, n + 1)), "seconds": SECONDS}
-    for metric, lower in (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
-                          ("peak_rss_mb", True)):
-        runs = {side: [r[metric] for r in sides[side]] for side in sides}
-        out[metric] = {side: summary(v) for side, v in runs.items()}
-        out[metric]["change_wins"] = sum(c < p if lower else c > p
-                                         for p, c in zip(runs["parent"], runs["change"]))
-    return out
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -145,7 +117,8 @@ def main() -> None:
                                if side == "change" or n <= PARENT_LADDER_MAX]
                         for side, path in checkouts.items()}
     if args.parent is not None and args.pairs:
-        result["suite200"] = pairs(checkouts["parent"], here, args.pairs)
+        result["suite200"] = pairs(checkouts["parent"], here, "suite200", args.pairs,
+                                   SUITE200_METRICS)
     text = json.dumps(result, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -37,40 +37,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import (WALK_MEASURES, WALK_N, WALK_STEPS, WALK_TRIALS,  # noqa: E402
                        _rng, lazy_adapted_weights)
 
-SECONDS = 25
+from paired_runs import pairs  # noqa: E402
 
-
-def walk_sim(checkout: Path, seed: int) -> dict:
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "walk_sim",
-                          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-                         cwd=checkout, capture_output=True, text=True, check=True).stdout
-    report, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
-    assert result["correct"] and result["failed"] == 0, result
-    return {**{name: m["value"] for name, m in result["metrics"].items()},
-            "op_p50_ms": report["report"]["op_p50_ms"]}
-
-
-def summary(values) -> dict:
-    q1, med, q3 = (float(f"{v:.4g}") for v in np.percentile(values, [25, 50, 75]))
-    return {"runs": [float(f"{v:.4g}") for v in values], "median": med, "q1": q1, "q3": q3}
-
-
-def pairs(parent: Path, n: int) -> dict:
-    sides = {"parent": [], "change": []}
-    here = Path.cwd()
-    for i in range(n):
-        order = [("parent", parent), ("change", here)]
-        for side, checkout in order if i % 2 == 0 else order[::-1]:
-            sides[side].append(walk_sim(checkout, seed=i + 1))
-            print(f"pair {i + 1} {side}: {sides[side][-1]}", file=sys.stderr)
-    out = {"pairs": n, "seeds": list(range(1, n + 1)), "seconds": SECONDS}
-    for metric, lower in (("op_p50_ref_ms", True), ("op_p50_ms", True), ("setup_s", True),
-                          ("ok_per_ref_s", False), ("peak_rss_mb", True)):
-        runs = {side: [r[metric] for r in sides[side]] for side in sides}
-        out[metric] = {side: summary(v) for side, v in runs.items()}
-        out[metric]["change_wins"] = sum(c < p if lower else c > p
-                                         for p, c in zip(runs["parent"], runs["change"]))
-    return out
+WALK_SIM_METRICS = (("op_p50_ref_ms", True), ("op_p50_ms", True), ("setup_s", True),
+                    ("ok_per_ref_s", False), ("peak_rss_mb", True))
 
 
 def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
@@ -140,7 +110,8 @@ def main() -> None:
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count(), "machine": platform.machine()},
         "per_step": per_step(),
-        "walk_sim": pairs(args.parent.resolve(), args.pairs),
+        "walk_sim": pairs(args.parent.resolve(), Path.cwd(), "walk_sim", args.pairs,
+                          WALK_SIM_METRICS),
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
 

@@ -333,7 +333,8 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
     Koopman-von Neumann lemma (Walters, ch. 1), bounded a_j >= 0 have
     (1/n) sum a_j -> 0 exactly when (1/n) sum a_j^2 -> 0, so the squares
     decide weak mixing as the values do. Every point differs from the mean
-    of |.|, and every verdict of the frozen acceptance-suite census stays.
+    of |.|; the verdict reads floors on its scale (_weak_mixing_verdict),
+    and every verdict of the frozen acceptance-suite census stays.
 
     The squares sum through the per-orbit Gram tensor
     G_n[c] = sum_{j<=n} P^j[:, c] P^j[:, c]^*, which doubles as
@@ -381,10 +382,30 @@ def _weak_mixing(mu: GroupMeasure, reps: List[Character],
     # mask the decay (uniform mu must come out exactly 0)
     sums = _doubled_sums(p, n_max, np.einsum("ric,rlc->rcil", p, p.conj()),
                          lambda s, pn: s + pn[:, None] @ s @ pn[:, None].conj().swapaxes(-1, -2))
-    points = [(n, float(_row_max(gram, orders).max()) / n) for n, gram in sums]
-    verdict, decays = _decide(points, WEAK_MIXING_THRESHOLD, "WEAK_MIXING",
-                              "NOT_WEAK_MIXING")
+    points, last, gram = [], 0, 0
+    for n, total in sums:
+        points.append((n, float(_row_max(total, orders).max()) / n))
+        last, gram = gram, total
+    # the mean of squares over the last window j in (n_max/2, n_max];
+    # cancellation can leave a vanishing one a hair below 0
+    window = max(float(_row_max(gram - last, orders).max()), 0.0) / (n_max - n_max // 2)
+    verdict, decays = _weak_mixing_verdict(points, float(np.sqrt(window)))
     return DecayCurve(tuple(points), WEAK_MIXING_THRESHOLD, verdict, decays)
+
+
+def _weak_mixing_verdict(points: List[Tuple[int, float]],
+                         window: float) -> Tuple[str, Optional[bool]]:
+    """_decide for mean squares, on the scale of |.| the threshold is set
+    for: a floor c that never decays reads c there, but c^2 in a mean of
+    squares. So the root mean square decides as in _decide; it is at least
+    the mean of |.| (Cauchy-Schwarz) and equals it on a constant floor.
+    The mean of squares below the threshold also reads WEAK_MIXING when the
+    root mean square of the last window (n_max/2, n_max] is below it too:
+    a floor reads c there, a geometric decay next to nothing."""
+    if points[-1][1] < WEAK_MIXING_THRESHOLD and window < WEAK_MIXING_THRESHOLD:
+        return "WEAK_MIXING", True
+    return _decide([(n, float(np.sqrt(v))) for n, v in points], WEAK_MIXING_THRESHOLD,
+                   "WEAK_MIXING", "NOT_WEAK_MIXING")
 
 
 # ------------------------------------------------------------- cross-check

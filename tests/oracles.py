@@ -169,10 +169,11 @@ def per_step_ergodic_points(mu, n_max):
     return points
 
 
-def per_step_weak_mixing_points(mu, n_max):
-    """The per-step mean-square loop: max over every x, k', c and orbit of
-    (1/n) sum_{j=1..n} |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, with
-    P = sum_x mu(x) Lambda_alpha(x) and every matrix from lambda_elem."""
+def per_step_weak_mixing(mu, n_max):
+    """The per-step mean-square loop: the points max over every x, k', c and
+    orbit of (1/n) sum_{j=1..n} |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, and
+    the root of the same max over the last window j in (n_max/2, n_max],
+    with P = sum_x mu(x) Lambda_alpha(x) and every matrix from lambda_elem."""
     g = mu.group
     checkpoints = {1 << j for j in range(n_max.bit_length())}
     eye = np.eye(g.k.order)
@@ -182,10 +183,14 @@ def per_step_weak_mixing_points(mu, n_max):
     gaps = lams - eye
     power = np.broadcast_to(eye, p.shape)
     acc = np.zeros(gaps.shape)
+    window = np.zeros(gaps.shape)
     points = []
     for count in range(1, n_max + 1):
         power = power @ p
-        acc += np.abs(gaps @ power[:, None]) ** 2
+        term = np.abs(gaps @ power[:, None]) ** 2
+        acc += term
+        if count > n_max // 2:
+            window += term
         if count in checkpoints:
             points.append((count, float(acc.max()) / count))
-    return points
+    return points, float(np.sqrt(window.max() / (n_max - n_max // 2)))

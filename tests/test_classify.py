@@ -14,6 +14,7 @@ from motionwalk.classify import (
     _decide,
     _phase_orders,
     _row_max,
+    _weak_mixing_verdict,
     adapted,
     check_s,
     check_sr,
@@ -28,7 +29,7 @@ from motionwalk.groups import GElem, dual_orbits
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
 
 from conftest import d4_group, negation_group, rotation_group, scaling_group, swap_group
-from oracles import lambda_elem, per_step_ergodic_points, per_step_weak_mixing_points
+from oracles import lambda_elem, per_step_ergodic_points, per_step_weak_mixing
 
 
 def two_atom_walk(g):
@@ -253,6 +254,37 @@ def test_flat_weak_mixing_tail_is_resolved():
     assert v.consistency == ()
 
 
+@pytest.mark.parametrize("shape, verdict", [((23, 5, 22), "INCONCLUSIVE"),
+                                            ((11, 2, 10), "NOT_WEAK_MIXING")],
+                         ids=["order506", "order110"])
+def test_weak_mixing_floor_reads_on_the_scale_of_the_mean(shape, verdict):
+    # the uniform measure on K lives on a proper subgroup, so it is not even
+    # ergodic; every term of its curve reads |phi - 1| / |K| at every step, a
+    # floor c of 0.0907 on scaling_group(23, 5, 22) and 0.198 on (11, 2, 10).
+    # The mean of squares reads c^2 (0.0082 and 0.039); the verdicts are
+    # those the mean of |.| gave: open below ten times the threshold,
+    # NOT_WEAK_MIXING above it
+    g = scaling_group(*shape)
+    on_k = uniform_on(g, [GElem((0,), k) for k in range(g.k.order)])
+    v = cross_check(on_k)
+    wm = v.weak_mixing_empirical
+    assert wm.verdict == verdict
+    assert wm.points[-1][1] < 0.04
+    assert v.consistency == ()
+
+
+def test_weak_mixing_floor_under_a_transient_stays_open():
+    # the floor 0.0907 of the uniform measure on K under a decaying
+    # transient (half its mass on the identity): at n = 1024 the mean of
+    # squares has fallen below the threshold, the last window has not
+    g = scaling_group(23, 5, 22)
+    on_k = uniform_on(g, [GElem((0,), k) for k in range(g.k.order)])
+    lazy = from_weights(g, 0.5 * on_k.weights + 0.5 * np.eye(g.size)[g.index(g.identity())])
+    wm = empirical_weak_mixing(lazy, n_max=1024)
+    assert wm.points[-1][1] < 0.01
+    assert wm.verdict == "INCONCLUSIVE"
+
+
 def test_cross_check_grid(order10, z2):
     for mu in (uniform(order10), delta(order10, order10.identity()),
                two_atom_walk(order10), coset_walk(order10),
@@ -359,9 +391,9 @@ def test_cesaro_curves_match_per_step_loop(maker):
                 _assert_curve_matches(erg, want)
             assert erg.verdict == _decide(want, 0.02, "ERGODIC", "NOT_ERGODIC")[0]
             wm = empirical_weak_mixing(mu, n_max=n_max)
-            want = per_step_weak_mixing_points(mu, n_max)
+            want, window = per_step_weak_mixing(mu, n_max)
             _assert_curve_matches(wm, want)
             if mu is nearly_real:
                 assert wm == empirical_weak_mixing(from_weights(g, mu.weights.real),
                                                    n_max=n_max)
-            assert wm.verdict == _decide(want, 0.01, "WEAK_MIXING", "NOT_WEAK_MIXING")[0]
+            assert wm.verdict == _weak_mixing_verdict(want, window)[0]
