@@ -1,4 +1,4 @@
-"""Evidence for the doubled Cesaro curves, written to BENCH_cesaro.json.
+"""Evidence for the classifier's stages, written to BENCH_cesaro.json.
 
 Three parts:
 
@@ -6,15 +6,17 @@ Three parts:
   checkout and on this one, alternating which side runs first, one seed
   per pair; each side's end-to-end metrics, with median and quartiles,
   and the pairs this checkout wins on each.
-- stage split: the weak-mixing and ergodic curves of cross_check timed
-  case by case over the 200 acceptance cases (the minimum of --repeats
-  calls per case, summed), in a fresh process per checkout.
-- ladder: empirical_weak_mixing on the 5-atom measure (weights
+- stage split: every stage of cross_check (spectral pass, adapted,
+  strictly aperiodic, mixing, ergodic and weak-mixing curves) timed case
+  by case over the 200 acceptance cases, the minimum of --repeats calls
+  per case, summed, in a fresh process per checkout. A group cache the
+  checkout keeps (the parent's mult_table and inv_perm) is emptied before
+  each call, so every call pays for what a fresh classify run pays for.
+- ladder: a whole cross_check of the 5-atom measure (weights
   0.5/0.2/0.1/0.1/0.1 on the identity, ((1,0),0), ((0,0),1), ((5,9),3)
   and ((-1,2),2)) on rotation_group(n), |G| = 4 n^2, one fresh process
-  per point, with the process's peak RSS. The parent runs only n <= 24:
-  its walk is quadratic in |G|, 45 s at n = 24, and its gap stack alone
-  would take about 1.4 GB at n = 48.
+  per point and checkout: its time, its stage split, its verdicts and
+  the process's peak RSS.
 
 Without --parent only this checkout is measured. Run from the
 repository root, with a checkout of the parent commit:
@@ -38,35 +40,55 @@ from paired_runs import pairs
 SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
                     ("peak_rss_mb", True))
 
-PARENT_LADDER_MAX = 24
 BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")}
 
-STAGES = """
-import json, sys, time
-from motionwalk import acceptance_suite
-from motionwalk.classify import _ergodic, _weak_mixing
-from motionwalk.groups import dual_orbits
-repeats = int(sys.argv[1])
-spent = {"weak_mixing_s": 0.0, "ergodic_s": 0.0}
-for case in acceptance_suite():
-    mu = case.measure
-    reps = [o.representative for o in dual_orbits(mu.group)]
-    for key, stage in (("weak_mixing_s", _weak_mixing), ("ergodic_s", _ergodic)):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            stage(mu, reps)
-            best = min(best, time.perf_counter() - start)
-        spent[key] += best
-print(json.dumps({key: round(s, 4) for key, s in spent.items()}))
+# times every stage cross_check calls, under the names of the parent
+# (empirical_mixing) and of this checkout (_mixing) alike
+TIMED = """
+import json, resource, sys, time
+from motionwalk import classify
+NAMES = {"orbit_spectra": "spectral_s", "adapted": "adapted_s",
+         "strictly_aperiodic_check": "aperiodic_s", "empirical_mixing": "mixing_s",
+         "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s"}
+spent = {}
+def timed(stage, f):
+    def call(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - start
+    return call
+for name, stage in NAMES.items():
+    if hasattr(classify, name):
+        setattr(classify, name, timed(stage, getattr(classify, name)))
+def cold(g):
+    for cache in ("_mult_table", "_inv_perm"):
+        if hasattr(g, cache):
+            setattr(g, cache, None)
 """
 
-LADDER = """
-import json, resource, sys, time
+STAGES = TIMED + """
+from motionwalk import acceptance_suite
+repeats = int(sys.argv[1])
+totals = {}
+for case in acceptance_suite():
+    best = {}
+    for _ in range(repeats):
+        cold(case.measure.group)
+        spent.clear()
+        classify.cross_check(case.measure)
+        for stage, s in spent.items():
+            best[stage] = min(best.get(stage, float("inf")), s)
+    for stage, s in best.items():
+        totals[stage] = totals.get(stage, 0.0) + s
+print(json.dumps({stage: round(s, 4) for stage, s in totals.items()}))
+"""
+
+LADDER = TIMED + """
 import numpy as np
 from motionwalk import GElem, from_weights, rotation_group
-from motionwalk.classify import empirical_weak_mixing
 n = int(sys.argv[1])
 g = rotation_group(n)
 w = np.zeros(g.size)
@@ -75,11 +97,14 @@ for (a, k), weight in zip(atoms, [0.5, 0.2, 0.1, 0.1, 0.1]):
     w[g.index(GElem(tuple(v % n for v in a), k))] += weight
 mu = from_weights(g, w)
 start = time.perf_counter()
-curve = empirical_weak_mixing(mu)
-spent = time.perf_counter() - start
-print(json.dumps({"order": g.size, "weak_mixing_s": round(spent, 4),
+v = classify.cross_check(mu)
+whole = time.perf_counter() - start
+print(json.dumps({"order": g.size, "cross_check_s": round(whole, 4),
+                  "stages": {stage: round(s, 4) for stage, s in spent.items()},
                   "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-                  "verdict": curve.verdict, "final": curve.points[-1][1]}))
+                  "verdicts": {key: getattr(v, key).verdict for key in
+                               ("empirical_mixing", "empirical_ergodic", "weak_mixing_empirical")},
+                  "consistency": list(v.consistency)}))
 """
 
 
@@ -113,8 +138,7 @@ def main() -> None:
         result["command"] = result["command"].replace(str(args.parent), "<parent checkout>")
     result["stages"] = {side: in_checkout(path, STAGES, str(args.repeats))
                         for side, path in checkouts.items()}
-    result["ladder"] = {side: [in_checkout(path, LADDER, str(n)) for n in args.ladder
-                               if side == "change" or n <= PARENT_LADDER_MAX]
+    result["ladder"] = {side: [in_checkout(path, LADDER, str(n)) for n in args.ladder]
                         for side, path in checkouts.items()}
     if args.parent is not None and args.pairs:
         result["suite200"] = pairs(checkouts["parent"], here, "suite200", args.pairs,

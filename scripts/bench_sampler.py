@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from motionwalk import from_weights, rotation_group
-from motionwalk.groups import right_products
+from motionwalk.groups import products
 from motionwalk.simulate import WalkConfig, _guide_table, _increment_cdf, _lookup, sample_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -50,7 +50,7 @@ def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
     cdf = cdf[atoms]
     scaled, guide = _guide_table(cdf)
     k = len(atoms)
-    table = right_products(g, atoms).astype(np.intp).ravel() * k
+    table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
     rng = np.random.Generator(np.random.Philox(key=seed))
     u, plain = np.empty(trials), np.empty(trials)
     bucket, row = np.empty(trials, dtype=np.intp), np.empty(trials, dtype=np.intp)

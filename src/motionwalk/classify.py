@@ -29,8 +29,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, Record, dual_orbits, dual_table, right_products
-from .measures import GroupMeasure, convolve, require_probability
+from .groups import Character, MotionGroup, Record, dual_orbits, dual_table, products
+from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
 from .spectral import OrbitSpectral, orbit_spectra
 
@@ -63,6 +63,10 @@ CESARO_N_MAX = 512
 MIXING_THRESHOLD = 1e-6
 ERGODIC_THRESHOLD = 0.02
 WEAK_MIXING_THRESHOLD = 0.01
+
+# entries of the products table one chunk of the translate-gap sweep holds
+# (4 MB of int32, and 8 MB of float64 per row in flight)
+GAP_CHUNK_ENTRIES = 1 << 20
 
 
 class TriState(str, Enum):
@@ -182,12 +186,11 @@ def _semigroup_closure(g: MotionGroup, seed: Sequence[int]) -> np.ndarray:
     """Indices of the subgroup generated by seed (finite, so the
     multiplicative closure already contains inverses)."""
     gens = np.unique(np.asarray(list(seed), dtype=np.int64))
-    table = right_products(g, gens)
     member = np.zeros(g.size, dtype=bool)
     member[gens] = True
     frontier = gens
     while frontier.size:
-        prods = np.unique(table[frontier])
+        prods = np.unique(products(g, frontier[:, None], gens))
         fresh = prods[~member[prods]]
         member[fresh] = True
         frontier = fresh
@@ -213,34 +216,34 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
     supp = mu.support()
     if supp.size == 0:
         raise EmptySupport("measure has empty support")
-    table = g.mult_table()
     inv = g.inv_perm()
-    s0_inv = inv[supp[0]]
-    diffs = table[s0_inv, supp]
+    diffs = products(g, inv[supp[0]], supp)
     # conjugating the generating set first keeps the generated subgroup normal
-    conj = table[table[:, diffs], inv[:, None]]
+    conj = products(g, products(g, np.arange(g.size)[:, None], diffs), inv[:, None])
     closure = _semigroup_closure(g, np.unique(conj))
     return AperiodicResult(closure.size == g.size, int(closure.size))
 
 
 # --------------------------------------------------------------- empirical
 
-def _dyadic_checkpoints(n_max: int) -> List[int]:
-    if n_max < 1 or n_max & (n_max - 1):
-        raise ValueError(f"n_max must be a power of two, got {n_max}")
-    out = [1]
-    while out[-1] < n_max:
-        out.append(out[-1] * 2)
-    return out
-
-
-def _translate_gap(g: MotionGroup, w: np.ndarray) -> float:
-    """max over x of tv_norm(delta_x * w - w): the mean-zero basis sweep.
-    Row x of w[mult_table] is w(x .) = delta_{x^-1} * w, so its rows are
-    the same translates in another order."""
-    d = w[g.mult_table()]
-    d -= w
-    return float(np.abs(d).sum(axis=1).max())
+def _translate_gaps(g: MotionGroup, rows: np.ndarray) -> np.ndarray:
+    """max over x of tv_norm(delta_x * w - w) for each row w of rows: the
+    mean-zero basis sweep. Row x of w[products(g, x, y)] is
+    w(x .) = delta_{x^-1} * w, the same translates in another order. The
+    y run in chunks of GAP_CHUNK_ENTRIES products, each built once and read
+    by every row in turn."""
+    xs = np.arange(g.size)
+    width = max(1, GAP_CHUNK_ENTRIES // g.size)
+    totals = np.zeros((len(rows), g.size))
+    for lo in range(0, g.size, width):
+        ys = xs[lo:lo + width]
+        table = products(g, xs[:, None], ys)
+        for w, total in zip(rows, totals):
+            d = w[table]
+            d -= w[ys]
+            np.abs(d, out=d)
+            total += d.sum(axis=1)
+    return totals.max(axis=1)
 
 
 def _decide(points: List[Tuple[int, float]], threshold: float,
@@ -267,25 +270,35 @@ def _doubled_sums(p: np.ndarray, n_max: int, s: np.ndarray,
     """Yield (n, s_n) at each dyadic n <= n_max, for s_1 = s and
     s_2n = double(s_n, p^n), with the powers of the block stack p by
     repeated squaring: 9 steps reach n = 512."""
-    power = p
-    for n in _dyadic_checkpoints(n_max):
-        if n > 2:
-            power = power @ power
+    if n_max < 1 or n_max & (n_max - 1):
+        raise ValueError(f"n_max must be a power of two, got {n_max}")
+    n, power = 1, p
+    yield n, s
+    while n < n_max:
         if n > 1:
-            s = double(s, power)
+            power = power @ power
+        s = double(s, power)
+        n *= 2
         yield n, s
 
 
 def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
-    """sup_x tv_norm(f_x * mu^n) at dyadic n via repeated squaring."""
+    """sup_x tv_norm(f_x * mu^n) at dyadic n. Lambda_alpha(mu^n) is
+    Lambda_alpha(mu)^n, so mu^n is read back from the block powers, which
+    come by repeated squaring."""
     require_probability(mu)
+    reps = [o.representative for o in dual_orbits(mu.group)]
+    return _mixing(mu, reps, n_max)
+
+
+def _mixing(mu: GroupMeasure, reps: List[Character], n_max: int) -> DecayCurve:
+    """empirical_mixing on a probability measure, given the dual-orbit
+    representatives, on its real part as in _ergodic."""
     g = mu.group
-    checkpoints = _dyadic_checkpoints(n_max)
-    cur = mu
-    points = [(1, _translate_gap(g, cur.weights))]
-    for n in checkpoints[1:]:
-        cur = convolve(cur, cur)
-        points.append((n, _translate_gap(g, cur.weights)))
+    p = _blocks(g, mu.weights.real, reps)
+    ns, powers = zip(*_doubled_sums(p, n_max, p, lambda s, pn: pn @ s))
+    weights = _measure_of_blocks(g, np.stack(powers), reps).real
+    points = list(zip(ns, _translate_gaps(g, weights).tolist()))
     verdict, decays = _decide(points, MIXING_THRESHOLD, "MIXING", "NOT_MIXING")
     return DecayCurve(tuple(points), MIXING_THRESHOLD, verdict, decays)
 
@@ -314,8 +327,8 @@ def _ergodic(mu: GroupMeasure, reps: List[Character],
     g = mu.group
     p = _blocks(g, mu.weights.real, reps)
     ns, sums = zip(*_doubled_sums(p, n_max, p, lambda s, pn: s + pn @ s))
-    weights = _measure_of_blocks(g, np.stack(sums), reps).real
-    points = [(n, _translate_gap(g, w / n)) for n, w in zip(ns, weights)]
+    weights = _measure_of_blocks(g, np.stack(sums), reps).real / np.array(ns)[:, None]
+    points = list(zip(ns, _translate_gaps(g, weights).tolist()))
     verdict, decays = _decide(points, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")
     return DecayCurve(tuple(points), ERGODIC_THRESHOLD, verdict, decays)
 
@@ -450,8 +463,8 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
     s = _s_from_spectra(spectra, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
-    mix = empirical_mixing(mu, n_max=mixing_n_max)
     reps = [o.representative for o in spectra[0]]
+    mix = _mixing(mu, reps, n_max=mixing_n_max)
     erg = _ergodic(mu, reps, n_max=ergodic_n_max)
     wm = _weak_mixing(mu, reps, n_max=ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)

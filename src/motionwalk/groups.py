@@ -7,8 +7,7 @@ pairing, and K acts on characters through the inverse matrices.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import gcd
 from typing import Iterator, List, Sequence, Tuple
@@ -31,7 +30,7 @@ __all__ = [
     "dual_action",
     "dual_table",
     "dual_orbits",
-    "right_products",
+    "products",
 ]
 
 
@@ -148,9 +147,6 @@ class MotionGroup:
 
     abelian: AbelianGroup
     k: KGroup
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _mult_table: np.ndarray | None = field(default=None, repr=False)
-    _inv_perm: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -177,21 +173,18 @@ class MotionGroup:
         return tuple(int(v) for v in (m @ vec) % self.abelian.modulus)
 
     def mult_table(self) -> np.ndarray:
-        """Dense |G| x |G| index table, right_products over every element,
-        built once and shared read-only."""
-        if self._mult_table is None:
-            with self._lock:
-                if self._mult_table is None:
-                    self._mult_table = right_products(self, np.arange(self.size))
-        return self._mult_table
+        """Dense |G| x |G| index table of x * y, products over every pair.
+        Built anew on each call; the package never calls it."""
+        xs = np.arange(self.size)
+        return products(self, xs[:, None], xs)
 
     def inv_perm(self) -> np.ndarray:
-        """Index permutation x -> x^{-1}."""
-        if self._inv_perm is None:
-            with self._lock:
-                if self._inv_perm is None:
-                    self._inv_perm = _build_inv_perm(self)
-        return self._inv_perm
+        """Index permutation x -> x^{-1}, from
+        (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1})."""
+        n, d = self.abelian.modulus, self.abelian.rank
+        moved = np.einsum("ad,kmd->akm", self.abelian.vectors(), self.k.action[self.k.inverses])
+        a_idx = (-moved % n) @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+        return (a_idx * self.k.order + self.k.inverses).ravel()
 
 
 def _int_det(m: Sequence[Sequence[int]]) -> int:
@@ -333,31 +326,22 @@ def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
     return orbits
 
 
-def right_products(g: MotionGroup, ys: Sequence[int]) -> np.ndarray:
-    """(|G|, len(ys)) int32 index table whose entry [x, j] is the index of
-    x * ys[j], from (a, k)(b, m) = (a + M_k b, k m): the one array form of
-    the group law. Built one left K-part k at a time (rows k, k + |K|, ...),
-    with a + M_k b computed coordinate by coordinate once per distinct
-    A-part b among ys."""
-    n, nk = g.abelian.modulus, g.k.order
-    ys = np.asarray(ys, dtype=np.int64)
-    b_idx, b_of = np.unique(ys // nk, return_inverse=True)
-    avecs = g.abelian.vectors()
-    pow_basis = n ** np.arange(g.abelian.rank - 1, -1, -1, dtype=np.int64)
-    out = np.empty((g.size, len(ys)), dtype=np.int32)
-    for k in range(nk):
-        moved = (avecs[b_idx] @ g.k.action[k].T) % n      # M_k b per distinct b
-        out_a = 0
-        for c in range(g.abelian.rank):
-            out_a = out_a + (avecs[:, c, None] + moved[None, :, c]) % n * pow_basis[c]
-        out[k::nk] = out_a[:, b_of] * nk + g.k.table[k, ys % nk]
+def products(g: MotionGroup, xs, ys) -> np.ndarray:
+    """int32 index of x * y for index arrays xs and ys broadcast against
+    each other, from (a, k)(b, m) = (a + M_k b, k m): the package's one
+    group law. The digits of M_k b come from a (d, |K|, |A|) table, and
+    a + M_k b is added digit by digit in place, so the temporaries are two
+    int32 arrays of the broadcast shape and a few of the shape of xs."""
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    a, k = np.divmod(np.asarray(xs), nk)
+    b, m = np.divmod(np.asarray(ys), nk)
+    moved = (np.einsum("kcd,bd->ckb", g.k.action, g.abelian.vectors()) % n).astype(np.int32)
+    out = g.k.table.astype(np.int32)[k, m]
+    for c in range(d):
+        place = n ** (d - 1 - c)
+        digit = moved[c][k, b]
+        digit += a // place      # = the digit of a, mod n
+        digit %= n
+        digit *= place * nk
+        out += digit
     return out
-
-
-def _build_inv_perm(g: MotionGroup) -> np.ndarray:
-    """Index of x^{-1} for every x = (a, k), from
-    (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1})."""
-    n, d = g.abelian.modulus, g.abelian.rank
-    moved = np.einsum("ad,kmd->akm", g.abelian.vectors(), g.k.action[g.k.inverses])
-    a_idx = (-moved % n) @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
-    return (a_idx * g.k.order + g.k.inverses).ravel()

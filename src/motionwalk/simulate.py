@@ -38,7 +38,7 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import GroupMismatch
-from .groups import MotionGroup, right_products
+from .groups import MotionGroup, products
 from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
 
 # buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
@@ -135,7 +135,7 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     # x is held as the row offset x * #atoms into the flat table, whose
     # entries are row offsets too: one add and one gather per step
     k = len(atoms)
-    table = right_products(g, atoms).astype(np.intp).ravel() * k
+    table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     x = np.zeros(cfg.trials, dtype=np.intp)
     # a step runs over blocks of TRIAL_BLOCK trials with one block of

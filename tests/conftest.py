@@ -41,6 +41,15 @@ def d4_group(n: int) -> MotionGroup:
     return build_motion_group(n, 2, table, mats)
 
 
+@pytest.fixture
+def no_mult_table(monkeypatch):
+    """Every call of MotionGroup.mult_table fails the test: the package
+    reads the group law through products and never builds the dense table."""
+    def refuse(g):
+        raise AssertionError(f"mult_table built on a group of order {g.size}")
+    monkeypatch.setattr(MotionGroup, "mult_table", refuse)
+
+
 @pytest.fixture(scope="session")
 def order10() -> MotionGroup:
     return negation_group(5)

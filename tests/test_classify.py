@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionwalk import classify
 from motionwalk.classify import (
     AdaptedResult,
     TriState,
     _decide,
     _phase_orders,
     _row_max,
+    _translate_gaps,
     _weak_mixing_verdict,
     adapted,
     check_s,
@@ -27,6 +29,7 @@ from motionwalk.classify import (
 from motionwalk.errors import EmptySupport, NotProbability
 from motionwalk.groups import GElem, dual_orbits
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
+from motionwalk.simulate import exact_powers
 
 from conftest import d4_group, negation_group, rotation_group, scaling_group, swap_group
 from oracles import lambda_elem, per_step_ergodic_points, per_step_weak_mixing
@@ -41,6 +44,18 @@ def coset_walk(g):
     """Uniform on the nonidentity fiber A x {s} of a negation group."""
     elems = [GElem((a,), 1) for a in range(g.abelian.modulus)]
     return uniform_on(g, elems)
+
+
+def five_atom_walk(g):
+    """0.5/0.2/0.1/0.1/0.1 on the identity, ((1, 0), 0), ((0, 0), 1),
+    ((5, 9), 3) and ((-1, 2), 2) of a rotation_group(n), n >= 10: it mixes,
+    slowly."""
+    n = g.abelian.modulus
+    w = np.zeros(g.size)
+    atoms = [((0, 0), 0), ((1, 0), 0), ((0, 0), 1), ((5, 9), 3), ((n - 1, 2), 2)]
+    for (a, k), weight in zip(atoms, [0.5, 0.2, 0.1, 0.1, 0.1]):
+        w[g.index(GElem(a, k))] = weight
+    return from_weights(g, w)
 
 
 def lazy_perturbed(g, h):
@@ -118,7 +133,7 @@ def test_adapted(order10):
     assert r.adapted and r.subgroup_size == 10
 
 
-def test_adapted_on_large_group_builds_no_mult_table():
+def test_adapted_on_large_group_builds_no_mult_table(no_mult_table):
     # |G| = 65536, where the dense table would take 16 GiB: the closure
     # reads only the right products of the generators
     g = rotation_group(128)
@@ -129,7 +144,17 @@ def test_adapted_on_large_group_builds_no_mult_table():
     w[g.index(GElem((0, 0), 2))] = 1 / 3
     # the half-turn maps (1, 0) to its negative: only the first axis is reached
     assert adapted(from_weights(g, w)) == AdaptedResult(False, 2 * 128)
-    assert g._mult_table is None
+
+
+def test_cross_check_builds_no_mult_table(no_mult_table):
+    # every stage of cross_check reads the group law through products
+    g = rotation_group(16)
+    v = cross_check(five_atom_walk(g))
+    assert v.adapted == AdaptedResult(True, g.size)
+    assert v.strictly_aperiodic.strictly_aperiodic
+    assert v.sr.verdict == TriState.HOLDS
+    assert v.empirical_mixing.verdict == "MIXING"
+    assert v.consistency == ()
 
 
 def test_strictly_aperiodic(order10):
@@ -164,6 +189,40 @@ def test_empirical_mixing_two_atom_walk(order10):
     # at n = 64 the walk is near 1e-6, far from fully mixed yet
     assert 1e-7 < values[64] < 1e-5
     assert values[1024] < 1e-12
+
+
+@pytest.mark.parametrize("group", ["order10", "order72", "rotation4"])
+@pytest.mark.parametrize("width", [1, 7])
+def test_translate_gaps_match_dense_table(request, monkeypatch, group, width):
+    # chunks of `width` columns, the last one partial on every group here,
+    # against the gap read off the whole dense table
+    g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+    assert g.size % width != 0 or width == 1
+    monkeypatch.setattr(classify, "GAP_CHUNK_ENTRIES", width * g.size)
+    rng = np.random.default_rng(g.size)
+    rows = np.vstack([rng.random(g.size), np.eye(g.size)[3], np.full(g.size, 1 / g.size),
+                      rng.random(g.size) * (rng.random(g.size) < 0.2)])
+    table = g.mult_table()
+    want = [np.abs(w[table] - w).sum(axis=1).max() for w in rows]
+    got = _translate_gaps(g, rows)
+    assert got.shape == (len(rows),)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_mixing_gap_is_within_twice_the_distance_to_uniform():
+    # ||w - u||_1 <= sup_x ||delta_x * w - w||_1 <= 2 ||w - u||_1 for u
+    # uniform: the translates average to u, and each lies as far from u as
+    # w does. w = mu^n from the convolution squares, at |G| = 2304
+    g = rotation_group(24)
+    mu = five_atom_walk(g)
+    curve = empirical_mixing(mu)
+    ns = [n for n, _ in curve.points]
+    assert ns[-1] == 1024 and curve.verdict == "MIXING"
+    for (n, gap), power in zip(curve.points, exact_powers(mu, ns)):
+        dist = np.abs(power.weights.real - 1 / g.size).sum()
+        assert dist - 1e-12 <= gap <= 2 * dist + 1e-12, n
+    # some translate of the five atoms misses them all
+    assert abs(curve.points[0][1] - 2.0) <= 1e-12
 
 
 def test_empirical_mixing_rejects_bad_n_max(order10):

@@ -16,7 +16,7 @@ from motionwalk.groups import (
     dual_table,
     inverse,
     multiply,
-    right_products,
+    products,
 )
 
 from conftest import (
@@ -111,7 +111,7 @@ def test_mult_table_matches_elementwise(request, order10):
         for j in range(order10.size):
             expect = multiply(order10, order10.element(i), order10.element(j))
             assert t[i, j] == order10.index(expect)
-    # the vectorised inverse permutation, on the groups of the right_products check
+    # the vectorised inverse permutation, on the groups of the products check
     for g in (order10, request.getfixturevalue("order18"), rotation_group(4),
               request.getfixturevalue("order21"), request.getfixturevalue("order72")):
         inv = g.inv_perm()
@@ -121,17 +121,28 @@ def test_mult_table_matches_elementwise(request, order10):
 
 
 @pytest.mark.parametrize("group", ["order10", "order18", "rotation4", "order21", "order72"])
-def test_right_products_match_mult_table(request, group):
-    # the per-atom table is the columns ys of the dense table, repeats and
-    # unsorted entries included, and each entry is the elementwise product
+def test_products_match_elementwise(request, group):
+    # every entry against multiply, for a scalar times a vector, a column
+    # times a row and a vector times a scalar, repeated and unsorted indices
+    # included
     g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
+
+    def product(x, y):
+        return g.index(multiply(g, g.element(int(x)), g.element(int(y))))
+
     ys = np.array([g.size - 1, 0, 3, 3, g.size // 2 + 1, 1])
-    table = right_products(g, ys)
+    xs = np.arange(g.size)
+    row = products(g, g.size - 2, ys)
+    assert row.dtype == np.int32 and row.shape == ys.shape
+    assert row.tolist() == [product(g.size - 2, y) for y in ys]
+    table = products(g, xs[:, None], ys)
     assert table.dtype == np.int32 and table.shape == (g.size, len(ys))
-    assert np.array_equal(table, g.mult_table()[:, ys])
-    for x in range(g.size):
-        for j, y in enumerate(ys):
-            assert table[x, j] == g.index(multiply(g, g.element(x), g.element(int(y))))
+    for x in xs:
+        assert table[x].tolist() == [product(x, y) for y in ys]
+    column = products(g, ys[::-1], 5)
+    assert column.dtype == np.int32
+    assert column.tolist() == [product(y, 5) for y in ys[::-1]]
+    assert int(products(g, 7, 2)) == product(7, 2)
 
 
 def test_dual_action_examples(order10):

@@ -97,13 +97,12 @@ def test_exact_power_basics(order10):
     assert np.allclose(p3.weights, ref.weights, atol=1e-15)
 
 
-def test_exact_power_and_verify_srf_build_no_mult_table():
+def test_exact_power_and_verify_srf_build_no_mult_table(no_mult_table):
     # convolution runs on the FFT and the dual table, never on |G| x |G|
     g = negation_group(6)
     mu = two_atom_walk(g)
     exact_power(mu, 5)
     verify_srf(mu)
-    assert g._mult_table is None
 
 
 def _oracle_walk(g, mu, steps, trials, seed):
@@ -166,16 +165,15 @@ def test_walk_in_trial_blocks_matches_block_oracle(order10, monkeypatch, block, 
         assert np.array_equal(x, ref[n])
 
 
-def test_walk_builds_no_mult_table():
+def test_walk_builds_no_mult_table(no_mult_table):
     # the walk steps through right products by the atoms only
     g = negation_group(6)
     mu = two_atom_walk(g)
     empirical_distributions(g, mu, [3, 8], 200, seed=1)
     sample_path(g, mu, WalkConfig(5, 200, 1))
-    assert g._mult_table is None
 
 
-def test_walk_on_large_group_builds_no_mult_table():
+def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
     # |G| = 65536, where the dense table would take 16 GiB; the first trials
     # are replayed element by element from the same uniforms
     g = rotation_group(128)
@@ -186,7 +184,6 @@ def test_walk_on_large_group_builds_no_mult_table():
     mu = from_weights(g, w)
     steps, trials, seed = 16, 1000, 2
     final = sample_path(g, mu, WalkConfig(steps, trials, seed))
-    assert g._mult_table is None
     u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
     increments = np.searchsorted(_increment_cdf(mu), u, side="right")
     for t in range(20):
