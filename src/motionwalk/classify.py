@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def _translate_gaps(g: MotionGroup, rows: np.ndarray) -> np.ndarray:
     return totals.max(axis=1)
 
 
-def _decide(points: List[Tuple[int, float]], threshold: float,
+def _decide(points: Sequence[Tuple[int, float]], threshold: float,
             pos: str, neg: str) -> Tuple[str, Optional[bool]]:
     """Positive when the final value is below threshold; negative only on a
     stable floor: the last three dyadic samples sit well above the
@@ -264,22 +264,13 @@ def _decide(points: List[Tuple[int, float]], threshold: float,
     return "INCONCLUSIVE", None
 
 
-def _doubled_sums(p: np.ndarray, n_max: int, s: np.ndarray,
-                  double: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                  ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (n, s_n) at each dyadic n <= n_max, for s_1 = s and
-    s_2n = double(s_n, p^n), with the powers of the block stack p by
-    repeated squaring: 9 steps reach n = 512."""
-    if n_max < 1 or n_max & (n_max - 1):
-        raise ValueError(f"n_max must be a power of two, got {n_max}")
-    n, power = 1, p
-    yield n, s
-    while n < n_max:
-        if n > 1:
-            power = power @ power
-        s = double(s, power)
-        n *= 2
-        yield n, s
+def _dyadic_powers(p: np.ndarray, n_max: int) -> List[np.ndarray]:
+    """[p, p^2, p^4, ..., p^n_max] of the block stack p, by repeated
+    squaring: 9 squarings reach n = 512."""
+    powers = [p]
+    for _ in range(n_max.bit_length() - 1):
+        powers.append(powers[-1] @ powers[-1])
+    return powers
 
 
 def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
@@ -288,19 +279,7 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
     come by repeated squaring."""
     require_probability(mu)
     reps = [o.representative for o in dual_orbits(mu.group)]
-    return _mixing(mu, reps, n_max)
-
-
-def _mixing(mu: GroupMeasure, reps: List[Character], n_max: int) -> DecayCurve:
-    """empirical_mixing on a probability measure, given the dual-orbit
-    representatives, on its real part as in _ergodic."""
-    g = mu.group
-    p = _blocks(g, mu.weights.real, reps)
-    ns, powers = zip(*_doubled_sums(p, n_max, p, lambda s, pn: pn @ s))
-    weights = _measure_of_blocks(g, np.stack(powers), reps).real
-    points = list(zip(ns, _translate_gaps(g, weights).tolist()))
-    verdict, decays = _decide(points, MIXING_THRESHOLD, "MIXING", "NOT_MIXING")
-    return DecayCurve(tuple(points), MIXING_THRESHOLD, verdict, decays)
+    return _curves(mu, reps, n_max, 1)[0]
 
 
 def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -314,23 +293,7 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve
     """
     require_probability(mu)
     reps = [o.representative for o in dual_orbits(mu.group)]
-    return _ergodic(mu, reps, n_max)
-
-
-def _ergodic(mu: GroupMeasure, reps: List[Character],
-             n_max: int = CESARO_N_MAX) -> DecayCurve:
-    """empirical_ergodic on a probability measure, given the dual-orbit
-    representatives. The walk runs on the real part of mu: a probability
-    measure is real within PROBABILITY_TOL, and so is S_n. The block sums
-    S_n = sum_{k=1..n} P^k of P = Lambda_alpha(mu) double as
-    S_2n = S_n + P^n S_n."""
-    g = mu.group
-    p = _blocks(g, mu.weights.real, reps)
-    ns, sums = zip(*_doubled_sums(p, n_max, p, lambda s, pn: s + pn @ s))
-    weights = _measure_of_blocks(g, np.stack(sums), reps).real / np.array(ns)[:, None]
-    points = list(zip(ns, _translate_gaps(g, weights).tolist()))
-    verdict, decays = _decide(points, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")
-    return DecayCurve(tuple(points), ERGODIC_THRESHOLD, verdict, decays)
+    return _curves(mu, reps, 1, n_max)[1]
 
 
 def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -356,7 +319,7 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
     """
     require_probability(mu)
     reps = [o.representative for o in dual_orbits(mu.group)]
-    return _weak_mixing(mu, reps, n_max)
+    return _curves(mu, reps, 1, n_max)[2]
 
 
 def _phase_orders(g: MotionGroup, reps: List[Character]) -> np.ndarray:
@@ -385,28 +348,7 @@ def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return rows.max(axis=2)
 
 
-def _weak_mixing(mu: GroupMeasure, reps: List[Character],
-                 n_max: int = CESARO_N_MAX) -> DecayCurve:
-    """empirical_weak_mixing on a probability measure, given the dual-orbit
-    representatives, on its real part as in _ergodic."""
-    p = _blocks(mu.group, mu.weights.real, reps)
-    orders = _phase_orders(mu.group, reps)
-    # averages run over j = 1..n: the j = 0 term is n-independent and would
-    # mask the decay (uniform mu must come out exactly 0)
-    sums = _doubled_sums(p, n_max, np.einsum("ric,rlc->rcil", p, p.conj()),
-                         lambda s, pn: s + pn[:, None] @ s @ pn[:, None].conj().swapaxes(-1, -2))
-    points, last, gram = [], 0, 0
-    for n, total in sums:
-        points.append((n, float(_row_max(total, orders).max()) / n))
-        last, gram = gram, total
-    # the mean of squares over the last window j in (n_max/2, n_max];
-    # cancellation can leave a vanishing one a hair below 0
-    window = max(float(_row_max(gram - last, orders).max()), 0.0) / (n_max - n_max // 2)
-    verdict, decays = _weak_mixing_verdict(points, float(np.sqrt(window)))
-    return DecayCurve(tuple(points), WEAK_MIXING_THRESHOLD, verdict, decays)
-
-
-def _weak_mixing_verdict(points: List[Tuple[int, float]],
+def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
                          window: float) -> Tuple[str, Optional[bool]]:
     """_decide for mean squares, on the scale of |.| the threshold is set
     for: a floor c that never decays reads c there, but c^2 in a mean of
@@ -419,6 +361,56 @@ def _weak_mixing_verdict(points: List[Tuple[int, float]],
         return "WEAK_MIXING", True
     return _decide([(n, float(np.sqrt(v))) for n, v in points], WEAK_MIXING_THRESHOLD,
                    "WEAK_MIXING", "NOT_WEAK_MIXING")
+
+
+def _curves(mu: GroupMeasure, reps: List[Character], mixing_n_max: int,
+            cesaro_n_max: int) -> Tuple[DecayCurve, DecayCurve, DecayCurve]:
+    """The mixing, ergodic and weak-mixing curves of a probability measure,
+    given the dual-orbit representatives, from one block stack
+    P = Lambda_alpha(mu) and one chain of its dyadic powers P^n. The walk
+    runs on the real part of mu: a probability measure is real within
+    PROBABILITY_TOL, and so are its powers and averages.
+
+    The mixing rows are the powers themselves. The block sums
+    S_n = sum_{k=1..n} P^k double as S_2n = S_n + P^n S_n, and the Gram sums
+    of empirical_weak_mixing as G_2n = G_n + P^n G_n (P^n)^*. One read-back
+    and one translate-gap sweep serve the mixing and ergodic rows together.
+    A curve a caller does not read costs one row at n_max = 1.
+    """
+    for n_max in (mixing_n_max, cesaro_n_max):
+        if n_max < 1 or n_max & (n_max - 1):
+            raise ValueError(f"n_max must be a power of two, got {n_max}")
+    g = mu.group
+    p = _blocks(g, mu.weights.real, reps)
+    powers = _dyadic_powers(p, max(mixing_n_max, cesaro_n_max))
+    ns = [1 << k for k in range(len(powers))]
+    n_mix, n_ces = mixing_n_max.bit_length(), cesaro_n_max.bit_length()
+    # averages run over j = 1..n: the j = 0 term is n-independent and would
+    # mask the decay (uniform mu must come out exactly 0)
+    sums, grams = [p], [np.einsum("ric,rlc->rcil", p, p.conj())]
+    for pn in powers[:n_ces - 1]:
+        sums.append(sums[-1] + pn @ sums[-1])
+        grams.append(grams[-1] + pn[:, None] @ grams[-1] @ pn[:, None].conj().swapaxes(-1, -2))
+    rows = _measure_of_blocks(g, np.stack(powers[:n_mix] + sums), reps).real
+    rows[n_mix:] /= np.array(ns[:n_ces])[:, None]
+    gaps = _translate_gaps(g, rows).tolist()
+
+    mix = tuple(zip(ns, gaps[:n_mix]))
+    erg = tuple(zip(ns, gaps[n_mix:]))
+
+    orders = _phase_orders(g, reps)
+    wm = tuple((n, float(_row_max(gram, orders).max()) / n) for n, gram in zip(ns, grams))
+    # the mean of squares over the last window j in (cesaro_n_max/2, cesaro_n_max];
+    # cancellation can leave a vanishing one a hair below 0
+    last = grams[-2] if len(grams) > 1 else 0
+    window = max(float(_row_max(grams[-1] - last, orders).max()), 0.0) \
+        / (cesaro_n_max - cesaro_n_max // 2)
+    return (DecayCurve(mix, MIXING_THRESHOLD,
+                       *_decide(mix, MIXING_THRESHOLD, "MIXING", "NOT_MIXING")),
+            DecayCurve(erg, ERGODIC_THRESHOLD,
+                       *_decide(erg, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")),
+            DecayCurve(wm, WEAK_MIXING_THRESHOLD,
+                       *_weak_mixing_verdict(wm, float(np.sqrt(window)))))
 
 
 # ------------------------------------------------------------- cross-check
@@ -464,8 +456,6 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
     reps = [o.representative for o in spectra[0]]
-    mix = _mixing(mu, reps, n_max=mixing_n_max)
-    erg = _ergodic(mu, reps, n_max=ergodic_n_max)
-    wm = _weak_mixing(mu, reps, n_max=ergodic_n_max)
+    mix, erg, wm = _curves(mu, reps, mixing_n_max, ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

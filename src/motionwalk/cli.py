@@ -82,6 +82,10 @@ MAX_GROUP_ORDER = 1 << 20
 # subgroup closure of cross_check hold |G| x |support| index tables; at the
 # bound a random dense measure took 6.9 s and peaked at 421 MB
 MAX_CLASSIFY_ORDER = 1 << 12
+# largest --n-max classify takes: every dyadic point adds a row to the
+# power chain, the block read-back and the translate-gap sweep; at
+# |G| = 4096 a random dense measure took 8.3 s at the bound, 7.6 s at 1024
+MAX_CLASSIFY_N_MAX = 1 << 20
 # largest window rosenblatt takes: the exact phase sweep's integers grow
 # linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
 # at the bound)
@@ -303,6 +307,8 @@ def _classify_exit(v: Verdict) -> int:
 def _cmd_classify(args) -> int:
     cfg = RunConfig(args.group, args.measure, tol=args.tol,
                     n_max=args.n_max, format=args.format)
+    if cfg.n_max > MAX_CLASSIFY_N_MAX:
+        raise ParseError(f"classify: --n-max {cfg.n_max} exceeds {MAX_CLASSIFY_N_MAX}")
     g = load_group(args.group)
     if g.size > MAX_CLASSIFY_ORDER:
         raise ParseError(f"classify: |G| = {g.size} exceeds {MAX_CLASSIFY_ORDER} elements")

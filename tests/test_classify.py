@@ -157,6 +157,45 @@ def test_cross_check_builds_no_mult_table(no_mult_table):
     assert v.consistency == ()
 
 
+def test_cross_check_transforms_and_sweeps_once(monkeypatch):
+    # the three curves share one block stack, one power chain, one read-back
+    # and one translate-gap sweep
+    calls = {}
+
+    def counted(name):
+        f = getattr(classify, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return call
+
+    names = ("_blocks", "_dyadic_powers", "_measure_of_blocks", "_translate_gaps")
+    for name in names:
+        monkeypatch.setattr(classify, name, counted(name))
+    v = cross_check(five_atom_walk(rotation_group(16)))
+    assert calls == dict.fromkeys(names, 1)
+    assert len(v.empirical_mixing.points) == 11 and len(v.empirical_ergodic.points) == 10
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(5), lambda: d4_group(3)],
+                         ids=["order10", "d4_3"])
+@pytest.mark.parametrize("mixing_n_max, ergodic_n_max",
+                         [(1024, 512), (64, 512), (256, 1024), (1, 1)])
+def test_cross_check_curves_match_each_empirical_check(maker, mixing_n_max, ergodic_n_max):
+    # the shared chain runs to the larger budget; each curve stops at its own
+    g = maker()
+    rng = np.random.default_rng(g.size)
+    w = rng.random(g.size) * (rng.random(g.size) < 0.3) + np.eye(g.size)[1]
+    mu = from_weights(g, w / w.sum())
+    v = cross_check(mu, mixing_n_max=mixing_n_max, ergodic_n_max=ergodic_n_max)
+    assert v.empirical_mixing == empirical_mixing(mu, mixing_n_max)
+    assert v.empirical_ergodic == empirical_ergodic(mu, ergodic_n_max)
+    assert v.weak_mixing_empirical == empirical_weak_mixing(mu, ergodic_n_max)
+    assert v.empirical_mixing.points[-1][0] == mixing_n_max
+    assert v.empirical_ergodic.points[-1][0] == ergodic_n_max
+
+
 def test_strictly_aperiodic(order10):
     r = strictly_aperiodic_check(delta(order10, GElem((2,), 1)))
     assert not r.strictly_aperiodic and r.closure_size == 1
@@ -228,6 +267,14 @@ def test_mixing_gap_is_within_twice_the_distance_to_uniform():
 def test_empirical_mixing_rejects_bad_n_max(order10):
     with pytest.raises(ValueError):
         empirical_mixing(uniform(order10), n_max=100)
+
+
+@pytest.mark.parametrize("budget", ["mixing_n_max", "ergodic_n_max"])
+def test_cross_check_rejects_bad_n_max(order10, budget):
+    # the curves share one power chain, built to the larger budget: each
+    # budget is still checked on its own
+    with pytest.raises(ValueError):
+        cross_check(uniform(order10), **{budget: 100})
 
 
 def test_empirical_ergodic_patterns(order10):

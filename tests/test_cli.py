@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_group, swap_group,
                         uniform)
 from motionwalk.cli import (
+    MAX_CLASSIFY_N_MAX,
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
     MAX_SIM_TRIALS,
@@ -225,6 +226,19 @@ def test_measure_field_error_is_prefixed_once(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.count("measure file:") == 1, err
     assert "is not an integer" in err and "malformed" not in err
+
+
+def test_classify_n_max_budget(tmp_path, d5, capsys):
+    # every dyadic point costs a row of the power chain and of the gap sweep
+    g, gpath = d5
+    mpath = write_measure(tmp_path / "u.json", uniform(g))
+    argv = ["classify", "--group", gpath, "--measure", mpath, "--n-max"]
+    assert main(argv + [str(2 * MAX_CLASSIFY_N_MAX)]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: classify: --n-max")
+    assert main(argv + [str(MAX_CLASSIFY_N_MAX)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["empirical_mixing"]["points"][-1][0] == MAX_CLASSIFY_N_MAX
 
 
 def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):
