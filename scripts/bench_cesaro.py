@@ -34,13 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from paired_runs import pairs
+from paired_runs import in_checkout, pairs
 
 SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
                     ("peak_rss_mb", True))
-
-BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS")}
 
 # times every stage cross_check calls, under the names of this checkout
 # (_curves) and of older ones (empirical_mixing, then _mixing) alike
@@ -101,13 +98,6 @@ print(json.dumps({"order": g.size, "cross_check_s": round(whole, 4),
                                ("empirical_mixing", "empirical_ergodic", "weak_mixing_empirical")},
                   "consistency": list(v.consistency)}))
 """
-
-
-def in_checkout(checkout: Path, code: str, *argv: str) -> dict:
-    env = {**os.environ, **BLAS_ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
-    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=checkout, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
 
 
 def main() -> None:

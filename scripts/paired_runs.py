@@ -1,10 +1,12 @@
 """Alternating runs of one perfbench workload on a parent checkout and on
-this one, shared by the bench_*.py evidence scripts.
+this one, and code run inside a checkout, shared by the bench_*.py
+evidence scripts.
 
 Pair i runs both sides with seed i + 1, the parent first on even i and
 this checkout first on odd i, so a drift in machine load hits both sides.
 """
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,18 @@ from typing import Iterable, Tuple
 import numpy as np
 
 SECONDS = 25
+
+BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+
+
+def in_checkout(checkout: Path, code: str, *argv: str) -> dict:
+    """Run code in a fresh interpreter on the package of checkout, with
+    BLAS on one thread; the JSON object on its last line of output."""
+    env = {**os.environ, **BLAS_ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=checkout, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def workload_run(checkout: Path, workload: str, seed: int) -> dict:

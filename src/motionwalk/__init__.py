@@ -72,12 +72,11 @@ from .simulate import (
 from .rosenblatt import (
     QSqrt5,
     ZElem,
-    aperiodicity_witness,
     defect_norm,
     eigen_parameter,
     rosenblatt_measure,
 )
-from .suite import acceptance_suite, spectral_sample_groups
+from .suite import acceptance_suite
 
 __all__ = [
     "__version__",
@@ -125,10 +124,8 @@ __all__ = [
     "tv_to_uniform",
     "QSqrt5",
     "ZElem",
-    "aperiodicity_witness",
     "defect_norm",
     "eigen_parameter",
     "rosenblatt_measure",
     "acceptance_suite",
-    "spectral_sample_groups",
 ]

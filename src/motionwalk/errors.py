@@ -10,7 +10,6 @@ __all__ = [
     "NoConvergence",
     "Overflow",
     "EmptySupport",
-    "BudgetExceeded",
     "ParseError",
 ]
 
@@ -45,10 +44,6 @@ class Overflow(ArithmeticError):
 
 class EmptySupport(ValueError):
     """Operation requires a measure with nonempty support."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Bounded search exhausted its budget without reaching a conclusion."""
 
 
 class ParseError(ValueError):

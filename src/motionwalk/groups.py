@@ -311,18 +311,20 @@ def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
     Row i of dual_table is the whole orbit of alpha_i, because K is a
     group.  The orbit of the trivial character comes first; every
     representative is the lexicographically minimal member of its orbit,
-    and A-index order is lexicographic order.
+    and A-index order is lexicographic order.  One sort of the table gives
+    every orbit's members in order, each kept at its first occurrence.
     """
-    table = dual_table(g)
-    chars = [Character(v) for v in g.abelian.elements()]
+    table = np.sort(dual_table(g), axis=1)
+    first = np.ones(table.shape, dtype=bool)
+    first[:, 1:] = table[:, 1:] != table[:, :-1]
+    reps = np.flatnonzero(table[:, 0] == np.arange(len(table)))
+    chars = [Character(tuple(v)) for v in g.abelian.vectors().tolist()]
     orbits: List[DualOrbit] = []
-    for i in np.flatnonzero(table.min(axis=1) == np.arange(len(table))):
-        members = np.unique(table[i])
-        orbits.append(DualOrbit(
-            representative=chars[i],
-            members=tuple(chars[j] for j in members),
-            stabilizer_size=g.k.order // len(members),
-        ))
+    for i, row, keep in zip(reps.tolist(), table[reps], first[reps]):
+        members = row[keep].tolist()
+        orbits.append(DualOrbit(representative=chars[i],
+                                members=tuple(chars[j] for j in members),
+                                stabilizer_size=g.k.order // len(members)))
     return orbits
 
 

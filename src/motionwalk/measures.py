@@ -116,25 +116,47 @@ def tv_norm(mu: GroupMeasure) -> float:
     return float(np.abs(mu.weights).sum())
 
 
+def _transform(g: MotionGroup, w: np.ndarray) -> np.ndarray:
+    """A-Fourier transform of weights w: fftn over the translation axes,
+    as an (|A|, |K|) array."""
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    return np.fft.fftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d))).reshape(-1, nk)
+
+
+def _weights(g: MotionGroup, h: np.ndarray) -> np.ndarray:
+    """The weights whose A-Fourier transform is h: the inverse of _transform."""
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    return np.fft.ifftn(h.reshape((n,) * d + (nk,)), axes=tuple(range(d))).reshape(-1)
+
+
+def _product_index(g: MotionGroup) -> np.ndarray:
+    """Flat (|A|, |K|, |K|) gather index into an (|A|, |K|) transform:
+    entry [xi, k1, k] points at (xi . M_{k1}, k1^{-1} k), with
+    xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table."""
+    inv = g.k.inverses
+    return dual_table(g)[:, inv, None] * g.k.order + g.k.table[inv][None, :, :]
+
+
+def _fourier_product(f: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The transform of mu * nu from f and h, those of mu and nu:
+
+        (mu * nu)^(xi, k) = sum_{k1} f(xi, k1) h(xi . M_{k1}, k1^{-1} k)
+
+    one gather through index = _product_index(g) and one einsum."""
+    return np.einsum("xj,xjk->xk", f, h.reshape(-1)[index])
+
+
 def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     """(mu * nu)(x) = sum_y mu(y) nu(y^{-1} x), as one FFT product.
 
     With y = (b, k1), x = (a, k): y^{-1} x = (phi_{k1}^{-1}(a - b), k1^{-1} k),
     and <phi_{k1}(a), xi> = <a, xi . M_{k1}>, so the A-Fourier transform
     (fftn over the translation axes) turns the product into
-
-        (mu * nu)^(xi, k) = sum_{k1} mu^(xi, k1) nu^(xi . M_{k1}, k1^{-1} k)
-
-    with xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table: one
-    fftn per factor, one gather, one einsum and one ifftn.
+    _fourier_product's twisted sum over k1: one fftn per factor, one
+    gather, one einsum and one ifftn.
     """
     _same_group(mu, nu)
     g = mu.group
-    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    shape, axes = (n,) * d + (nk,), tuple(range(d))
-    f = np.fft.fftn(mu.weights.reshape(shape), axes=axes).reshape(-1, nk)
-    h = np.fft.fftn(nu.weights.reshape(shape), axes=axes).reshape(-1, nk)
-    inv = g.k.inverses
-    moved = h[dual_table(g)[:, inv, None], g.k.table[inv][None, :, :]]  # [xi, k1, k]
-    out = np.einsum("xj,xjk->xk", f, moved)
-    return GroupMeasure(g, np.fft.ifftn(out.reshape(shape), axes=axes).reshape(-1))
+    out = _fourier_product(_transform(g, mu.weights), _transform(g, nu.weights),
+                           _product_index(g))
+    return GroupMeasure(g, _weights(g, out))

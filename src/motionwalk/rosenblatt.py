@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .groups import Record
 
 __all__ = [
@@ -43,13 +42,11 @@ __all__ = [
     "gamma_power",
     "rosenblatt_measure",
     "eigen_parameter",
-    "phase_exponent",
     "measure_apply",
     "apply_lambda_mu",
     "phi_window",
     "defect_norm",
     "DefectResult",
-    "aperiodicity_witness",
 ]
 
 GAMMA: Tuple[Tuple[int, int], Tuple[int, int]] = ((1, 2), (2, 3))
@@ -182,14 +179,6 @@ def _fractional_part(x: int, y: int, d: int) -> float:
     p += -p % 256  # quantize so the cached root is reused
     den = d << p
     return ((x << p) + y * _sqrt5_scaled(p)) % den / den
-
-
-def phase_exponent(t: Sequence[QSqrt5], m: int, v: Tuple[int, int]) -> QSqrt5:
-    """t * Gamma^{-m} * v' as an exact scalar."""
-    g = gamma_power(-m)
-    u0 = g[0][0] * v[0] + g[0][1] * v[1]
-    u1 = g[1][0] * v[0] + g[1][1] * v[1]
-    return t[0].scale(u0) + t[1].scale(u1)
 
 
 class WindowVector:
@@ -326,76 +315,3 @@ def defect_norm(t: Sequence[QSqrt5], n: int) -> DefectResult:
     rows[n] = ebc[n] + ecc[n]
     closed = 1.0 / n + float(np.sum(np.abs(rows) ** 2 / (16.0 * n)))
     return DefectResult(n, direct, closed)
-
-
-def _ball(gens: Iterable[ZElem], radius: int) -> List[ZElem]:
-    seen = {z_identity()}
-    frontier = [z_identity()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                e = z_multiply(w, s)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return list(seen)
-
-
-def _bfs_reaches(gens: List[ZElem], targets: List[ZElem], max_len: int,
-                 max_states: int) -> bool:
-    todo = set(targets)
-    todo.discard(z_identity())
-    seen = {z_identity()}
-    frontier = [z_identity()]
-    for _ in range(max_len):
-        if not todo:
-            return True
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                e = z_multiply(w, s)
-                if e in seen:
-                    continue
-                seen.add(e)
-                nxt.append(e)
-                todo.discard(e)
-                if len(seen) > max_states:
-                    raise BudgetExceeded(
-                        f"state budget {max_states} exhausted with {len(todo)} targets left")
-        frontier = nxt
-    if todo:
-        raise BudgetExceeded(
-            f"word length {max_len} exhausted with {len(todo)} targets left")
-    return True
-
-
-def aperiodicity_witness(max_word_length: int = 12, max_states: int = 1_000_000) -> bool:
-    """Bounded certificate search. True when the three standard
-    generators (1,0,0), (0,1,0), (0,0,1) are reached twice over: once by
-    words in the support and its inverses (the walk is adapted), and once
-    by words in the difference set s0^{-1} s and its radius-1 conjugates
-    (the support sits in no coset of a proper normal subgroup). Raises
-    BudgetExceeded when the budget runs out; a failed search refutes
-    nothing."""
-    if max_word_length < 1:
-        raise ValueError(f"need max_word_length >= 1, got {max_word_length}")
-    atoms = [x for x, _ in rosenblatt_measure()]
-    targets = [ZElem(1, 0, 0), ZElem(0, 1, 0), ZElem(0, 0, 1)]
-
-    support_gens = atoms + [z_inverse(x) for x in atoms]
-    adapted = _bfs_reaches(support_gens, targets, max_word_length, max_states)
-
-    s0_inv = z_inverse(atoms[0])
-    diffs = [z_multiply(s0_inv, s) for s in atoms[1:]]
-    conjugators = _ball(support_gens, 1)
-    diff_gens: List[ZElem] = []
-    for w in conjugators:
-        w_inv = z_inverse(w)
-        for d in diffs:
-            for e in (d, z_inverse(d)):
-                diff_gens.append(z_multiply(z_multiply(w, e), w_inv))
-    diff_gens = list(dict.fromkeys(diff_gens))
-    aperiodic = _bfs_reaches(diff_gens, targets, max_word_length, max_states)
-    return adapted and aperiodic

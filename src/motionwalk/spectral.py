@@ -6,7 +6,10 @@ numeric cross-check of the radius formula
 
     gelfand_radius(mu) = max over dual orbits of block spectral radius
 
-whose report also carries the measure star-norm.
+whose report also carries the measure star-norm. The squarings run on the
+A-Fourier transform of the power, with one inverse FFT per step for its TV
+norm, and never read the block stack: the two sides of the formula are
+computed by independent routes, so the check can fail.
 
 On a discrete group every measure is absolutely continuous with respect to
 counting measure, so the singular term of the general formula is
@@ -22,7 +25,8 @@ import numpy as np
 
 from .errors import NoConvergence, Overflow
 from .groups import Character, Record, dual_orbits
-from .measures import GroupMeasure, convolve, tv_norm
+from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
+                       tv_norm)
 from .reps import _blocks, compress_to_complement
 
 __all__ = [
@@ -133,8 +137,15 @@ def one_in_spectrum(m: np.ndarray, tol: float = 1e-8) -> OneInSpectrumResult:
 def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
     """Estimates tv_norm(mu^(2^k))^(1/2^k) for k = 0..kmax, non-increasing.
 
-    Each squaring step renormalizes to unit TV norm and accumulates the
-    discarded scale in log space, so no power under- or overflows.
+    The chain squares on the A-Fourier transform h of the current power,
+    kept for the whole chain: each step is one _fourier_product (the
+    convolution of M(G), through a gather index built once) and one ifftn
+    for the TV norm c of the square, and since the transform is linear,
+    h / c is the transform of the renormalized square. It never reads the
+    Fourier block stack, so it stays a route to the radius independent of
+    the blocks it is checked against. Each step renormalizes to unit TV
+    norm and accumulates the discarded scale in log space, so no power
+    under- or overflows.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -143,12 +154,14 @@ def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
         return [0.0] * (kmax + 1)
     if not math.isfinite(t0):
         raise Overflow("initial TV norm is not finite")
+    g = mu.group
+    index = _product_index(g)
+    h = _transform(g, mu.weights * (1.0 / t0))
     log_est = math.log(t0)
-    nu = (1.0 / t0) * mu
     out = [t0]
     for k in range(1, kmax + 1):
-        nu2 = convolve(nu, nu)
-        c = tv_norm(nu2)
+        h2 = _fourier_product(h, h, index)
+        c = float(np.abs(_weights(g, h2)).sum())
         if c == 0.0:
             # nilpotent: some power vanished exactly
             out.extend([0.0] * (kmax + 1 - k))
@@ -157,7 +170,7 @@ def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
             raise Overflow(f"scale tracking failed at squaring step {k}")
         log_est += math.log(c) / (1 << k)
         out.append(math.exp(log_est))
-        nu = (1.0 / c) * nu2
+        h = h2 * (1.0 / c)
     return out
 
 

@@ -46,8 +46,6 @@ __all__ = [
     "acceptance_suite",
     "fast_mixer",
     "coset_walk",
-    "random_complex_measure",
-    "spectral_sample_groups",
 ]
 
 _SEED_BASE = 0x6D77  # "mw"; folded into every per-case Philox key
@@ -193,22 +191,3 @@ def acceptance_suite() -> List[SuiteCase]:
     if len(cases) != 200:
         raise AssertionError(f"suite size drifted: {len(cases)}")
     return cases
-
-
-def random_complex_measure(g: MotionGroup, rng: np.random.Generator) -> GroupMeasure:
-    """Complex measure with independent Gaussian parts, scaled to unit
-    total variation so absolute tolerances mean the same thing on every
-    draw."""
-    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
-    return from_weights(g, w / np.abs(w).sum())
-
-
-def spectral_sample_groups() -> Dict[str, MotionGroup]:
-    """Five groups of order <= 64 for radius-formula sweeps."""
-    return {
-        "t4": trivial_group(4),
-        "neg5": negation_group(5),
-        "sc7_2_3": scaling_group(7, 2, 3),
-        "swap3": swap_group(3),
-        "rot4": rotation_group(4),
-    }

@@ -1,19 +1,39 @@
-"""Independent routes the tests compare the package against.
+"""Independent routes the tests compare the package against, and the
+test-only helpers.
 
 Elementwise induced-representation matrices, K-side reconstructions,
-central measures and the per-step Cesaro loops: each builds its answer a
-different way from the code under test, one element or one step at a
-time.
+central measures, the per-step Cesaro loops and the convolution-squaring
+Gelfand chain: each builds its answer a different way from the code under
+test, one element or one step at a time. The lattice walk's phase
+exponent and aperiodicity certificate, and the sampled measures of the
+radius-formula sweeps, are read only by the tests.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+import math
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from motionwalk.families import (
+    negation_group,
+    rotation_group,
+    scaling_group,
+    swap_group,
+    trivial_group,
+)
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits
-from motionwalk.measures import GroupMeasure, delta
+from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
 from motionwalk.reps import compress_to_complement, fourier
+from motionwalk.rosenblatt import (
+    QSqrt5,
+    ZElem,
+    gamma_power,
+    rosenblatt_measure,
+    z_identity,
+    z_inverse,
+    z_multiply,
+)
 
 
 class ContainsZeroCharacter(ValueError):
@@ -22,6 +42,10 @@ class ContainsZeroCharacter(ValueError):
 
 class NotOrbitClosed(ValueError):
     """Central-measure support set must be a union of dual orbits."""
+
+
+class BudgetExceeded(RuntimeError):
+    """Bounded search exhausted its budget without reaching a conclusion."""
 
 
 # ------------------------------------------------------ induced representations
@@ -194,3 +218,130 @@ def per_step_weak_mixing(mu, n_max):
         if count in checkpoints:
             points.append((count, float(acc.max()) / count))
     return points, float(np.sqrt(window.max() / (n_max - n_max // 2)))
+
+
+# ------------------------------------------------------------ Gelfand chain
+
+def convolve_gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
+    """tv_norm(mu^(2^k))^(1/2^k) for k = 0..kmax by a chain of convolve
+    squarings in the weight domain, each renormalized to unit TV norm with
+    the scale kept in log space."""
+    t0 = tv_norm(mu)
+    if t0 == 0.0:
+        return [0.0] * (kmax + 1)
+    log_est = math.log(t0)
+    nu = (1.0 / t0) * mu
+    out = [t0]
+    for k in range(1, kmax + 1):
+        nu2 = convolve(nu, nu)
+        c = tv_norm(nu2)
+        if c == 0.0:
+            return out + [0.0] * (kmax + 1 - k)
+        log_est += math.log(c) / (1 << k)
+        out.append(math.exp(log_est))
+        nu = (1.0 / c) * nu2
+    return out
+
+
+# ------------------------------------------------------ radius-formula sweeps
+
+def random_complex_measure(g: MotionGroup, rng: np.random.Generator) -> GroupMeasure:
+    """Complex measure with independent Gaussian parts, scaled to unit
+    total variation so absolute tolerances mean the same thing on every
+    draw."""
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    return from_weights(g, w / np.abs(w).sum())
+
+
+def spectral_sample_groups() -> Dict[str, MotionGroup]:
+    """Five groups of order <= 64 for radius-formula sweeps."""
+    return {
+        "t4": trivial_group(4),
+        "neg5": negation_group(5),
+        "sc7_2_3": scaling_group(7, 2, 3),
+        "swap3": swap_group(3),
+        "rot4": rotation_group(4),
+    }
+
+
+# ------------------------------------------------------------ lattice walk
+
+def phase_exponent(t: Sequence[QSqrt5], m: int, v: Tuple[int, int]) -> QSqrt5:
+    """t * Gamma^{-m} * v' as an exact scalar."""
+    g = gamma_power(-m)
+    u0 = g[0][0] * v[0] + g[0][1] * v[1]
+    u1 = g[1][0] * v[0] + g[1][1] * v[1]
+    return t[0].scale(u0) + t[1].scale(u1)
+
+
+def _ball(gens: Iterable[ZElem], radius: int) -> List[ZElem]:
+    seen = {z_identity()}
+    frontier = [z_identity()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                e = z_multiply(w, s)
+                if e not in seen:
+                    seen.add(e)
+                    nxt.append(e)
+        frontier = nxt
+    return list(seen)
+
+
+def _bfs_reaches(gens: List[ZElem], targets: List[ZElem], max_len: int,
+                 max_states: int) -> bool:
+    todo = set(targets)
+    todo.discard(z_identity())
+    seen = {z_identity()}
+    frontier = [z_identity()]
+    for _ in range(max_len):
+        if not todo:
+            return True
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                e = z_multiply(w, s)
+                if e in seen:
+                    continue
+                seen.add(e)
+                nxt.append(e)
+                todo.discard(e)
+                if len(seen) > max_states:
+                    raise BudgetExceeded(
+                        f"state budget {max_states} exhausted with {len(todo)} targets left")
+        frontier = nxt
+    if todo:
+        raise BudgetExceeded(
+            f"word length {max_len} exhausted with {len(todo)} targets left")
+    return True
+
+
+def aperiodicity_witness(max_word_length: int = 12, max_states: int = 1_000_000) -> bool:
+    """Bounded certificate search. True when the three standard
+    generators (1,0,0), (0,1,0), (0,0,1) are reached twice over: once by
+    words in the support and its inverses (the walk is adapted), and once
+    by words in the difference set s0^{-1} s and its radius-1 conjugates
+    (the support sits in no coset of a proper normal subgroup). Raises
+    BudgetExceeded when the budget runs out; a failed search refutes
+    nothing."""
+    if max_word_length < 1:
+        raise ValueError(f"need max_word_length >= 1, got {max_word_length}")
+    atoms = [x for x, _ in rosenblatt_measure()]
+    targets = [ZElem(1, 0, 0), ZElem(0, 1, 0), ZElem(0, 0, 1)]
+
+    support_gens = atoms + [z_inverse(x) for x in atoms]
+    adapted = _bfs_reaches(support_gens, targets, max_word_length, max_states)
+
+    s0_inv = z_inverse(atoms[0])
+    diffs = [z_multiply(s0_inv, s) for s in atoms[1:]]
+    conjugators = _ball(support_gens, 1)
+    diff_gens: List[ZElem] = []
+    for w in conjugators:
+        w_inv = z_inverse(w)
+        for d in diffs:
+            for e in (d, z_inverse(d)):
+                diff_gens.append(z_multiply(z_multiply(w, e), w_inv))
+    diff_gens = list(dict.fromkeys(diff_gens))
+    aperiodic = _bfs_reaches(diff_gens, targets, max_word_length, max_states)
+    return adapted and aperiodic

@@ -27,14 +27,15 @@ from motionwalk.rosenblatt import (
 )
 from motionwalk.simulate import empirical_distribution, exact_power
 from motionwalk.spectral import verify_srf
-from motionwalk.suite import (
-    acceptance_suite,
+from motionwalk.suite import acceptance_suite, roster
+
+from oracles import (
+    central_measure,
+    orbit_conjugation_check,
+    pik_consistency,
     random_complex_measure,
-    roster,
     spectral_sample_groups,
 )
-
-from oracles import central_measure, orbit_conjugation_check, pik_consistency
 
 
 @pytest.fixture(scope="module")

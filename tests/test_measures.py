@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionwalk.errors import GroupMismatch, NotProbability
-from motionwalk.groups import Character, GElem, inverse, multiply
+from motionwalk.groups import Character, GElem, dual_table, multiply
 from motionwalk.measures import (
     GroupMeasure,
     convolve,
@@ -83,6 +83,27 @@ def test_convolution_matches_oracle(order10, order21, order18, order72):
             nu = random_measure(g, rng, sparse)
             assert np.allclose(convolve(mu, nu).weights, oracle_convolve(g, mu, nu),
                                atol=1e-12)
+
+
+def test_convolve_keeps_the_two_index_gather_formula_bit_for_bit(order10, order72):
+    # the formula before the product moved to a flat gather index: fftn of
+    # each factor, a two-index gather through dual_table, einsum, ifftn
+    def two_index(mu, nu):
+        g = mu.group
+        n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+        shape, axes = (n,) * d + (nk,), tuple(range(d))
+        f = np.fft.fftn(mu.weights.reshape(shape), axes=axes).reshape(-1, nk)
+        h = np.fft.fftn(nu.weights.reshape(shape), axes=axes).reshape(-1, nk)
+        inv = g.k.inverses
+        moved = h[dual_table(g)[:, inv, None], g.k.table[inv][None, :, :]]
+        out = np.einsum("xj,xjk->xk", f, moved)
+        return np.fft.ifftn(out.reshape(shape), axes=axes).reshape(-1)
+
+    rng = np.random.default_rng(13)
+    for g in (order10, order72, rotation_group(4)):
+        for sparse in (False, True):
+            mu, nu = random_measure(g, rng, sparse), random_measure(g, rng, sparse)
+            assert (convolve(mu, nu).weights == two_index(mu, nu)).all()
 
 
 def test_convolution_associative_and_bilinear(order10):

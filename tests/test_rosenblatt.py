@@ -8,25 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionwalk import rosenblatt
-from motionwalk.errors import BudgetExceeded
 from motionwalk.rosenblatt import (
     DefectResult,
     QSqrt5,
     WindowVector,
     ZElem,
-    aperiodicity_witness,
     apply_lambda_mu,
     defect_norm,
     eigen_parameter,
     gamma_power,
     measure_apply,
-    phase_exponent,
     phi_window,
     rosenblatt_measure,
     z_identity,
     z_inverse,
     z_multiply,
 )
+
+from oracles import BudgetExceeded, aperiodicity_witness, phase_exponent
 
 Q0 = QSqrt5(Fraction(0), Fraction(0))
 T_ZERO = (Q0, Q0)

@@ -14,8 +14,11 @@ ROOT = Path(__file__).resolve().parents[1]
                                   ["scripts/defect_table.py", "6"],
                                   ["scripts/bench_cesaro.py", "--pairs", "0", "--ladder", "4",
                                    "--repeats", "1", "--out", "-"],
-                                  ["scripts/bench_sampler.py", "--help"]],
-                         ids=["radius_vs_decay", "defect_table", "bench_cesaro", "bench_sampler"])
+                                  ["scripts/bench_sampler.py", "--help"],
+                                  ["scripts/bench_spectral.py", "--pairs", "0", "--repeats", "1",
+                                   "--out", "-"]],
+                         ids=["radius_vs_decay", "defect_table", "bench_cesaro", "bench_sampler",
+                              "bench_spectral"])
 def test_script_runs_from_the_repository_root(argv):
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,

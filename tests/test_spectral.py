@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motionwalk.classify
+import motionwalk.groups
+import motionwalk.reps
 import motionwalk.spectral
 from motionwalk.classify import cross_check
 from motionwalk.groups import GElem, dual_orbits, inverse, multiply
@@ -26,12 +28,14 @@ from motionwalk.spectral import (
 )
 
 from conftest import (
+    d4_group,
     negation_group,
     rotation_group,
     scaling_group,
     swap_group,
     trivial_group,
 )
+from oracles import convolve_gelfand_sequence
 
 
 def convolution_operator(g, mu):
@@ -158,6 +162,42 @@ def test_gelfand_order_two_difference(z2):
     assert seq == [2.0] * 7
     assert gelfand_radius(mu) == 2.0
     assert abs(spectral_radius(convolution_operator(z2, mu)) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(5), lambda: d4_group(3),
+                                   lambda: rotation_group(4)],
+                         ids=["order10", "d4_3", "rotation4"])
+def test_gelfand_sequence_matches_convolution_chain(maker):
+    g = maker()
+    rng = np.random.default_rng(71)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    probability = rng.random(g.size)
+    for mu in (from_weights(g, w), from_weights(g, probability / probability.sum())):
+        got, want = gelfand_sequence(mu, 20), convolve_gelfand_sequence(mu, 20)
+        assert len(got) == len(want) == 21
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-13 * b, (a, b)
+
+
+def test_gelfand_chain_never_reads_the_block_stack(monkeypatch):
+    # the Gelfand side of the radius formula must be its own route: a
+    # chain through the blocks would agree with any stack, right or wrong
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gelfand chain read the block stack")
+
+    monkeypatch.setattr(motionwalk.reps, "_blocks", refuse)
+    monkeypatch.setattr(motionwalk.reps, "_measure_of_blocks", refuse)
+    monkeypatch.setattr(motionwalk.spectral, "_blocks", refuse)
+    monkeypatch.setattr(motionwalk.groups, "dual_orbits", refuse)
+    monkeypatch.setattr(motionwalk.spectral, "dual_orbits", refuse)
+    g = rotation_group(4)
+    rng = np.random.default_rng(73)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    mu = from_weights(g, w / np.abs(w).sum())
+    seq = gelfand_sequence(mu, 12)
+    for a, b in zip(seq, convolve_gelfand_sequence(mu, 12)):
+        assert abs(a - b) <= 1e-13 * b
+    assert gelfand_radius(mu, kmax=12) == seq[12]
 
 
 def test_gelfand_sequence_non_increasing(order10, order16):
