@@ -2,19 +2,20 @@
 
 Prints the defect ||Lambda(mu) phi_n - phi_n|| of the normalized window
 vector phi_n for n = 2^3 .. 2^maxj by two routes, the collapsed operator
-and a closed-form row sum. Both read one phase table, swept exactly in
-integers over Q(sqrt 5) until the final float conversion, so their
-agreement checks the row bookkeeping, not the phases; the phases are
-checked against an independent decimal evaluation in the tests. The
+and a closed-form row sum. Both read one phase table, swept in integers
+(fractional parts within 2^-128) until the final float conversion, so
+their agreement checks the row bookkeeping, not the phases; the phases
+are checked against an independent decimal evaluation in the tests. The
 product n * defect settling to a constant shows the 1/n rate, which is
 what certifies that 1 lies in the approximate point spectrum even though
 no eigenvector exists.
 
     PYTHONPATH=src python3 scripts/defect_table.py [maxj]
 
-Default maxj is 12 (under 1 s in total on a 2-vCPU machine, 0.6 s of it
-at n = 4096); the integer arithmetic grows faster than n, so n = 2^13
-alone takes about 2.5-3 s and n = 2^14 about 13-14 s (maxj = 14: 16 s).
+Default maxj is 12 (0.3 s for the whole run on a 2-vCPU x86-64 Xeon,
+10 ms of it at n = 4096); the sweep steps n rows of integers of about
+2.3 n bits, so its time grows like n^2: n = 2^13 takes about 0.06 s and
+n = 2^14 0.15-0.25 s (maxj = 14: 0.75 s for the whole run).
 """
 import sys
 import time

@@ -86,9 +86,9 @@ MAX_CLASSIFY_ORDER = 1 << 12
 # power chain, the block read-back and the translate-gap sweep; at
 # |G| = 4096 a random dense measure took 8.3 s at the bound, 7.6 s at 1024
 MAX_CLASSIFY_N_MAX = 1 << 20
-# largest window rosenblatt takes: the exact phase sweep's integers grow
-# linearly in n, so defect_norm's time grows faster than n^2 (about 14 s
-# at the bound)
+# largest window rosenblatt takes: the phase sweep steps n rows of
+# integers of about 2.3 n bits, so defect_norm's time grows like n^2
+# (0.15-0.25 s and 34 MB peak at the bound)
 MAX_DEFECT_N = 1 << 14
 # largest --trials simulate takes: the walk holds the positions and, at a
 # histogram step, two copies of them, about 24 bytes per trial at peak

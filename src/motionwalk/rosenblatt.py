@@ -7,23 +7,24 @@ row vectors on the left: phi_k(n) = n*Gamma^k. The walk takes four atoms
 with weight 1/4 each. Under the family of unitary representations
 Lambda_t on l^2(Z), parametrized by t in the 2-torus, the walk operator
 has 1 in its approximate point spectrum when t is chosen along the
-contracting eigenvector of Gamma^{-1}. Everything here runs in exact
-arithmetic over Q(sqrt 5); floats appear only inside complex
-exponentials.
+contracting eigenvector of Gamma^{-1}. Arithmetic is exact over
+Q(sqrt 5) and in integers; floats appear only in the phase table.
 
 Entries of Gamma^{-m} grow like (2+sqrt5)^m, and the eigen-phase
-lambda^m * (t.v) is the difference of two such giants, so the mod-1
-reduction uses an integer square root carried to an adaptive precision a
-little past the coefficient size. The sweep holds every exponent as an
-integer pair (X, Y) over the one common denominator d of t, so the
-exponent is (X + Y*sqrt5)/d and no rational is ever normalized.
+lambda^m * (t.v) is the difference of two such giants. Gamma^{-1} has
+characteristic polynomial x^2 + 4x - 1, so by Cayley-Hamilton every
+exponent obeys s_{m+2} = s_m - 4 s_{m+1}, and the integer parts drop
+out mod 1. The sweep seeds two rows exactly and steps the fractional
+parts as P-bit fixed-point integers, a shift, a subtract and a mask per
+entry. The seeds are off by less than 2^-P, the error grows by at most
+a factor 5 per row, and P = 128 + bit_length(5^rows) keeps every entry
+within 2^-128 of the true fractional part, mod 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -98,9 +99,6 @@ class QSqrt5:
         return self.x == 0 and self.y == 0
 
 
-Q_ONE = QSqrt5(Fraction(1), Fraction(0))
-
-
 def _mat_mul(a: Mat2, b: Mat2) -> Mat2:
     return (
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
@@ -155,30 +153,15 @@ def rosenblatt_measure() -> List[Tuple[ZElem, Fraction]]:
     return [(a, w), (b, w), (z_multiply(b, c), w), (z_multiply(c, c), w)]
 
 
+_EIGEN = ((QSqrt5(Fraction(1), Fraction(0)), QSqrt5(Fraction(1, 2), Fraction(1, 2))),
+          QSqrt5(Fraction(-2), Fraction(1)))
+
+
 def eigen_parameter() -> Tuple[Tuple[QSqrt5, QSqrt5], QSqrt5]:
     """The contracting left eigenpair of Gamma^{-1}: lambda = sqrt5 - 2
-    and t = (1, (1+sqrt5)/2), normalized to t1 = 1."""
-    lam = QSqrt5(Fraction(-2), Fraction(1))
-    t = (Q_ONE, QSqrt5(Fraction(1, 2), Fraction(1, 2)))
-    return t, lam
-
-
-@lru_cache(maxsize=None)
-def _sqrt5_scaled(p: int) -> int:
-    # floor(sqrt5 * 2^p), within 1 of sqrt5 * 2^p
-    return isqrt(5 << (2 * p))
-
-
-def _fractional_part(x: int, y: int, d: int) -> float:
-    """(x + y*sqrt5)/d mod 1, with sqrt5 cut to p bits past the point. p
-    is at least 128 past the bit size of y/d in lowest terms, so the cut
-    moves the result by less than 2^-127."""
-    r = gcd(y, d)
-    mag = (y // r).bit_length() - (d // r).bit_length()
-    p = max(mag, 0) + 128
-    p += -p % 256  # quantize so the cached root is reused
-    den = d << p
-    return ((x << p) + y * _sqrt5_scaled(p)) % den / den
+    and t = (1, (1+sqrt5)/2), normalized to t1 = 1. Built once, at import:
+    every call returns the same immutable pair."""
+    return _EIGEN
 
 
 class WindowVector:
@@ -213,29 +196,6 @@ def phi_window(n: int) -> WindowVector:
     return WindowVector(0, np.full(n, 1.0 / np.sqrt(n), dtype=complex))
 
 
-def _exponent_sweep(t: Sequence[QSqrt5], lo: int, hi: int,
-                    vs: Sequence[Tuple[int, int]]
-                    ) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """Exact exponents t*Gamma^{-m}*v' for m in [lo, hi) as (d, rows):
-    row m - lo holds one integer pair (X, Y) per v, the exponent being
-    (X + Y*sqrt5)/d over the common denominator d of t. One incremental
-    Gamma^{-1} multiply per step."""
-    coeffs = [c for q in t for c in (q.x, q.y)]
-    d = lcm(*(c.denominator for c in coeffs))
-    a0, b0, a1, b1 = (int(c * d) for c in coeffs)
-    out: List[List[Tuple[int, int]]] = []
-    g = gamma_power(-lo)
-    for _ in range(lo, hi):
-        row = []
-        for v in vs:
-            u0 = g[0][0] * v[0] + g[0][1] * v[1]
-            u1 = g[1][0] * v[0] + g[1][1] * v[1]
-            row.append((a0 * u0 + a1 * u1, b0 * u0 + b1 * u1))
-        out.append(row)
-        g = _mat_mul(g, GAMMA_INV)
-    return d, out
-
-
 def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
     """Direct operator: sum of atom weights times unitary actions. Kept
     independent of apply_lambda_mu as its oracle."""
@@ -250,19 +210,47 @@ def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
     return WindowVector(lo, out)
 
 
-_V_B = (1, 2)
-_V_BC = (9, 15)
-_V_CC = (10, 16)
+def _seed(x: int, y: int, d: int, p: int) -> int:
+    """floor(2^p * ((x + y*sqrt5)/d mod 1)), exactly: isqrt floors
+    |y|*sqrt5*2^p, never an integer for y != 0, so a negative y takes
+    minus the root minus one; floor((a + floor(b))/d) = floor((a + b)/d)."""
+    r = isqrt(5 * y * y << 2 * p)
+    return ((x << p) + (r if y >= 0 else -r - 1)) // d & ((1 << p) - 1)
+
+
+def _fractional_parts(t: Sequence[QSqrt5], lo: int, hi: int,
+                      vs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """(hi - lo, len(vs)) table of t Gamma^{-m} v' mod 1, m in [lo, hi), by
+    the module docstring's recurrence on F_m ~ 2^P (s_m mod 1), seeded at
+    rows lo and lo + 1 by _seed. Since |e_{m+2}| <= |e_m| + 4 |e_{m+1}|,
+    every entry is within 5^(hi - lo) 2^-P <= 2^-128 of the true value,
+    mod 1, before its top 64 bits are rounded to a float."""
+    coeffs = [c for q in t for c in (q.x, q.y)]
+    d = lcm(*(c.denominator for c in coeffs))
+    a0, b0, a1, b1 = (int(c * d) for c in coeffs)
+    p = 128 + (5 ** (hi - lo)).bit_length()
+    seeds = []
+    for m in (lo, lo + 1):
+        g = gamma_power(-m)
+        us = [(g[0][0] * v0 + g[0][1] * v1, g[1][0] * v0 + g[1][1] * v1) for v0, v1 in vs]
+        seeds.append([_seed(a0 * u0 + a1 * u1, b0 * u0 + b1 * u1, d, p) for u0, u1 in us])
+    mask, shift = (1 << p) - 1, p - 64
+    table = np.empty((hi - lo, len(vs)))
+    for j, (f0, f1) in enumerate(zip(*seeds)):
+        col = [f0 >> shift, f1 >> shift]
+        for _ in range(hi - lo - 2):
+            f0, f1 = f1, (f0 - (f1 << 2)) & mask
+            col.append(f1 >> shift)
+        table[:, j] = col[:hi - lo]
+    return table * 2.0 ** -64
 
 
 def _phases(t: Sequence[QSqrt5], lo: int, hi: int,
-            vs: Sequence[Tuple[int, int]] = (_V_B, _V_BC, _V_CC)) -> np.ndarray:
+            vs: Sequence[Tuple[int, int]] = ((1, 2), (9, 15), (10, 16))) -> np.ndarray:
     """(hi - lo, len(vs)) table of E_m(v) = exp(2 pi i t Gamma^{-m} v') for
     m in [lo, hi), from one sweep; by default the columns are E_m(1,2),
     E_m(9,15), E_m(10,16)."""
-    d, rows = _exponent_sweep(t, lo, hi, vs)
-    table = np.array([[_fractional_part(x, y, d) for x, y in row] for row in rows])
-    return np.exp(2j * np.pi * table)
+    return np.exp(2j * np.pi * _fractional_parts(t, lo, hi, vs))
 
 
 def _collapsed(e: np.ndarray, phi: WindowVector) -> WindowVector:

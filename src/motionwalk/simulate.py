@@ -25,10 +25,11 @@ cuts names its atom outright, and only the uniforms in a cut bucket are
 searched. Scaling by a power of two is exact, so every draw is the
 search's own, bit for bit.
 
-The exact powers come from a chain of convolution squares. Each product
-of the chain is put back on the probability simplex (real part, clipped
-at 0, unit mass), so the roundoff of the FFT does not compound over the
-squarings into a measure that is no longer a probability.
+The exact powers come from a chain of convolution squares on A-Fourier
+transforms. Each product of the chain is put back on the probability
+simplex (real part, clipped at 0, unit mass), so the roundoff of the FFT
+does not compound over the squarings into a measure that is no longer a
+probability.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ import numpy as np
 
 from .errors import GroupMismatch
 from .groups import MotionGroup, products
-from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
+from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
+                       delta, from_weights, require_probability)
 
 # buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
 GUIDE_SIZE = 1 << 12
@@ -196,23 +198,30 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     one chain of squarings mu, mu^2, mu^4, ... up to max(ns). Each power is
     the product of the chain's entries at the set bits of n, lowest bit
     first, and starts from its first factor; n = 0 gives the point mass at
-    the identity. Every convolution of the chain is put back on the
-    simplex (_on_simplex), so each power is a probability at every n. The
-    power at n does not depend on the other entries of ns, so it equals
-    exact_power(mu, n) bit for bit."""
+    the identity. Each convolution is one _fourier_product through one
+    gather index per chain, put back on the simplex (_on_simplex), so each
+    power is a probability at every n. The power at n does not depend on
+    the other entries of ns, so it equals exact_power(mu, n) bit for bit."""
     require_probability(mu)
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
+    g = mu.group
+    index = _product_index(g)
+
+    def product(a: GroupMeasure, b: GroupMeasure) -> GroupMeasure:
+        h = _fourier_product(_transform(g, a.weights), _transform(g, b.weights), index)
+        return _on_simplex(GroupMeasure(g, _weights(g, h)))
+
     squares = [mu]
     while 2 ** len(squares) <= max(ns):
-        squares.append(_on_simplex(convolve(squares[-1], squares[-1])))
+        squares.append(product(squares[-1], squares[-1]))
     powers = []
     for n in ns:
         result = None
         for bit, square in enumerate(squares):
             if n >> bit & 1:
-                result = square if result is None else _on_simplex(convolve(result, square))
-        powers.append(delta(mu.group, mu.group.identity()) if result is None else result)
+                result = square if result is None else product(result, square)
+        powers.append(delta(g, g.identity()) if result is None else result)
     return powers
 
 

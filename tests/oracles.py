@@ -2,14 +2,16 @@
 test-only helpers.
 
 Elementwise induced-representation matrices, K-side reconstructions,
-central measures, the per-step Cesaro loops and the convolution-squaring
-Gelfand chain: each builds its answer a different way from the code under
+central measures, the per-step Cesaro loops, the convolution-squaring
+Gelfand chain and power chain, and the lattice walk's per-entry integer
+phase route: each builds its answer a different way from the code under
 test, one element or one step at a time. The lattice walk's phase
 exponent and aperiodicity certificate, and the sampled measures of the
 radius-formula sweeps, are read only by the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -34,6 +36,7 @@ from motionwalk.rosenblatt import (
     z_inverse,
     z_multiply,
 )
+from motionwalk.simulate import _on_simplex
 
 
 class ContainsZeroCharacter(ValueError):
@@ -243,6 +246,23 @@ def convolve_gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
     return out
 
 
+def convolve_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
+    """mu^n for each n of ns by a chain of convolve calls: squares
+    mu, mu^2, mu^4, ... and, per n, the product of the squares at its set
+    bits, lowest first, each convolution put back on the simplex."""
+    squares = [mu]
+    while 2 ** len(squares) <= max(ns):
+        squares.append(_on_simplex(convolve(squares[-1], squares[-1])))
+    powers = []
+    for n in ns:
+        result = None
+        for bit, square in enumerate(squares):
+            if n >> bit & 1:
+                result = square if result is None else _on_simplex(convolve(result, square))
+        powers.append(delta(mu.group, mu.group.identity()) if result is None else result)
+    return powers
+
+
 # ------------------------------------------------------ radius-formula sweeps
 
 def random_complex_measure(g: MotionGroup, rng: np.random.Generator) -> GroupMeasure:
@@ -272,6 +292,38 @@ def phase_exponent(t: Sequence[QSqrt5], m: int, v: Tuple[int, int]) -> QSqrt5:
     u0 = g[0][0] * v[0] + g[0][1] * v[1]
     u1 = g[1][0] * v[0] + g[1][1] * v[1]
     return t[0].scale(u0) + t[1].scale(u1)
+
+
+@functools.lru_cache(maxsize=None)
+def _sqrt5_scaled(p: int) -> int:
+    # floor(sqrt5 * 2^p), within 1 of sqrt5 * 2^p
+    return math.isqrt(5 << (2 * p))
+
+
+def integer_fractional_parts(t: Sequence[QSqrt5], lo: int, hi: int,
+                             vs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """(hi - lo, len(vs)) table of t Gamma^{-m} v' mod 1, entry by entry:
+    each exponent is an integer pair (X, Y) over the common denominator d
+    of t, meaning (X + Y sqrt5)/d, from its own gamma_power(-m), and is
+    reduced mod 1 against floor(sqrt5 * 2^p) with p at least 128 bits past
+    the size of Y/d in lowest terms, so the cut root moves it by less than
+    2^-127."""
+    coeffs = [c for q in t for c in (q.x, q.y)]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    a0, b0, a1, b1 = (int(c * d) for c in coeffs)
+    out = np.empty((hi - lo, len(vs)))
+    for i in range(hi - lo):
+        g = gamma_power(-(lo + i))
+        for j, v in enumerate(vs):
+            u0 = g[0][0] * v[0] + g[0][1] * v[1]
+            u1 = g[1][0] * v[0] + g[1][1] * v[1]
+            x, y = a0 * u0 + a1 * u1, b0 * u0 + b1 * u1
+            r = math.gcd(y, d)
+            p = max((y // r).bit_length() - (d // r).bit_length(), 0) + 128
+            p += -p % 256  # quantize so the cached root is reused
+            den = d << p
+            out[i, j] = ((x << p) + y * _sqrt5_scaled(p)) % den / den
+    return out
 
 
 def _ball(gens: Iterable[ZElem], radius: int) -> List[ZElem]:

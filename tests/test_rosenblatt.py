@@ -25,7 +25,12 @@ from motionwalk.rosenblatt import (
     z_multiply,
 )
 
-from oracles import BudgetExceeded, aperiodicity_witness, phase_exponent
+from oracles import (
+    BudgetExceeded,
+    aperiodicity_witness,
+    integer_fractional_parts,
+    phase_exponent,
+)
 
 Q0 = QSqrt5(Fraction(0), Fraction(0))
 T_ZERO = (Q0, Q0)
@@ -91,6 +96,10 @@ def test_eigen_parameter_exact():
     assert t[1] == QSqrt5(Fraction(1, 2), Fraction(1, 2))
 
 
+def test_eigen_parameter_is_built_once():
+    assert eigen_parameter() is eigen_parameter()
+
+
 def test_eigen_parameter_float_check():
     # brute-force float cross-check of the same eigen data
     gi = np.array(gamma_power(-1), dtype=float)
@@ -147,21 +156,49 @@ def _decimal_fractional_part(q: QSqrt5) -> float:
         return float(val - val.to_integral_value(rounding=ROUND_FLOOR))
 
 
-@pytest.mark.parametrize("t, denominator", [
-    (eigen_parameter()[0], 2),
-    (T_ODD, 42),
-    ((QSqrt5(Fraction(1, 3), 0), QSqrt5(Fraction(-2, 5), 0)), 15),  # no sqrt5 part
-], ids=["eigen", "odd", "rational"])
-def test_integer_sweep_matches_decimal_oracle(t, denominator):
-    vs = [(1, 2), (9, 15), (10, 16)]
-    d, rows = rosenblatt._exponent_sweep(t, 0, 2001, vs)
-    assert d == denominator
-    for m in (0, 1, 7, 300, 2000):
-        for (x, y), v in zip(rows[m], vs):
-            q = phase_exponent(t, m, v)
-            assert (Fraction(x, d), Fraction(y, d)) == (q.x, q.y)
-            gap = abs(rosenblatt._fractional_part(x, y, d) - _decimal_fractional_part(q))
-            assert min(gap, 1.0 - gap) <= 1e-15
+T_RATIONAL = (QSqrt5(Fraction(1, 3), 0), QSqrt5(Fraction(-2, 5), 0))  # no sqrt5 part
+SWEEP_PARAMETERS = [eigen_parameter()[0], T_ODD, T_RATIONAL]
+SWEEP_IDS = ["eigen", "odd", "rational"]
+VS = [(1, 2), (9, 15), (10, 16)]
+
+
+@pytest.mark.parametrize("t", SWEEP_PARAMETERS, ids=SWEEP_IDS)
+def test_integer_sweep_matches_decimal_oracle(t):
+    # 2001-row windows at three offsets; the last row carries the largest
+    # amplification of the seeds' error
+    for lo in (0, -4, 37):
+        table = rosenblatt._fractional_parts(t, lo, lo + 2001, VS)
+        for i in (0, 1, 7, 300, 2000):
+            for x, v in zip(table[i], VS):
+                gap = abs(x - _decimal_fractional_part(phase_exponent(t, lo + i, v)))
+                assert min(gap, 1.0 - gap) <= 1e-15
+
+
+@pytest.mark.parametrize("t", SWEEP_PARAMETERS, ids=SWEEP_IDS)
+def test_recurrence_sweep_matches_per_entry_route(t):
+    new = rosenblatt._fractional_parts(t, 0, 2050, VS)
+    old = integer_fractional_parts(t, 0, 2050, VS)
+    gap = np.abs(new - old)
+    assert np.minimum(gap, 1.0 - gap).max() <= 1e-15
+
+
+def _decimal_seed(x: int, y: int, d: int, p: int) -> int:
+    # floor(2^p * ((x + y*sqrt5)/d mod 1)) in decimal, 40 digits to spare
+    with localcontext() as ctx:
+        ctx.prec = len(str(abs(x) + 3 * abs(y))) + len(str(1 << p)) + 40
+        val = (Decimal(x) + Decimal(y) * Decimal(5).sqrt()) / Decimal(d)
+        frac = val - val.to_integral_value(rounding=ROUND_FLOOR)
+        return int((frac * (1 << p)).to_integral_value(rounding=ROUND_FLOOR))
+
+
+def test_seed_is_the_exact_floor():
+    # negative y floors below y*sqrt5, so a ceiling there is one unit high
+    ys = list(range(-12, 13)) + [3 ** 60, -(3 ** 60) - 1, -(7 ** 41)]
+    for x in (-9, 0, 4, 5 ** 30):
+        for y in ys:
+            for d in (1, 2, 42):
+                for p in (1, 64, 200):
+                    assert rosenblatt._seed(x, y, d, p) == _decimal_seed(x, y, d, p)
 
 
 def test_odd_denominator_parameter_routes_agree():
@@ -191,13 +228,13 @@ def test_defect_two_routes_agree():
 
 def test_defect_norm_sweeps_once(monkeypatch):
     windows = []
-    sweep = rosenblatt._exponent_sweep
+    sweep = rosenblatt._fractional_parts
 
     def counted(t, lo, hi, vs):
         windows.append((lo, hi))
         return sweep(t, lo, hi, vs)
 
-    monkeypatch.setattr(rosenblatt, "_exponent_sweep", counted)
+    monkeypatch.setattr(rosenblatt, "_fractional_parts", counted)
     defect_norm(eigen_parameter()[0], 16)
     assert windows == [(0, 18)]
 

@@ -16,9 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
                                    "--repeats", "1", "--out", "-"],
                                   ["scripts/bench_sampler.py", "--help"],
                                   ["scripts/bench_spectral.py", "--pairs", "0", "--repeats", "1",
-                                   "--out", "-"]],
+                                   "--out", "-"],
+                                  ["scripts/bench_lattice.py", "--pairs", "0", "--ladder", "7", "8",
+                                   "--repeats", "1", "--out", "-"]],
                          ids=["radius_vs_decay", "defect_table", "bench_cesaro", "bench_sampler",
-                              "bench_spectral"])
+                              "bench_spectral", "bench_lattice"])
 def test_script_runs_from_the_repository_root(argv):
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,

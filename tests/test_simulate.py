@@ -24,7 +24,8 @@ from motionwalk.simulate import (
 from motionwalk.spectral import verify_srf
 from motionwalk.suite import fast_mixer
 
-from conftest import negation_group, rotation_group, trivial_group
+from conftest import d4_group, negation_group, rotation_group, trivial_group
+from oracles import convolve_powers
 
 
 def two_atom_walk(g):
@@ -198,12 +199,13 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
     # the chain's entries; every power equals its own exact_power bit for bit
     mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
     calls = []
+    product = simulate._fourier_product
 
-    def counting(a, b):
+    def counting(f, h, index):
         calls.append(1)
-        return convolve(a, b)
+        return product(f, h, index)
 
-    monkeypatch.setattr(simulate, "convolve", counting)
+    monkeypatch.setattr(simulate, "_fourier_product", counting)
     ns = [1, 2, 4, 8, 16, 32, 64, 128]
     powers = exact_powers(mu, ns)
     assert len(calls) == 7
@@ -220,6 +222,19 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError):
             exact_powers(mu, bad)
+
+
+@pytest.mark.parametrize("make", [lambda: negation_group(5), lambda: d4_group(3),
+                                  lambda: rotation_group(16)],
+                         ids=["order10", "d4_3", "rotation16"])
+def test_exact_powers_equal_a_convolve_chain(make):
+    # one gather index per chain changes no bit of any power
+    g = make()
+    w = np.random.default_rng(8).random(g.size) ** 8
+    mu = from_weights(g, w / w.sum())
+    ns = [0, 1, 3, 8, 20, 64, 255]
+    for power, ref in zip(exact_powers(mu, ns), convolve_powers(mu, ns)):
+        assert np.array_equal(power.weights, ref.weights)
 
 
 @pytest.mark.parametrize("a, b, ns", [
