@@ -1,22 +1,33 @@
-"""Evidence for the sampler's guide-table lookup, written to BENCH_sampler.json.
+"""Evidence for the sampler, written to BENCH_sampler.json.
 
-Two parts:
+Four parts:
 
 - walk_sim pairs: the benchmark's walk_sim workload run on a parent
   checkout and on this one, alternating which side runs first, one seed
   per pair; each side's end-to-end metrics and the unscaled op_p50_ms,
   with median and quartiles, and the pairs this checkout wins on each.
-- per-step split: one walk of each measure timed call by call in this
-  checkout, as the mean per step of the uniform draw, the guide-table
+- per-step split: one walk of each measure timed call by call on one
+  thread, as the mean per step of the uniform draw, the guide-table
   lookup and the gather through the right-product table, next to the
   search over the atoms' CDF that the lookup replaced, timed on the same
   uniforms. The measures are the three walk_sim measures of seed 1 and a
   dense one with an atom on every element, all on rotation_group(16) at
-  10^5 trials, and the first walk_sim measure at one trial.
+  --trials trials, and the first walk_sim measure at one trial.
+- workers: the same measures walked by sample_path at each worker count
+  up to the CPUs the process may run on (at least 2), the minimum of
+  --repeats walks per count, as ms per step; every count draws the same
+  uniforms and must return the same positions.
+- floor: a walk of the first walk_sim measure in slices of each size of
+  --slices trials, on one thread and on 2, as us per step: where the
+  slices gain, which sets simulate.MIN_SLICE.
 
-Run from the repository root, with a checkout of the parent commit:
+Without --parent the pairs are left out. Run from the repository root,
+with a checkout of the parent commit:
 
     PYTHONPATH=src python3 scripts/bench_sampler.py --parent ../parent --pairs 10
+
+    PYTHONPATH=src python3 scripts/bench_sampler.py --pairs 0 --steps 4 --trials 5000 \
+        --slices 1024 --repeats 1 --out -
 """
 import argparse
 import json
@@ -29,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from motionwalk import from_weights, rotation_group
+from motionwalk import from_weights, rotation_group, simulate
 from motionwalk.groups import products
 from motionwalk.simulate import WalkConfig, _guide_table, _increment_cdf, _lookup, sample_path
 
@@ -39,6 +50,7 @@ from workloads import (WALK_MEASURES, WALK_N, WALK_STEPS, WALK_TRIALS,  # noqa: 
 
 from paired_runs import pairs  # noqa: E402
 
+CPUS, MIN_SLICE = simulate.WORKERS, simulate.MIN_SLICE
 WALK_SIM_METRICS = (("op_p50_ref_ms", True), ("op_p50_ms", True), ("setup_s", True),
                     ("ok_per_ref_s", False), ("peak_rss_mb", True))
 
@@ -83,37 +95,105 @@ def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
             "sample_path_ms": round(1e3 * whole / steps, 4)}
 
 
-def per_step() -> list:
-    g = rotation_group(WALK_N)
+def measures(g) -> list:
+    """The three walk_sim measures of seed 1 and a dense one."""
     rng = _rng(1, 1024)
-    measures = [(f"walk_sim seed 1 mu{i}", from_weights(g, lazy_adapted_weights(g, rng)))
-                for i in range(WALK_MEASURES)]
+    out = [(f"walk_sim seed 1 mu{i}", from_weights(g, lazy_adapted_weights(g, rng)))
+           for i in range(WALK_MEASURES)]
     dense = np.random.default_rng(0).random(g.size)
-    measures.append(("dense, an atom on each of the 1024 elements",
-                     from_weights(g, dense / dense.sum())))
-    rows = [{"measure": name, **split(g, mu, WALK_STEPS, WALK_TRIALS)} for name, mu in measures]
-    rows.append({"measure": "walk_sim seed 1 mu0, one trial", **split(g, measures[0][1], 1 << 14, 1)})
+    out.append(("dense, an atom on each of the 1024 elements",
+                from_weights(g, dense / dense.sum())))
+    return out
+
+
+def per_step(g, walks: list, steps: int, trials: int) -> list:
+    simulate.WORKERS = 1
+    rows = [{"measure": name, **split(g, mu, steps, trials)} for name, mu in walks]
+    rows.append({"measure": "walk_sim seed 1 mu0, one trial",
+                 **split(g, walks[0][1], steps << 7, 1)})
+    return rows
+
+
+def best_walk(g, mu, cfg: WalkConfig, workers: int, repeats: int):
+    """(least seconds of repeats walks, final positions) at workers slices."""
+    simulate.WORKERS = workers
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        final = sample_path(g, mu, cfg)
+        best = min(best, time.perf_counter() - start)
+    return best, final
+
+
+def per_worker(g, walks: list, steps: int, trials: int, repeats: int) -> list:
+    cfg = WalkConfig(steps, trials, seed=5)
+    counts = sorted({1, 2, CPUS})
+    rows = []
+    for name, mu in walks:
+        times = {}
+        for workers in counts:
+            times[workers], final = best_walk(g, mu, cfg, workers, repeats)
+            if workers == 1:
+                first = final
+            assert np.array_equal(final, first), (name, workers)
+        rows.append({"measure": name, "trials": trials, "steps": steps,
+                     **{f"workers_{w}_ms": round(1e3 * s / steps, 4) for w, s in times.items()},
+                     "speedup": round(times[1] / min(times.values()), 3)})
+    return rows
+
+
+def floor(g, mu, sizes: list, trials_steps: int, repeats: int) -> list:
+    """us per step of walks of 2 slices of each size, on 1 thread and on 2."""
+    simulate.MIN_SLICE = 1
+    rows = []
+    for size in sizes:
+        cfg = WalkConfig(max(16, trials_steps // (2 * size)), 2 * size, seed=5)
+        one, _ = best_walk(g, mu, cfg, 1, repeats)
+        two, _ = best_walk(g, mu, cfg, 2, repeats)
+        rows.append({"slice": size, "trials": cfg.trials, "steps": cfg.steps,
+                     "one_thread_us": round(1e6 * one / cfg.steps, 1),
+                     "two_slices_us": round(1e6 * two / cfg.steps, 1),
+                     "speedup": round(one / two, 3)})
+    simulate.MIN_SLICE = MIN_SLICE
     return rows
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_sampler.json"))
+    ap.add_argument("--steps", type=int, default=WALK_STEPS, help="steps of a timed walk")
+    ap.add_argument("--trials", type=int, default=WALK_TRIALS, help="trials of a timed walk")
+    ap.add_argument("--slices", type=int, nargs="*", default=[1 << j for j in range(10, 16)],
+                    help="slice sizes of the floor part")
+    ap.add_argument("--repeats", type=int, default=5, help="walks per timing, the least kept")
+    ap.add_argument("--out", default="BENCH_sampler.json", help="output file, or - for stdout")
     args = ap.parse_args()
-    parent = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
-                            capture_output=True, text=True, check=True).stdout.strip()
-    result = {
-        "command": f"PYTHONPATH=src python3 scripts/bench_sampler.py --parent <checkout of {parent}>"
-                   f" --pairs {args.pairs}",
-        "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "nproc": os.cpu_count(), "machine": platform.machine()},
-        "per_step": per_step(),
-        "walk_sim": pairs(args.parent.resolve(), Path.cwd(), "walk_sim", args.pairs,
-                          WALK_SIM_METRICS),
-    }
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    command = "PYTHONPATH=src python3 scripts/bench_sampler.py " + " ".join(sys.argv[1:])
+    result = {"command": command,
+              "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                              "nproc": os.cpu_count(), "cpus": CPUS, "min_slice": MIN_SLICE,
+                              "machine": platform.machine()}}
+    if args.parent is not None:
+        parent = args.parent.resolve()
+        result["command"] = command.replace(str(args.parent), "<parent checkout>")
+        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent,
+                                          capture_output=True, text=True).stdout.strip() or None
+        # before the walks below: Linux reports a child's peak RSS as at
+        # least this process's RSS when it forked
+        if args.pairs:
+            result["walk_sim"] = pairs(parent, Path.cwd(), "walk_sim", args.pairs,
+                                       WALK_SIM_METRICS)
+    g = rotation_group(WALK_N)
+    walks = measures(g)
+    result["per_step"] = per_step(g, walks, args.steps, args.trials)
+    result["workers"] = per_worker(g, walks, args.steps, args.trials, args.repeats)
+    result["floor"] = floor(g, walks[0][1], args.slices, args.steps * args.trials, args.repeats)
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
 
 
 if __name__ == "__main__":

@@ -90,15 +90,15 @@ MAX_CLASSIFY_N_MAX = 1 << 20
 # integers of about 2.3 n bits, so defect_norm's time grows like n^2
 # (0.15-0.25 s and 34 MB peak at the bound)
 MAX_DEFECT_N = 1 << 14
-# largest --trials simulate takes: the walk holds the positions and, at a
-# histogram step, two copies of them, about 24 bytes per trial at peak
-# (about 0.4 GB at the bound)
+# largest --trials simulate takes: the walk holds one array of positions,
+# 8 bytes per trial, and counts them block by block (2^23 trials peaked at
+# 104-106 MB RSS, 33 MB of it before the walk; 2^24 at 170 MB)
 MAX_SIM_TRIALS = 1 << 24
-# largest --steps: every step is a pass of a Python loop, about 14 us even
-# at one trial (about 15 s at the bound)
+# largest --steps: every step is a pass of a Python loop, about 11 us even
+# at one trial (11.5 s at the bound)
 MAX_SIM_STEPS = 1 << 20
-# largest --steps x --trials: about 15 ns per trial step (about 16 s at
-# the bound)
+# largest --steps x --trials: about 16 ns per trial step on one thread and
+# 9 ns on two (16.9 s and 9.5 s at the bound, 2-vCPU x86-64 Xeon)
 MAX_SIM_TRIAL_STEPS = 1 << 30
 
 

@@ -14,7 +14,21 @@ through the (|G|, #atoms) table of right products by the atoms. The dense
 therefore a prefix of every longer walk with the same seed, and one walk
 yields the histogram at every requested n. Memory beyond the (|G|,
 #atoms) table is O(trials): the trials x steps uniforms are never
-materialised, and a step's scratch is one block of TRIAL_BLOCK trials.
+materialised, and a slice's scratch is one block of TRIAL_BLOCK trials.
+
+The trials are walked in equal contiguous slices, one per CPU the process
+may run on (WORKERS), each on its own thread with its own positions,
+scratch and Philox generator; no slice is made of fewer than MIN_SLICE
+trials, so a small walk runs on the calling thread alone. Before each
+step the slice [lo, hi) seeks its generator to stream position
+step * trials + lo. The generator is counter-based (Salmon et al.,
+Parallel Random Numbers: As Easy as 1, 2, 3, SC'11), so a seek is one
+counter advance and at most three discarded draws, and each slice reads
+exactly the uniforms a single pass over all trials would. The slices
+count their positions at the wanted steps as integers and the counts are
+summed, so every histogram and every final position is the same bit for
+bit at any number of slices. There is no setting for the number of
+threads.
 
 The atom a uniform u draws is defined as searchsorted(cdf, u,
 side="right") over the atoms' CDF. The walk reads that search through a
@@ -33,8 +47,11 @@ probability.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +65,15 @@ GUIDE_SIZE = 1 << 12
 # trials a walk step handles per pass: three scratch arrays of this length
 # (768 KB) instead of three of the trials' length
 TRIAL_BLOCK = 1 << 15
+# slices a walk splits its trials into: one per CPU the process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+# fewest trials a slice takes: every numpy call of a step hands the GIL
+# between the threads, which small slices do not repay. In three runs two
+# slices of 2^14 trials walked 1.5-1.8x as fast as one thread, of 2^13
+# 0.8-1.25x, of 2^12 0.6-0.7x (2-vCPU x86-64 Xeon; BENCH_sampler.json,
+# "floor")
+MIN_SLICE = 1 << 14
 
 __all__ = [
     "WalkConfig",
@@ -120,9 +146,11 @@ def _lookup(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray,
 
 
 def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
-          seed: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (n, position index of X_n per trial) for each distinct n in
-    ns, in increasing order, from one walk of max(ns) steps."""
+          seed: int) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+    """(counts, final) of one walk of max(ns) steps: counts[n] is the
+    integer histogram of X_n over the trials for each distinct n in ns,
+    final the position index of X_max(ns) per trial. The trials are walked
+    in slices (_slices), each on its own thread."""
     require_probability(mu)
     if g is not mu.group:
         raise GroupMismatch("the measure lives on another group")
@@ -138,34 +166,73 @@ def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
     # entries are row offsets too: one add and one gather per step
     k = len(atoms)
     table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     x = np.zeros(cfg.trials, dtype=np.intp)
+    wanted = sorted(set(ns))
+    walk = partial(_walk_slice, scaled, guide, table, k, g.size, wanted, cfg, x)
+    bounds = _slices(cfg.trials)
+    if len(bounds) == 2:
+        counts = [walk(0, cfg.trials)]
+    else:
+        with ThreadPoolExecutor(len(bounds) - 1) as pool:
+            counts = list(pool.map(walk, bounds[:-1], bounds[1:]))
+    return {n: np.sum([c[i] for c in counts], axis=0) for i, n in enumerate(wanted)}, x
+
+
+def _slices(trials: int) -> List[int]:
+    """Bounds of the equal contiguous slices the trials are walked in: one
+    per CPU, but no slice of fewer than MIN_SLICE trials."""
+    count = max(1, min(WORKERS, trials // MIN_SLICE))
+    return [trials * i // count for i in range(count + 1)]
+
+
+def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int, size: int,
+                wanted: List[int], cfg: WalkConfig, x: np.ndarray, lo: int,
+                hi: int) -> List[np.ndarray]:
+    """Walk trials [lo, hi) of the row offsets x in place, from its own
+    generator on the seed's stream; the integer histogram of the positions
+    at each step of wanted, and the positions themselves in x at the end."""
+    bits = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bits)
     # a step runs over blocks of TRIAL_BLOCK trials with one block of
     # scratch, so only the positions grow with trials; the blocks draw the
-    # step's uniforms in stream order, the same as one draw of all of them
-    width = min(cfg.trials, TRIAL_BLOCK)
+    # slice's uniforms in stream order, the same as one draw of all of them
+    width = min(hi - lo, TRIAL_BLOCK)
     u, bucket, row = np.empty(width), np.empty(width, np.intp), np.empty(width, np.intp)
     blocks = []
-    for lo in range(0, cfg.trials, width):
-        xs = x[lo:lo + width]
+    for start in range(lo, hi, width):
+        xs = x[start:min(start + width, hi)]
         blocks.append((xs, u[:len(xs)], bucket[:len(xs)], row[:len(xs)]))
-    wanted = set(ns)
+    counts, targets = [], set(wanted)
+    # Philox draws in blocks of four: block is the next one it computes
+    block = 0
     for step in range(cfg.steps + 1):
-        if step in wanted:
-            yield step, x // k
+        if step in targets:
+            hist = np.zeros(size, dtype=np.intp)
+            for xs, _, bs, _ in blocks:
+                hist += np.bincount(np.floor_divide(xs, k, out=bs), minlength=size)
+            counts.append(hist)
         if step == cfg.steps:
-            return
+            break
+        if hi - lo < cfg.trials:
+            # the slice's uniforms of this step start at stream position
+            # step * trials + lo; a whole walk reads the stream in order
+            at = step * cfg.trials + lo
+            bits.advance(at // 4 - block)  # may step back a block: it wraps
+            if at % 4:
+                bits.random_raw(at % 4)
+            block = (at + hi - lo - 1) // 4 + 1
         for xs, us, bs, rs in blocks:
             np.add(_lookup(scaled, guide, rng.random(out=us), bs, rs), xs, out=rs)
             np.take(table, rs, out=xs, mode="clip")
+    np.floor_divide(x[lo:hi], k, out=x[lo:hi])
+    return counts
 
 
 def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:
     """Final position index of X_n = xi_1 xi_2 ... xi_n per trial, with
     increments drawn i.i.d. by inverse CDF over the canonical element
     enumeration."""
-    ((_, final),) = _walk(g, mu, [cfg.steps], cfg.trials, cfg.seed)
-    return final
+    return _walk(g, mu, [cfg.steps], cfg.trials, cfg.seed)[1]
 
 
 def empirical_distributions(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int],
@@ -174,8 +241,8 @@ def empirical_distributions(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int],
     ns and in its order, all read from one walk of max(ns) steps. The
     histogram at n equals empirical_distribution(g, mu, n, trials, seed)
     bit for bit."""
-    hist = {n: from_weights(g, np.bincount(x, minlength=g.size) / trials)
-            for n, x in _walk(g, mu, ns, trials, seed)}
+    counts, _ = _walk(g, mu, ns, trials, seed)
+    hist = {n: from_weights(g, c / trials) for n, c in counts.items()}
     return [hist[n] for n in ns]
 
 
@@ -185,12 +252,13 @@ def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
     return empirical_distributions(g, mu, [n], trials, seed)[0]
 
 
-def _on_simplex(nu: GroupMeasure) -> GroupMeasure:
-    """The real part of nu, clipped at 0 and scaled to unit mass. On a
-    convolution of probabilities it removes what the FFT's roundoff left
-    off the simplex: imaginary parts, entries below 0, mass away from 1."""
-    w = np.clip(nu.weights.real, 0.0, None)
-    return GroupMeasure(nu.group, w / w.sum())
+def _on_simplex(g: MotionGroup, w: np.ndarray) -> GroupMeasure:
+    """The measure on g of the real part of weights w, clipped at 0 and
+    scaled to unit mass. On a convolution of probabilities it removes what
+    the FFT's roundoff left off the simplex: imaginary parts, entries below
+    0, mass away from 1."""
+    w = np.clip(w.real, 0.0, None)
+    return GroupMeasure(g, w / w.sum())
 
 
 def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
@@ -210,7 +278,7 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
 
     def product(a: GroupMeasure, b: GroupMeasure) -> GroupMeasure:
         h = _fourier_product(_transform(g, a.weights), _transform(g, b.weights), index)
-        return _on_simplex(GroupMeasure(g, _weights(g, h)))
+        return _on_simplex(g, _weights(g, h))
 
     squares = [mu]
     while 2 ** len(squares) <= max(ns):

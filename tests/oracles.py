@@ -250,16 +250,18 @@ def convolve_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     """mu^n for each n of ns by a chain of convolve calls: squares
     mu, mu^2, mu^4, ... and, per n, the product of the squares at its set
     bits, lowest first, each convolution put back on the simplex."""
+    g = mu.group
     squares = [mu]
     while 2 ** len(squares) <= max(ns):
-        squares.append(_on_simplex(convolve(squares[-1], squares[-1])))
+        squares.append(_on_simplex(g, convolve(squares[-1], squares[-1]).weights))
     powers = []
     for n in ns:
         result = None
         for bit, square in enumerate(squares):
             if n >> bit & 1:
-                result = square if result is None else _on_simplex(convolve(result, square))
-        powers.append(delta(mu.group, mu.group.identity()) if result is None else result)
+                result = square if result is None \
+                    else _on_simplex(g, convolve(result, square).weights)
+        powers.append(delta(g, g.identity()) if result is None else result)
     return powers
 
 

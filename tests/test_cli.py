@@ -23,6 +23,7 @@ from motionwalk.cli import (
 )
 from motionwalk.errors import ParseError
 from motionwalk.measures import from_weights
+from motionwalk import simulate
 from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
 
 
@@ -325,6 +326,24 @@ def test_simulate_rows_from_one_walk(tmp_path, d5, capsys):
     for r in rows:
         emp = empirical_distribution(g, mu, r["n"], 3000, seed=5)
         assert r["tv_empirical"] == f"{tv_to_uniform(emp):.12g}"
+
+
+def test_simulate_out_is_the_same_bytes_at_any_worker_count(tmp_path, d5, monkeypatch):
+    # the slices sum integer counts, so the rows do not depend on how many
+    # threads walk them
+    g, gpath = d5
+    mu = 0.5 * delta(g, GElem((1,), 0)) + 0.5 * delta(g, GElem((0,), 1))
+    mpath = write_measure(tmp_path / "w.json", mu)
+    trials = 2 * simulate.MIN_SLICE + 3
+    outs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        assert len(simulate._slices(trials)) == workers + 1
+        target = tmp_path / f"out{workers}.json"
+        assert main(["simulate", "--group", gpath, "--measure", mpath, "--steps", "16",
+                     "--trials", str(trials), "--seed", "9", "--out", str(target)]) == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_simulate_has_no_tol_flag(tmp_path, d5, capsys):

@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
                                   ["scripts/defect_table.py", "6"],
                                   ["scripts/bench_cesaro.py", "--pairs", "0", "--ladder", "4",
                                    "--repeats", "1", "--out", "-"],
-                                  ["scripts/bench_sampler.py", "--help"],
+                                  ["scripts/bench_sampler.py", "--pairs", "0", "--steps", "4",
+                                   "--trials", "5000", "--slices", "1024", "--repeats", "1",
+                                   "--out", "-"],
                                   ["scripts/bench_spectral.py", "--pairs", "0", "--repeats", "1",
                                    "--out", "-"],
                                   ["scripts/bench_lattice.py", "--pairs", "0", "--ladder", "7", "8",

@@ -141,29 +141,60 @@ def _oracle_weights(g, kind):
     return w / w.sum() if kind in ("dense", "sparse") else w
 
 
+def _assert_walk_matches(g, mu, ns, trials, seed, ref):
+    counts, final = _walk(g, mu, ns, trials, seed)
+    assert sorted(counts) == sorted(set(ns))
+    for n in ns:
+        assert counts[n].dtype.kind == "i"
+        assert np.array_equal(counts[n], np.bincount(ref[n], minlength=g.size))
+    assert np.array_equal(final, ref[max(ns)])
+
+
 @pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero-width", "above-one", "crowded"])
-def test_streamed_walk_matches_block_oracle(request, group, kind):
+def test_streamed_walk_matches_block_oracle(request, monkeypatch, group, kind):
+    # at 2 and 3 workers, 501 trials in slices of 250 or 167: trials % 4 != 0,
+    # and a slice's first uniform of a step falls anywhere in a Philox
+    # block of four
+    monkeypatch.setattr(simulate, "MIN_SLICE", 1)
     g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
     mu = from_weights(g, _oracle_weights(g, kind))
-    steps, trials, seed = 12, 500, 17
+    steps, trials, seed = 12, 501, 17
     ref = _oracle_walk(g, mu, steps, trials, seed)
-    assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
-    ns = [0, 1, 3, 7, 12]
-    for n, x in _walk(g, mu, ns, trials, seed):
-        assert np.array_equal(x, ref[n])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
+        _assert_walk_matches(g, mu, [0, 1, 3, 7, 12], trials, seed, ref)
 
 
 @pytest.mark.parametrize("block, trials", [
-    (64, 500), (64, 64), (simulate.TRIAL_BLOCK, simulate.TRIAL_BLOCK + 5)])
+    (64, 500), (64, 64), (simulate.TRIAL_BLOCK, simulate.TRIAL_BLOCK + 5),
+    (64, 403),  # trials % 4 != 0: slices of 201 or 134 start mid-block
+    (64, 150),  # below twice the floor: one slice at every worker count
+])
 def test_walk_in_trial_blocks_matches_block_oracle(order10, monkeypatch, block, trials):
     # whole blocks, a last partial block, and one block exactly: the blocks
-    # of a step read the step's uniforms in stream order
+    # of a slice read the slice's uniforms of a step in stream order; at
+    # 0 steps only X_0 is counted and no uniform is drawn
     monkeypatch.setattr(simulate, "TRIAL_BLOCK", block)
+    monkeypatch.setattr(simulate, "MIN_SLICE", 100)
     mu = from_weights(order10, _oracle_weights(order10, "dense"))
     ref = _oracle_walk(order10, mu, 3, trials, 23)
-    for n, x in _walk(order10, mu, [1, 3], trials, 23):
-        assert np.array_equal(x, ref[n])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        _assert_walk_matches(order10, mu, [1, 3], trials, 23, ref)
+        _assert_walk_matches(order10, mu, [0], trials, 23, ref)
+
+
+def test_slices_are_equal_and_contiguous(monkeypatch):
+    # one slice per worker, none below MIN_SLICE trials, at least one
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(simulate, "MIN_SLICE", 100)
+    assert simulate._slices(1) == [0, 1]
+    assert simulate._slices(199) == [0, 199]
+    assert simulate._slices(200) == [0, 100, 200]
+    assert simulate._slices(403) == [0, 134, 268, 403]
+    assert simulate._slices(10 ** 6) == [0, 333333, 666666, 10 ** 6]
 
 
 def test_walk_builds_no_mult_table(no_mult_table):
@@ -211,7 +242,8 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
     assert len(calls) == 7
     assert np.array_equal(powers[0].weights, mu.weights)
     for prev, cur in zip(powers, powers[1:]):
-        assert np.array_equal(cur.weights, _on_simplex(convolve(prev, prev)).weights)
+        square = _on_simplex(order18, convolve(prev, prev).weights)
+        assert np.array_equal(cur.weights, square.weights)
     calls.clear()
     ns = [1, 2, 4, 8, 16, 20, 0, 3]
     powers = exact_powers(mu, ns)
