@@ -8,13 +8,13 @@ Two parts:
   side runs first, one seed per pair; each side's end-to-end metrics and
   the unscaled op_p50_ms, with median and quartiles, and the pairs this
   checkout wins on each.
-- stage split: verify_srf's stages timed one by one on the nine
-  spectral2304 measures of seed 1, the minimum of --repeats calls per
-  measure and stage, summed over the measures, in a fresh process per
-  checkout: the dual orbits, the block stack (one FFT and the
-  complement compression), the stacked eigenvalue and singular-value
-  calls, and the Gelfand chain of 20 squarings with its time per step,
-  next to the whole verify_srf.
+- stage split: what verify_srf runs, timed one stage at a time on the
+  nine spectral2304 measures of seed 1, the minimum of --repeats calls
+  per measure and stage, summed over the measures, in a fresh process
+  per checkout: orbit_spectra (the dual-orbit representatives, the block
+  stack, the complement compression and the stacked eigenvalue and
+  singular-value calls), gelfand_radius (the chain of 20 squarings), and
+  the whole verify_srf.
 
 Without --parent only this checkout's stage split is measured. Run from
 the repository root, with a checkout of the parent commit:
@@ -45,47 +45,28 @@ STAGES = """
 import json, sys, time
 sys.path.insert(0, "perfbench")
 import motionwalk as mw
-from motionwalk.groups import dual_orbits
-from motionwalk.reps import _blocks, compress_to_complement
-from motionwalk.spectral import (gelfand_sequence, one_in_spectrum, op_norm,
-                                 spectral_radius, verify_srf)
+from motionwalk.spectral import gelfand_radius, orbit_spectra, verify_srf
 from workloads import (SPECTRAL_DENSE, SPECTRAL_N, _rng, dense_complex_weights,
                        sparse_draws)
 repeats, kmax = int(sys.argv[1]), int(sys.argv[2])
 g = mw.rotation_group(SPECTRAL_N)
 rng = _rng(1, 2304)
 weights = [dense_complex_weights(g, rng) for _ in range(SPECTRAL_DENSE)] + list(sparse_draws(1))
-
-def best(f):
-    spent = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = f()
-        spent = min(spent, time.perf_counter() - start)
-    return spent, out
-
-totals = {}
+stages = {"orbit_spectra_s": orbit_spectra,
+          "gelfand_radius_s": lambda mu: gelfand_radius(mu, kmax),
+          "verify_srf_s": lambda mu: verify_srf(mu, kmax=kmax)}
+totals = dict.fromkeys(stages, 0.0)
 for w in weights:
     mu = mw.from_weights(g, w)
-    stages = {}
-    stages["dual_orbits_s"], orbits = best(lambda: dual_orbits(g))
-    reps = [o.representative for o in orbits]
-
-    def blocks():
-        stack = _blocks(g, mu.weights[g.inv_perm()], reps)
-        return stack, compress_to_complement(g, stack[0])[None]
-
-    stages["blocks_s"], (stack, comp) = best(blocks)
-    stages["eigen_svd_s"], _ = best(lambda: [(spectral_radius(m), op_norm(m), one_in_spectrum(m))
-                                             for m in (stack, comp)])
-    stages["gelfand_s"], _ = best(lambda: gelfand_sequence(mu, kmax))
-    stages["verify_srf_s"], _ = best(lambda: verify_srf(mu, kmax=kmax))
-    for stage, s in stages.items():
-        totals[stage] = totals.get(stage, 0.0) + s
-out = {"order": g.size, "measures": len(weights), "kmax": kmax,
-       **{stage: round(s, 5) for stage, s in totals.items()},
-       "gelfand_step_ms": round(1e3 * totals["gelfand_s"] / (len(weights) * kmax), 4)}
-print(json.dumps(out))
+    for stage, f in stages.items():
+        spent = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            f(mu)
+            spent = min(spent, time.perf_counter() - start)
+        totals[stage] += spent
+print(json.dumps({"order": g.size, "measures": len(weights), "kmax": kmax,
+                  **{stage: round(s, 5) for stage, s in totals.items()}}))
 """
 
 

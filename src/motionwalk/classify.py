@@ -29,10 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, Record, dual_orbits, dual_table, products
+from .groups import Character, MotionGroup, Record, _representatives, dual_table, products
 from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
-from .spectral import OrbitSpectral, orbit_spectra
+from .spectral import OrbitSpectral, _orbit_spectra, orbit_spectra
 
 __all__ = [
     "TriState",
@@ -278,7 +278,7 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
     Lambda_alpha(mu)^n, so mu^n is read back from the block powers, which
     come by repeated squaring."""
     require_probability(mu)
-    reps = [o.representative for o in dual_orbits(mu.group)]
+    reps = _representatives(mu.group)
     return _curves(mu, reps, n_max, 1)[0]
 
 
@@ -292,7 +292,7 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve
     is read back from the block sums.
     """
     require_probability(mu)
-    reps = [o.representative for o in dual_orbits(mu.group)]
+    reps = _representatives(mu.group)
     return _curves(mu, reps, 1, n_max)[1]
 
 
@@ -318,15 +318,16 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
     (_row_max): no term is built per element of G.
     """
     require_probability(mu)
-    reps = [o.representative for o in dual_orbits(mu.group)]
+    reps = _representatives(mu.group)
     return _curves(mu, reps, 1, n_max)[2]
 
 
-def _phase_orders(g: MotionGroup, reps: List[Character]) -> np.ndarray:
+def _phase_orders(g: MotionGroup, reps: np.ndarray) -> np.ndarray:
     """(orbits, nk) order m of the phases <a, beta_{k'}> over a in
-    A = (Z_n)^d: they are the m-th roots of unity, m = n / gcd(beta_{k'}, n),
-    with beta_{k'} = dual_action(k', alpha) read off dual_table."""
-    betas = g.abelian.vectors()[dual_table(g)[[g.abelian.index(a.alpha) for a in reps]]]
+    A = (Z_n)^d, alpha the character of each A-index of reps: they are the
+    m-th roots of unity, m = n / gcd(beta_{k'}, n), with
+    beta_{k'} = dual_action(k', alpha) read off dual_table."""
+    betas = g.abelian.vectors()[dual_table(g)[reps]]
     n = g.abelian.modulus
     return n // np.gcd.reduce(betas, axis=-1, initial=n)
 
@@ -363,10 +364,10 @@ def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
                    "WEAK_MIXING", "NOT_WEAK_MIXING")
 
 
-def _curves(mu: GroupMeasure, reps: List[Character], mixing_n_max: int,
+def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
             cesaro_n_max: int) -> Tuple[DecayCurve, DecayCurve, DecayCurve]:
     """The mixing, ergodic and weak-mixing curves of a probability measure,
-    given the dual-orbit representatives, from one block stack
+    given the dual-orbit representatives' A-indices, from one block stack
     P = Lambda_alpha(mu) and one chain of its dyadic powers P^n. The walk
     runs on the real part of mu: a probability measure is real within
     PROBABILITY_TOL, and so are its powers and averages.
@@ -450,12 +451,12 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    spectra = orbit_spectra(mu, tol)
+    reps = _representatives(mu.group)
+    spectra = _orbit_spectra(mu, reps, tol)
     sr = _sr_from_spectra(spectra, tol)
     s = _s_from_spectra(spectra, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
-    reps = [o.representative for o in spectra[0]]
     mix, erg, wm = _curves(mu, reps, mixing_n_max, ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

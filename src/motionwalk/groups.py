@@ -305,22 +305,32 @@ def dual_table(g: MotionGroup) -> np.ndarray:
     return moved @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
-def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
-    """Partition of the dual group into K-orbits.
+def _representatives(g: MotionGroup) -> np.ndarray:
+    """A-indices of the dual-orbit representatives, in increasing order,
+    trivial character first: the rows i of dual_table with minimum i.
 
     Row i of dual_table is the whole orbit of alpha_i, because K is a
-    group.  The orbit of the trivial character comes first; every
-    representative is the lexicographically minimal member of its orbit,
-    and A-index order is lexicographic order.  One sort of the table gives
-    every orbit's members in order, each kept at its first occurrence.
+    group, and A-index order is lexicographic order, so these are the
+    orbits' lexicographically minimal members, one per orbit.
     """
-    table = np.sort(dual_table(g), axis=1)
+    table = dual_table(g)
+    return np.flatnonzero(table.min(axis=1) == np.arange(len(table)))
+
+
+def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
+    """Partition of the dual group into K-orbits, in _representatives'
+    order: the orbit of the trivial character first, each represented by
+    its lexicographically minimal member. One sort of the representatives'
+    rows of dual_table gives every orbit's members in order, each kept at
+    its first occurrence.
+    """
+    reps = _representatives(g)
+    table = np.sort(dual_table(g)[reps], axis=1)
     first = np.ones(table.shape, dtype=bool)
     first[:, 1:] = table[:, 1:] != table[:, :-1]
-    reps = np.flatnonzero(table[:, 0] == np.arange(len(table)))
     chars = [Character(tuple(v)) for v in g.abelian.vectors().tolist()]
     orbits: List[DualOrbit] = []
-    for i, row, keep in zip(reps.tolist(), table[reps], first[reps]):
+    for i, row, keep in zip(reps.tolist(), table, first):
         members = row[keep].tolist()
         orbits.append(DualOrbit(representative=chars[i],
                                 members=tuple(chars[j] for j in members),

@@ -26,19 +26,20 @@ __all__ = [
 ]
 
 
-def _block_index(g: MotionGroup, alphas: Sequence[Character]
+def _block_index(g: MotionGroup, alphas: Sequence[int]
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) placing the block stack in the (|A|, |K|) transform:
-    entry (r, k', c) of the stack is entry (rows[r, k', 0], cols[0, k', c]),
-    the A-index of beta_{k'} = dual_action(k', alpha_r) and k' c^{-1}."""
-    rows = dual_table(g)[[g.abelian.index(a.alpha) for a in alphas]]
+    """(rows, cols) placing the block stack in the (|A|, |K|) transform,
+    for the characters of A-indices alphas: entry (r, k', c) of the stack
+    is entry (rows[r, k', 0], cols[0, k', c]), the A-index of
+    beta_{k'} = dual_action(k', alpha_r) and k' c^{-1}."""
+    rows = dual_table(g)[alphas]
     cols = g.k.table[:, g.k.inverses]
     return rows[:, :, None], cols[None, :, :]
 
 
-def _blocks(g: MotionGroup, w: np.ndarray,
-            alphas: Sequence[Character]) -> np.ndarray:
-    """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per alpha.
+def _blocks(g: MotionGroup, w: np.ndarray, alphas: Sequence[int]) -> np.ndarray:
+    """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per
+    A-index of alphas.
 
     Every Lambda_alpha(a, k) is monomial: row k' holds <a, beta_{k'}>, with
     beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)
@@ -53,9 +54,10 @@ def _blocks(g: MotionGroup, w: np.ndarray,
 
 
 def _measure_of_blocks(g: MotionGroup, stack: np.ndarray,
-                       reps: Sequence[Character]) -> np.ndarray:
+                       reps: Sequence[int]) -> np.ndarray:
     """The weights w with _blocks(g, w, reps) == stack, for reps the
-    dual-orbit representatives; a (..., orbits, nk, nk) stack gives
+    A-indices of the dual-orbit representatives (groups._representatives);
+    a (..., orbits, nk, nk) stack gives
     (..., |G|) weights.
 
     The orbits cover the dual group, so the scatter writes every entry of
@@ -77,13 +79,14 @@ def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:
     Linear in mu and reverses convolution order: (mu * nu)^ = nu^ mu^.
     """
     g = mu.group
-    return _blocks(g, mu.weights[g.inv_perm()], [alpha])[0]
+    return _blocks(g, mu.weights[g.inv_perm()], [g.abelian.index(alpha.alpha)])[0]
 
 
 def rep_of_measure(mu: GroupMeasure, alpha: Character) -> np.ndarray:
     """Lambda_alpha(mu) = sum_x mu(x) Lambda_alpha(x); satisfies
     mu_hat(Lambda_alpha) = Lambda_alpha(conj(mu))^*."""
-    return _blocks(mu.group, mu.weights, [alpha])[0]
+    g = mu.group
+    return _blocks(g, mu.weights, [g.abelian.index(alpha.alpha)])[0]
 
 
 def complement_basis(g: MotionGroup) -> np.ndarray:

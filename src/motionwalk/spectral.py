@@ -7,9 +7,11 @@ numeric cross-check of the radius formula
     gelfand_radius(mu) = max over dual orbits of block spectral radius
 
 whose report also carries the measure star-norm. The squarings run on the
-A-Fourier transform of the power, with one inverse FFT per step for its TV
-norm, and never read the block stack: the two sides of the formula are
-computed by independent routes, so the check can fail.
+A-Fourier transform of the power, kept in range by exact power-of-two
+scales, with one inverse FFT for the TV norm at each step whose estimate
+is reported (one for gelfand_radius), and never read the block stack: the
+two sides of the formula are computed by independent routes, so the check
+can fail.
 
 On a discrete group every measure is absolutely continuous with respect to
 counting measure, so the singular term of the general formula is
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NoConvergence, Overflow
-from .groups import Character, Record, dual_orbits
+from .groups import Character, Record, _representatives
 from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
                        tv_norm)
 from .reps import _blocks, compress_to_complement
@@ -134,48 +136,66 @@ def one_in_spectrum(m: np.ndarray, tol: float = 1e-8) -> OneInSpectrumResult:
     return OneInSpectrumResult(_scalar(margin <= tol, a), _scalar(margin, a))
 
 
-def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
-    """Estimates tv_norm(mu^(2^k))^(1/2^k) for k = 0..kmax, non-increasing.
+def _gelfand_estimates(mu: GroupMeasure, reads: Sequence[int]) -> List[float]:
+    """tv_norm(mu^(2^k))^(1/2^k) at each k of reads, an increasing
+    sequence of steps >= 0, from one chain of max(reads) squarings.
 
     The chain squares on the A-Fourier transform h of the current power,
     kept for the whole chain: each step is one _fourier_product (the
-    convolution of M(G), through a gather index built once) and one ifftn
-    for the TV norm c of the square, and since the transform is linear,
-    h / c is the transform of the renormalized square. It never reads the
+    convolution of M(G), through a gather index built once). After each
+    square, h is scaled by 2^-e, e the binary exponent of its largest real
+    or imaginary part, so its parts stay in (-1, 1) and no power under-
+    or overflows; the scale is exact and carried as an integer exponent s,
+    with h the transform of (mu / t0)^(2^k) / 2^s. Only at a step k of
+    reads does one inverse FFT give the TV norm c of the scaled power, and
+    the estimate is t0 * (2^s c)^(1/2^k): the scales cancel, so it is the
+    same whatever scale the powers carried. The chain never reads the
     Fourier block stack, so it stays a route to the radius independent of
-    the blocks it is checked against. Each step renormalizes to unit TV
-    norm and accumulates the discarded scale in log space, so no power
-    under- or overflows.
+    the blocks it is checked against.
     """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
     t0 = tv_norm(mu)
     if t0 == 0.0:
-        return [0.0] * (kmax + 1)
+        return [0.0] * len(reads)
     if not math.isfinite(t0):
         raise Overflow("initial TV norm is not finite")
     g = mu.group
     index = _product_index(g)
     h = _transform(g, mu.weights * (1.0 / t0))
-    log_est = math.log(t0)
-    out = [t0]
-    for k in range(1, kmax + 1):
-        h2 = _fourier_product(h, h, index)
-        c = float(np.abs(_weights(g, h2)).sum())
-        if c == 0.0:
+    s = 0
+    out = [t0] if reads[0] == 0 else []
+    for k in range(1, reads[-1] + 1):
+        h = _fourier_product(h, h, index)
+        parts = h.view(np.float64)
+        top = float(np.abs(parts).max())
+        if top == 0.0:
             # nilpotent: some power vanished exactly
-            out.extend([0.0] * (kmax + 1 - k))
-            return out
-        if not math.isfinite(c):
+            return out + [0.0] * (len(reads) - len(out))
+        if not math.isfinite(top):
             raise Overflow(f"scale tracking failed at squaring step {k}")
-        log_est += math.log(c) / (1 << k)
-        out.append(math.exp(log_est))
-        h = h2 * (1.0 / c)
+        e = math.frexp(top)[1]
+        np.ldexp(parts, -e, out=parts)
+        s = 2 * s + e
+        if k in reads:
+            c = float(np.abs(_weights(g, h)).sum())
+            if not math.isfinite(c):
+                raise Overflow(f"scale tracking failed at squaring step {k}")
+            out.append(t0 * math.exp(math.log(2.0) * (s / (1 << k)) + math.log(c) / (1 << k)))
     return out
 
 
+def gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
+    """Estimates tv_norm(mu^(2^k))^(1/2^k) for k = 0..kmax, non-increasing:
+    kmax squarings of the A-Fourier transform, and one inverse FFT per
+    step for the TV norm of each power (_gelfand_estimates)."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    return _gelfand_estimates(mu, range(kmax + 1))
+
+
 def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
-    """Upper estimate of lim tv_norm(mu^n)^(1/n) by kmax repeated squarings.
+    """Upper estimate of lim tv_norm(mu^n)^(1/n) by kmax repeated squarings
+    of the A-Fourier transform, and one inverse FFT for the TV norm of the
+    last power; bit for bit gelfand_sequence(mu, kmax)[kmax].
 
     Always runs all kmax squarings: successive estimates can agree while
     still far from the limit (a sparse measure whose first square has no
@@ -185,7 +205,7 @@ def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return gelfand_sequence(mu, kmax)[kmax]
+    return _gelfand_estimates(mu, (kmax,))[0]
 
 
 def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
@@ -193,9 +213,15 @@ def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
     """Records of every dual-orbit Fourier block, zero orbit first, and of
     the zero-orbit block compressed to the complement of the constants:
     one FFT, and one call of each spectral function per stack."""
+    return _orbit_spectra(mu, _representatives(mu.group), tol)
+
+
+def _orbit_spectra(mu: GroupMeasure, reps: np.ndarray, tol: float
+                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
+    """orbit_spectra given the representatives' A-indices."""
     g = mu.group
-    reps = [o.representative for o in dual_orbits(g)]
     blocks = _blocks(g, mu.weights[g.inv_perm()], reps)
+    chars = [Character(tuple(v)) for v in g.abelian.vectors()[reps].tolist()]
 
     def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
         ois = one_in_spectrum(stack, tol=tol)
@@ -204,7 +230,7 @@ def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
                          ois.margin.tolist()))
 
     comp = compress_to_complement(g, blocks[0])[None]
-    return records(reps, blocks), records(reps[:1], comp)[0]
+    return records(chars, blocks), records(chars[:1], comp)[0]
 
 
 def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20) -> SpectralReport:

@@ -10,6 +10,7 @@ from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
 from motionwalk.groups import (
     Character,
     GElem,
+    _representatives,
     build_motion_group,
     dual_action,
     dual_orbits,
@@ -184,6 +185,14 @@ def test_dual_orbits_order10(order10):
     got = [set(ch.alpha[0] for ch in o.members) for o in orbits]
     assert got == [{0}, {1, 4}, {2, 3}]
     assert [o.stabilizer_size for o in orbits] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("group", ["order10", "z2", "order16", "order21", "order20",
+                                   "order18", "order72"])
+def test_representatives_are_the_dual_orbit_representatives(request, group):
+    g = request.getfixturevalue(group)
+    want = [g.abelian.index(o.representative.alpha) for o in dual_orbits(g)]
+    assert _representatives(g).tolist() == want
 
 
 @pytest.mark.parametrize("maker", [lambda: negation_group(7),

@@ -13,8 +13,8 @@ import motionwalk.groups
 import motionwalk.reps
 import motionwalk.spectral
 from motionwalk.classify import cross_check
-from motionwalk.groups import GElem, dual_orbits, inverse, multiply
-from motionwalk.measures import convolve, delta, from_weights, tv_norm, uniform
+from motionwalk.groups import GElem, _representatives, dual_orbits, inverse, multiply
+from motionwalk.measures import _weights, convolve, delta, from_weights, tv_norm, uniform
 from motionwalk.reps import fourier
 from motionwalk.spectral import (
     SINGULAR_REASON,
@@ -189,7 +189,8 @@ def test_gelfand_chain_never_reads_the_block_stack(monkeypatch):
     monkeypatch.setattr(motionwalk.reps, "_measure_of_blocks", refuse)
     monkeypatch.setattr(motionwalk.spectral, "_blocks", refuse)
     monkeypatch.setattr(motionwalk.groups, "dual_orbits", refuse)
-    monkeypatch.setattr(motionwalk.spectral, "dual_orbits", refuse)
+    monkeypatch.setattr(motionwalk.groups, "_representatives", refuse)
+    monkeypatch.setattr(motionwalk.spectral, "_representatives", refuse)
     g = rotation_group(4)
     rng = np.random.default_rng(73)
     w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
@@ -198,6 +199,67 @@ def test_gelfand_chain_never_reads_the_block_stack(monkeypatch):
     for a, b in zip(seq, convolve_gelfand_sequence(mu, 12)):
         assert abs(a - b) <= 1e-13 * b
     assert gelfand_radius(mu, kmax=12) == seq[12]
+
+
+def test_gelfand_reads_the_tv_norm_only_where_it_reports(monkeypatch):
+    # the inverse FFT for the TV norm runs at reported steps only: once for
+    # gelfand_radius, once per step for gelfand_sequence
+    calls = []
+
+    def counted(g, h):
+        calls.append(h.shape)
+        return _weights(g, h)
+
+    monkeypatch.setattr(motionwalk.spectral, "_weights", counted)
+    g = rotation_group(4)
+    rng = np.random.default_rng(79)
+    mu = from_weights(g, rng.normal(size=g.size) + 1j * rng.normal(size=g.size))
+    for k in (1, 12, 20):
+        calls.clear()
+        gelfand_radius(mu, k)
+        assert len(calls) == 1
+        calls.clear()
+        gelfand_sequence(mu, k)
+        assert len(calls) == k
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(5), lambda: d4_group(3),
+                                   lambda: rotation_group(4)],
+                         ids=["order10", "d4_3", "rotation4"])
+@pytest.mark.parametrize("k", [1, 12, 20])
+def test_gelfand_radius_is_the_last_sequence_entry(maker, k):
+    g = maker()
+    rng = np.random.default_rng(83)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    mu = from_weights(g, w / np.abs(w).sum())
+    assert gelfand_radius(mu, k) == gelfand_sequence(mu, k)[k]
+
+
+@pytest.mark.parametrize("e", [900, -900])
+def test_gelfand_radius_scales_with_the_measure(e):
+    g = d4_group(3)
+    rng = np.random.default_rng(89)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    mu = from_weights(g, w / np.abs(w).sum())
+    want = math.ldexp(gelfand_radius(mu), e)
+    assert abs(gelfand_radius(math.ldexp(1.0, e) * mu) - want) <= 1e-13 * want
+
+
+def test_gelfand_chain_keeps_a_small_radius_in_range():
+    # radius 1e-3, under a quarter of the TV norm: unscaled, the powers of
+    # mu / tv_norm(mu) underflow long before 2^20, and the chain must still
+    # match the renormalized convolve chain at every step
+    g = rotation_group(4)
+    rng = np.random.default_rng(97)
+    w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    mu = from_weights(g, w * (1e-3 / verify_srf(from_weights(g, w)).formula_radius))
+    assert (1e-3 / tv_norm(mu)) ** (1 << 20) == 0.0
+    seq = gelfand_sequence(mu, 20)
+    for a, b in zip(seq, convolve_gelfand_sequence(mu, 20)):
+        assert abs(a - b) <= 1e-13 * b, (a, b)
+    rep = verify_srf(mu)
+    assert rep.gelfand_radius_estimate == seq[20]
+    assert abs(seq[20] - 1e-3) <= 1e-6 and rep.passed
 
 
 def test_gelfand_sequence_non_increasing(order10, order16):
@@ -249,10 +311,10 @@ def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
 
     def counted(g):
         calls.append(g)
-        return dual_orbits(g)
+        return _representatives(g)
 
     for module in (motionwalk.spectral, motionwalk.classify):
-        monkeypatch.setattr(module, "dual_orbits", counted)
+        monkeypatch.setattr(module, "_representatives", counted)
     g = rotation_group(4)
     rng = np.random.default_rng(67)
     w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
