@@ -40,11 +40,12 @@ SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s"
                     ("peak_rss_mb", True))
 
 # times every stage cross_check calls, under the names of this checkout
-# (_curves) and of older ones (empirical_mixing, then _mixing) alike
+# (_orbit_spectra, _curves) and of older ones (orbit_spectra;
+# empirical_mixing, then _mixing) alike
 TIMED = """
 import json, resource, sys, time
 from motionwalk import classify
-NAMES = {"orbit_spectra": "spectral_s", "adapted": "adapted_s",
+NAMES = {"orbit_spectra": "spectral_s", "_orbit_spectra": "spectral_s", "adapted": "adapted_s",
          "strictly_aperiodic_check": "aperiodic_s", "empirical_mixing": "mixing_s",
          "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s",
          "_curves": "curves_s"}

@@ -8,9 +8,15 @@ Six conditions on a probability measure mu:
   (A)   the support generates the whole group (adapted),
   (ASA) the support is not contained in a coset of a proper normal
         subgroup (strictly aperiodic),
-  (M)   empirical mixing: sup over the mean-zero basis of
-        tv_norm(f * mu^n) along dyadic n,
+  (M)   empirical mixing: the distance d(w) = ||w - m u||_1 of w = mu^n,
+        of mass m, to m times the Haar (uniform) measure u, along dyadic n,
   (E)   empirical ergodicity: the same for Cesaro averages of powers.
+
+The paper's definition is the sup form, sup_x ||f_x * w||_1 over the
+mean-zero basis f_x = delta_x - delta_e. d brackets it, d <= sup <= 2d:
+the translates delta_x * w average to m u, and each lies d from m u.
+(M) and (E) decide on 2d: a positive verdict certifies the sup below the
+threshold, a negative one a sup of at least d > 5 x threshold.
 
 "Nontrivial blocks" means all nonzero dual-orbit blocks plus the
 complement of the constants line inside the zero-orbit block; the
@@ -63,10 +69,6 @@ CESARO_N_MAX = 512
 MIXING_THRESHOLD = 1e-6
 ERGODIC_THRESHOLD = 0.02
 WEAK_MIXING_THRESHOLD = 0.01
-
-# entries of the products table one chunk of the translate-gap sweep holds
-# (4 MB of int32, and 8 MB of float64 per row in flight)
-GAP_CHUNK_ENTRIES = 1 << 20
 
 
 class TriState(str, Enum):
@@ -226,26 +228,6 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
 
 # --------------------------------------------------------------- empirical
 
-def _translate_gaps(g: MotionGroup, rows: np.ndarray) -> np.ndarray:
-    """max over x of tv_norm(delta_x * w - w) for each row w of rows: the
-    mean-zero basis sweep. Row x of w[products(g, x, y)] is
-    w(x .) = delta_{x^-1} * w, the same translates in another order. The
-    y run in chunks of GAP_CHUNK_ENTRIES products, each built once and read
-    by every row in turn."""
-    xs = np.arange(g.size)
-    width = max(1, GAP_CHUNK_ENTRIES // g.size)
-    totals = np.zeros((len(rows), g.size))
-    for lo in range(0, g.size, width):
-        ys = xs[lo:lo + width]
-        table = products(g, xs[:, None], ys)
-        for w, total in zip(rows, totals):
-            d = w[table]
-            d -= w[ys]
-            np.abs(d, out=d)
-            total += d.sum(axis=1)
-    return totals.max(axis=1)
-
-
 def _decide(points: Sequence[Tuple[int, float]], threshold: float,
             pos: str, neg: str) -> Tuple[str, Optional[bool]]:
     """Positive when the final value is below threshold; negative only on a
@@ -264,6 +246,11 @@ def _decide(points: Sequence[Tuple[int, float]], threshold: float,
     return "INCONCLUSIVE", None
 
 
+def _upper(points: Sequence[Tuple[int, float]]) -> List[Tuple[int, float]]:
+    """The upper end 2d of each point's bracket d <= sup gap <= 2d."""
+    return [(n, 2.0 * d) for n, d in points]
+
+
 def _dyadic_powers(p: np.ndarray, n_max: int) -> List[np.ndarray]:
     """[p, p^2, p^4, ..., p^n_max] of the block stack p, by repeated
     squaring: 9 squarings reach n = 512."""
@@ -274,20 +261,23 @@ def _dyadic_powers(p: np.ndarray, n_max: int) -> List[np.ndarray]:
 
 
 def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
-    """sup_x tv_norm(f_x * mu^n) at dyadic n. Lambda_alpha(mu^n) is
-    Lambda_alpha(mu)^n, so mu^n is read back from the block powers, which
-    come by repeated squaring."""
+    """d(mu^n) = ||mu^n - m u||_1 at dyadic n, m the mass of mu^n: the
+    bracket d <= sup_x ||f_x * mu^n||_1 <= 2d of the paper's sup form, whose
+    upper end the verdict reads. Lambda_alpha(mu^n) is Lambda_alpha(mu)^n,
+    so mu^n is read back from the block powers, which come by repeated
+    squaring."""
     require_probability(mu)
     reps = _representatives(mu.group)
     return _curves(mu, reps, n_max, 1)[0]
 
 
 def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
-    """sup_x tv_norm(f_x * S_n) for S_n = (1/n) sum_{k=1..n} mu^k, dyadic n.
+    """d(S_n) = ||S_n - m u||_1 for S_n = (1/n) sum_{k=1..n} mu^k, dyadic n,
+    m the mass of S_n, bracketing sup_x ||f_x * S_n||_1 as in empirical_mixing.
 
-    The k = 0 term is left out: it contributes a fixed tv_norm(f_x)/n
-    that says nothing about mu and would dominate every average (the
-    uniform measure must come out exactly 0). Lambda_alpha(mu^k) is
+    The k = 0 term is left out: it contributes a fixed delta_e / n that
+    says nothing about mu and would dominate every average (the uniform
+    measure must come out exactly 0). Lambda_alpha(mu^k) is
     Lambda_alpha(mu)^k, so the sums walk the Fourier-block powers and S_n
     is read back from the block sums.
     """
@@ -375,8 +365,10 @@ def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
     The mixing rows are the powers themselves. The block sums
     S_n = sum_{k=1..n} P^k double as S_2n = S_n + P^n S_n, and the Gram sums
     of empirical_weak_mixing as G_2n = G_n + P^n G_n (P^n)^*. One read-back
-    and one translate-gap sweep serve the mixing and ergodic rows together.
-    A curve a caller does not read costs one row at n_max = 1.
+    serves the mixing and ergodic rows together. Each row w reports d(w)
+    against its own mass m, not 1: the chain's mass drifts like (1 + eps)^n,
+    and u scaled by 1 would break d <= sup gap. A curve a caller does not
+    read costs one row at n_max = 1.
     """
     for n_max in (mixing_n_max, cesaro_n_max):
         if n_max < 1 or n_max & (n_max - 1):
@@ -394,10 +386,10 @@ def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
         grams.append(grams[-1] + pn[:, None] @ grams[-1] @ pn[:, None].conj().swapaxes(-1, -2))
     rows = _measure_of_blocks(g, np.stack(powers[:n_mix] + sums), reps).real
     rows[n_mix:] /= np.array(ns[:n_ces])[:, None]
-    gaps = _translate_gaps(g, rows).tolist()
+    dists = np.abs(rows - rows.sum(axis=1, keepdims=True) / g.size).sum(axis=1).tolist()
 
-    mix = tuple(zip(ns, gaps[:n_mix]))
-    erg = tuple(zip(ns, gaps[n_mix:]))
+    mix = tuple(zip(ns, dists[:n_mix]))
+    erg = tuple(zip(ns, dists[n_mix:]))
 
     orders = _phase_orders(g, reps)
     wm = tuple((n, float(_row_max(gram, orders).max()) / n) for n, gram in zip(ns, grams))
@@ -407,9 +399,9 @@ def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
     window = max(float(_row_max(grams[-1] - last, orders).max()), 0.0) \
         / (cesaro_n_max - cesaro_n_max // 2)
     return (DecayCurve(mix, MIXING_THRESHOLD,
-                       *_decide(mix, MIXING_THRESHOLD, "MIXING", "NOT_MIXING")),
+                       *_decide(_upper(mix), MIXING_THRESHOLD, "MIXING", "NOT_MIXING")),
             DecayCurve(erg, ERGODIC_THRESHOLD,
-                       *_decide(erg, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")),
+                       *_decide(_upper(erg), ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")),
             DecayCurve(wm, WEAK_MIXING_THRESHOLD,
                        *_weak_mixing_verdict(wm, float(np.sqrt(window)))))
 

@@ -78,13 +78,17 @@ _SETTINGS = ("tol", "n_max", "seed")
 # largest |G| a group file may declare: every command first allocates a
 # |G|-long complex measure (16 MB here)
 MAX_GROUP_ORDER = 1 << 20
+# largest |K| a group file may declare, whatever the modulus: checking the
+# table's associativity holds two |K|^3 int64 tables (a cyclic table at the
+# bound took 0.18 s and peaked at 67 MB, 2-vCPU x86-64)
+MAX_K_ORDER = 1 << 7
 # largest |G| classify takes: on a dense support the conjugation and the
 # subgroup closure of cross_check hold |G| x |support| index tables; at the
-# bound a random dense measure took 6.9 s and peaked at 421 MB
+# bound a random dense measure took 3.5 s and peaked at 426 MB
 MAX_CLASSIFY_ORDER = 1 << 12
 # largest --n-max classify takes: every dyadic point adds a row to the
-# power chain, the block read-back and the translate-gap sweep; at
-# |G| = 4096 a random dense measure took 8.3 s at the bound, 7.6 s at 1024
+# power chain and the block read-back; at |G| = 4096 a random dense
+# measure took 3.6 s at the bound, 3.5 s at 1024 (2-vCPU x86-64)
 MAX_CLASSIFY_N_MAX = 1 << 20
 # largest window rosenblatt takes: the phase sweep steps n rows of
 # integers of about 2.3 n bits, so defect_norm's time grows like n^2
@@ -149,6 +153,8 @@ def parse_group_data(data) -> MotionGroup:
         ab, kpart = data["abelian"], data["k"]
         n, d = (int(_integral(ab[key], f"group file: {key}")) for key in ("modulus", "rank"))
         table, action = (_integral(kpart[key], f"group file: k {key}") for key in ("table", "action"))
+        if len(table) > MAX_K_ORDER:
+            raise ParseError(f"group file: |K| exceeds {MAX_K_ORDER} elements")
         # for n >= 2, n^21 already exceeds the budget: cap the power there
         if n >= 2 and d >= 1 and n ** min(d, 21) * len(table) > MAX_GROUP_ORDER:
             raise ParseError(f"group file: |G| exceeds {MAX_GROUP_ORDER} elements")

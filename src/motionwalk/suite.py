@@ -8,7 +8,7 @@ construction rather than by luck:
   exactly uniform + b^k*(nu^k - uniform), so every nontrivial spectral
   radius is at most b and both power decay and Cesaro averages settle far
   inside the empirical thresholds,
-* measures supported on proper subgroups (not adapted, exact floor 2),
+* measures supported on proper subgroups (not adapted, translate gap 2),
 * uniform measures on a translation coset A x {s} (adapted but periodic:
   nonzero-orbit blocks vanish identically while the point-group component
   cycles),
@@ -18,7 +18,8 @@ construction rather than by luck:
 
 Radii of cases meant to mix stay at or below about 1/3 so the Cesaro
 average of any nonzero-orbit block over 512 steps stays under 1e-3; cases
-meant not to mix keep a translate gap that is constant to rounding.
+meant not to mix keep a distance ||mu^n - u||_1 to Haar (classify's d)
+that is constant to rounding.
 Everything is seeded by case name, so rebuilding the battery is
 reproducible.
 """

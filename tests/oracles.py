@@ -2,12 +2,13 @@
 test-only helpers.
 
 Elementwise induced-representation matrices, K-side reconstructions,
-central measures, the per-step Cesaro loops, the convolution-squaring
-Gelfand chain and power chain, and the lattice walk's per-entry integer
-phase route: each builds its answer a different way from the code under
-test, one element or one step at a time. The lattice walk's phase
-exponent and aperiodicity certificate, and the sampled measures of the
-radius-formula sweeps, are read only by the tests.
+central measures, the exact translate-gap sweep, the per-step walk and
+Cesaro loops, the convolution-squaring Gelfand chain and power chain, and
+the lattice walk's per-entry integer phase route: each builds its answer
+a different way from the code under test, one element or one step at a
+time. The lattice walk's phase exponent and aperiodicity certificate, and
+the sampled measures of the radius-formula sweeps, are read only by the
+tests.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from motionwalk.families import (
     swap_group,
     trivial_group,
 )
-from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits
+from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits, products
 from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
 from motionwalk.reps import compress_to_complement, fourier
 from motionwalk.rosenblatt import (
@@ -175,25 +176,45 @@ def mean_zero_basis(g: MotionGroup) -> List[GroupMeasure]:
     return out
 
 
-# ------------------------------------------------------ per-step Cesaro loops
+# ----------------------------------------- translate gaps and per-step loops
 
-def per_step_ergodic_points(mu, n_max):
-    """The per-step Cesaro loop the chunked routine replaced."""
+def translate_gaps(g: MotionGroup, rows: np.ndarray) -> np.ndarray:
+    """sup_x ||delta_x * w - w||_1 for each row w of rows: the paper's sup
+    over the mean-zero basis f_x = delta_x - delta_e, exactly, which the
+    classifier's d(w) = ||w - m u||_1 brackets as d <= sup <= 2d. Row x of
+    w[products(g, x, y)] is w(x .) = delta_{x^-1} * w, the same translates
+    in another order."""
+    xs = np.arange(g.size)
+    table = products(g, xs[:, None], xs)
+    return np.array([np.abs(w[table] - w).sum(axis=1).max() for w in rows])
+
+
+def per_step_points(mu: GroupMeasure, n_max: int) -> Dict[str, Tuple[list, list]]:
+    """The per-step walk p_k = p_{k-1} * mu through the dense matrix of
+    right convolution by mu, k = 1..n_max. At each dyadic n, for mu^n
+    ("mixing") and for the Cesaro average (1/n) sum_{k=1..n} mu^k
+    ("ergodic"): the points of the distance d to the row's mass times
+    Haar, and the points of the exact translate gap."""
     g = mu.group
     checkpoints = {1 << j for j in range(n_max.bit_length())}
-    m = mu.weights[g.mult_table()[g.inv_perm(), :]]
+    m = mu.weights[products(g, g.inv_perm()[:, None], np.arange(g.size))]
     p = np.zeros(g.size, dtype=np.complex128)
     p[g.index(g.identity())] = 1.0
     acc = np.zeros_like(p)
-    points = []
+    ns, rows = [], {"mixing": [], "ergodic": []}
     for count in range(1, n_max + 1):
         p = p @ m
         acc += p
         if count in checkpoints:
-            w = acc / count
-            shifted = w[g.mult_table()[g.inv_perm(), :]]
-            points.append((count, float(np.abs(shifted - w[None, :]).sum(axis=1).max())))
-    return points
+            ns.append(count)
+            rows["mixing"].append(p.copy())
+            rows["ergodic"].append(acc / count)
+    out = {}
+    for curve, ws in rows.items():
+        ws = np.array(ws)
+        dists = np.abs(ws - ws.sum(axis=1, keepdims=True) / g.size).sum(axis=1)
+        out[curve] = (list(zip(ns, dists.tolist())), list(zip(ns, translate_gaps(g, ws).tolist())))
+    return out
 
 
 def per_step_weak_mixing(mu, n_max):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from motionwalk.classify import TriState, cross_check
+from motionwalk.classify import ERGODIC_THRESHOLD, MIXING_THRESHOLD, TriState, _decide, cross_check
 from motionwalk.groups import Character, dual_orbits
 from motionwalk.measures import convolve, tv_norm
 from motionwalk.reps import fourier, rep_of_measure
@@ -32,6 +32,7 @@ from motionwalk.suite import acceptance_suite, roster
 from oracles import (
     central_measure,
     orbit_conjugation_check,
+    per_step_points,
     pik_consistency,
     random_complex_measure,
     spectral_sample_groups,
@@ -271,3 +272,23 @@ def test_criterion_9_simulation_consistency(suite):
         tv = 0.5 * float(np.abs(emp.weights - exact.weights).sum())
         bound = 4.0 * np.sqrt(g.size / trials)
         assert tv <= bound, (case.name, tv, bound)
+
+
+def test_suite_curves_bracket_the_exact_translate_gaps(classified):
+    """On every case, each mixing and ergodic point d lies in the Haar
+    bracket d <= gap <= 2d of the exact translate gap of the per-step walk,
+    and each verdict is _decide's on the exact gaps wherever that is
+    conclusive."""
+    pairs, _ = classified
+    for case, v in pairs:
+        exact = per_step_points(case.measure, 1024)
+        for key, curve, threshold, pos, neg in (
+                ("mixing", v.empirical_mixing, MIXING_THRESHOLD, "MIXING", "NOT_MIXING"),
+                ("ergodic", v.empirical_ergodic, ERGODIC_THRESHOLD, "ERGODIC", "NOT_ERGODIC")):
+            gaps = exact[key][1][:len(curve.points)]
+            assert [n for n, _ in curve.points] == [n for n, _ in gaps]
+            for (n, d), (_, gap) in zip(curve.points, gaps):
+                assert d - 1e-12 <= gap <= 2.0 * d + 1e-12, (case.name, key, n, d, gap)
+            verdict, decays = _decide(gaps, threshold, pos, neg)
+            if decays is not None:
+                assert curve.verdict == verdict, (case.name, key)

@@ -15,7 +15,6 @@ from motionwalk.classify import (
     _decide,
     _phase_orders,
     _row_max,
-    _translate_gaps,
     _weak_mixing_verdict,
     adapted,
     check_s,
@@ -32,7 +31,7 @@ from motionwalk.measures import delta, from_weights, uniform, uniform_on
 from motionwalk.simulate import exact_powers
 
 from conftest import d4_group, negation_group, rotation_group, scaling_group, swap_group
-from oracles import lambda_elem, per_step_ergodic_points, per_step_weak_mixing
+from oracles import lambda_elem, per_step_points, per_step_weak_mixing, translate_gaps
 
 
 def two_atom_walk(g):
@@ -158,8 +157,8 @@ def test_cross_check_builds_no_mult_table(no_mult_table):
 
 
 def test_cross_check_transforms_and_sweeps_once(monkeypatch):
-    # the three curves share one block stack, one power chain, one read-back
-    # and one translate-gap sweep
+    # the three curves share one block stack, one power chain and one
+    # read-back
     calls = {}
 
     def counted(name):
@@ -170,7 +169,7 @@ def test_cross_check_transforms_and_sweeps_once(monkeypatch):
             return f(*args, **kwargs)
         return call
 
-    names = ("_blocks", "_dyadic_powers", "_measure_of_blocks", "_translate_gaps")
+    names = ("_blocks", "_dyadic_powers", "_measure_of_blocks")
     for name in names:
         monkeypatch.setattr(classify, name, counted(name))
     v = cross_check(five_atom_walk(rotation_group(16)))
@@ -213,7 +212,8 @@ def test_empirical_mixing_patterns(order10):
     assert all(v < 1e-14 for _, v in curve.points)   # roundoff only
     curve = empirical_mixing(delta(order10, order10.identity()), n_max=64)
     assert curve.verdict == "NOT_MIXING"
-    assert all(v == 2.0 for _, v in curve.points)
+    # a point mass lies 2 - 2/|G| from Haar; its translate gap is 2
+    assert all(abs(v - (2.0 - 2.0 / order10.size)) <= 1e-15 for _, v in curve.points)
 
 
 def test_empirical_mixing_two_atom_walk(order10):
@@ -230,38 +230,64 @@ def test_empirical_mixing_two_atom_walk(order10):
     assert values[1024] < 1e-12
 
 
+def _assert_in_bracket(points, exact):
+    # d <= sup gap <= 2d, with room for rounding far below every threshold
+    assert [n for n, _ in points] == [n for n, _ in exact]
+    for (n, d), (_, gap) in zip(points, exact):
+        assert d - 1e-12 <= gap <= 2.0 * d + 1e-12, (n, d, gap)
+
+
 @pytest.mark.parametrize("group", ["order10", "order72", "rotation4"])
-@pytest.mark.parametrize("width", [1, 7])
-def test_translate_gaps_match_dense_table(request, monkeypatch, group, width):
-    # chunks of `width` columns, the last one partial on every group here,
-    # against the gap read off the whole dense table
+@pytest.mark.parametrize("scale", [1, 7])
+def test_translate_gaps_match_dense_table(request, group, scale):
+    # the Haar bracket ||w - m u||_1 <= sup_x ||delta_x * w - w||_1 <= 2 ||w - m u||_1
+    # for rows w of any mass m (scale 7 moves the point mass and the uniform
+    # row off mass 1), against the exact gap over the whole products table
     g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
-    assert g.size % width != 0 or width == 1
-    monkeypatch.setattr(classify, "GAP_CHUNK_ENTRIES", width * g.size)
     rng = np.random.default_rng(g.size)
-    rows = np.vstack([rng.random(g.size), np.eye(g.size)[3], np.full(g.size, 1 / g.size),
-                      rng.random(g.size) * (rng.random(g.size) < 0.2)])
-    table = g.mult_table()
-    want = [np.abs(w[table] - w).sum(axis=1).max() for w in rows]
-    got = _translate_gaps(g, rows)
-    assert got.shape == (len(rows),)
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    rows = scale * np.vstack([rng.random(g.size), np.eye(g.size)[3], np.full(g.size, 1 / g.size),
+                              rng.random(g.size) * (rng.random(g.size) < 0.2)])
+    dists = np.abs(rows - rows.sum(axis=1, keepdims=True) / g.size).sum(axis=1)
+    gaps = translate_gaps(g, rows)
+    assert gaps.shape == (len(rows),)
+    _assert_in_bracket(list(enumerate(dists)), list(enumerate(gaps)))
+    # a point mass: every nontrivial translate misses it, and it lies
+    # 2 - 2/|G| from Haar
+    assert gaps[1] == 2.0 * scale
+    assert abs(dists[1] - scale * (2.0 - 2.0 / g.size)) <= 1e-12
+    assert gaps[2] <= 1e-15 and dists[2] <= 1e-15
 
 
 def test_mixing_gap_is_within_twice_the_distance_to_uniform():
-    # ||w - u||_1 <= sup_x ||delta_x * w - w||_1 <= 2 ||w - u||_1 for u
-    # uniform: the translates average to u, and each lies as far from u as
-    # w does. w = mu^n from the convolution squares, at |G| = 2304
+    # each point is the distance of mu^n to Haar, mu^n from the convolution
+    # squares, at |G| = 2304, and brackets the exact translate gap
     g = rotation_group(24)
     mu = five_atom_walk(g)
     curve = empirical_mixing(mu)
     ns = [n for n, _ in curve.points]
     assert ns[-1] == 1024 and curve.verdict == "MIXING"
-    for (n, gap), power in zip(curve.points, exact_powers(mu, ns)):
-        dist = np.abs(power.weights.real - 1 / g.size).sum()
-        assert dist - 1e-12 <= gap <= 2 * dist + 1e-12, n
-    # some translate of the five atoms misses them all
-    assert abs(curve.points[0][1] - 2.0) <= 1e-12
+    rows = np.array([power.weights.real for power in exact_powers(mu, ns)])
+    for (n, d), row in zip(curve.points, rows):
+        assert abs(d - np.abs(row - 1 / g.size).sum()) <= 1e-12, n
+    gaps = translate_gaps(g, rows)
+    _assert_in_bracket(curve.points, list(zip(ns, gaps)))
+    # some translate of the five atoms misses them all: the gap is 2, the
+    # distance 2 - 10/|G|
+    assert abs(gaps[0] - 2.0) <= 1e-12
+    assert abs(curve.points[0][1] - (2.0 - 10.0 / g.size)) <= 1e-12
+
+
+@pytest.mark.parametrize("target, verdict", [(0.3e-6, "MIXING"), (0.7e-6, "INCONCLUSIVE")])
+def test_mixing_verdict_reads_the_upper_end_of_the_bracket(order10, target, verdict):
+    # the lazy walk's mu^n = (1-h)^n delta_e + (1 - (1-h)^n) u lies
+    # d = (1-h)^n (2 - 2/|G|) from Haar; its exact gap 2 (1-h)^n is below the
+    # threshold either way. h puts d(mu^1024) at target: only a d below half
+    # the threshold certifies MIXING
+    h = 1.0 - (target / (2.0 - 2.0 / order10.size)) ** (1 / 1024)
+    curve = empirical_mixing(lazy_perturbed(order10, h))
+    assert abs(curve.points[-1][1] - target) <= 1e-12
+    assert 2.0 * (1.0 - h) ** 1024 < classify.MIXING_THRESHOLD
+    assert curve.verdict == verdict
 
 
 def test_empirical_mixing_rejects_bad_n_max(order10):
@@ -283,7 +309,7 @@ def test_empirical_ergodic_patterns(order10):
     assert all(v < 1e-13 for _, v in curve.points)
     curve = empirical_ergodic(delta(order10, order10.identity()), n_max=64)
     assert curve.verdict == "NOT_ERGODIC"
-    assert all(v == 2.0 for _, v in curve.points)
+    assert all(abs(v - (2.0 - 2.0 / order10.size)) <= 1e-15 for _, v in curve.points)
 
 
 def test_order_two_atom_is_ergodic_not_mixing(z2):
@@ -291,7 +317,7 @@ def test_order_two_atom_is_ergodic_not_mixing(z2):
     mix = empirical_mixing(mu, n_max=512)
     erg = empirical_ergodic(mu, n_max=512)
     assert mix.verdict == "NOT_MIXING"
-    assert all(v == 2.0 for _, v in mix.points)
+    assert all(v == 2.0 - 2.0 / z2.size for _, v in mix.points)
     assert erg.verdict == "ERGODIC"
     # even-time Cesaro averages cancel exactly
     assert dict(erg.points)[512] == 0.0
@@ -455,7 +481,7 @@ def test_phase_coset_max_matches_every_element(maker):
 
 @pytest.mark.parametrize("x", [GElem((0,), 0), GElem((1,), 0), GElem((0,), 1)])
 def test_point_mass_mixing_curve_stays_flat(x):
-    # the translate gap of a point mass never decays; the FFT squarings must
+    # a point mass stays 2 - 2/|G| from Haar; the FFT squarings must
     # keep the curve flat far inside the 1e-9 that the NOT_MIXING floor needs
     curve = empirical_mixing(delta(negation_group(97), x))
     assert curve.verdict == "NOT_MIXING"
@@ -490,12 +516,15 @@ def test_cesaro_curves_match_per_step_loop(maker):
     for mu in measures + [nearly_real]:
         for n_max in (1, 2, 64, 512):
             erg = empirical_ergodic(mu, n_max=n_max)
-            want = per_step_ergodic_points(mu, n_max)
+            want, exact = per_step_points(mu, n_max)["ergodic"]
             if mu is nearly_real:
                 assert erg == empirical_ergodic(from_weights(g, mu.weights.real), n_max=n_max)
             else:
                 _assert_curve_matches(erg, want)
-            assert erg.verdict == _decide(want, 0.02, "ERGODIC", "NOT_ERGODIC")[0]
+            _assert_in_bracket(erg.points, exact)
+            verdict, decays = _decide(exact, 0.02, "ERGODIC", "NOT_ERGODIC")
+            if decays is not None:
+                assert erg.verdict == verdict
             wm = empirical_weak_mixing(mu, n_max=n_max)
             want, window = per_step_weak_mixing(mu, n_max)
             _assert_curve_matches(wm, want)

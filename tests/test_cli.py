@@ -11,6 +11,7 @@ from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_gr
                         uniform)
 from motionwalk.cli import (
     MAX_CLASSIFY_N_MAX,
+    MAX_K_ORDER,
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
     MAX_SIM_TRIALS,
@@ -230,7 +231,7 @@ def test_measure_field_error_is_prefixed_once(tmp_path, capsys, field):
 
 
 def test_classify_n_max_budget(tmp_path, d5, capsys):
-    # every dyadic point costs a row of the power chain and of the gap sweep
+    # every dyadic point costs a row of the power chain and of the read-back
     g, gpath = d5
     mpath = write_measure(tmp_path / "u.json", uniform(g))
     argv = ["classify", "--group", gpath, "--measure", mpath, "--n-max"]
@@ -240,6 +241,26 @@ def test_classify_n_max_budget(tmp_path, d5, capsys):
     assert main(argv + [str(MAX_CLASSIFY_N_MAX)]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["empirical_mixing"]["points"][-1][0] == MAX_CLASSIFY_N_MAX
+
+
+def cyclic_k_data(order):
+    """Z_order acting trivially on Z_1: |G| = |K|, under every |G| budget."""
+    return {"abelian": {"modulus": 1, "rank": 1},
+            "k": {"table": [[(i + j) % order for j in range(order)] for i in range(order)],
+                  "action": [[[1]]] * order}}
+
+
+def test_k_order_budget_holds_at_modulus_one(tmp_path, capsys):
+    # the |G| check skips modulus 1, and the associativity check holds two
+    # |K|^3 tables: a cyclic table one row over the cap exits 64 unbuilt
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(cyclic_k_data(MAX_K_ORDER + 1)))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"atoms": [{"a": [0], "k": 0, "re": 1.0}]}))
+    assert main(["spectrum", "--group", str(gpath), "--measure", str(mpath)]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith(f"error: group file: |K| exceeds {MAX_K_ORDER}")
+    assert parse_group_data(cyclic_k_data(MAX_K_ORDER)).size == MAX_K_ORDER
 
 
 def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):

@@ -29,3 +29,30 @@ def test_script_runs_from_the_repository_root(argv):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+CENSUS = """
+spectral radius condition: {'HOLDS': 122, 'FAILS': 78}
+mixing (empirical):        {'MIXING': 122, 'NOT_MIXING': 78}
+ergodic (empirical):       {'ERGODIC': 137, 'NOT_ERGODIC': 63}
+weak mixing (empirical):   {'WEAK_MIXING': 122, 'NOT_WEAK_MIXING': 74, 'INCONCLUSIVE': 4}
+
+inconclusive at default budgets (4):
+   sc7_2_3/point-rotation
+   sc7_2_3/coset-walk
+   sc11_3_5/point-rotation
+   sc11_3_5/coset-walk
+
+no consistency violations
+"""
+
+
+def test_suite_census_prints_the_frozen_census():
+    # everything after the timing line
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "scripts/suite_census.py"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    head, _, rest = done.stdout.partition("\n")
+    assert head.startswith("200 cases classified in ")
+    assert rest == CENSUS
