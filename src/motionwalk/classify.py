@@ -18,6 +18,15 @@ the translates delta_x * w average to m u, and each lies d from m u.
 (M) and (E) decide on 2d: a positive verdict certifies the sup below the
 threshold, a negative one a sup of at least d > 5 x threshold.
 
+(A) and (ASA) are exact, from one subgroup closure (_closure). It keeps
+a seed element only when it lies outside the subgroup built so far; by
+Lagrange each kept element at least doubles that subgroup, so at most
+log2 |G| are kept. (ASA) closes the differences s0^-1 s under
+conjugation by the d unit translations and the elements of K. These
+generate G, and in a finite group a subgroup closed under conjugation
+by a generating set is normal, so the result is the normal closure
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+
 "Nontrivial blocks" means all nonzero dual-orbit blocks plus the
 complement of the constants line inside the zero-orbit block; the
 trivial representation lives exactly on that line and is excluded.
@@ -35,7 +44,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, MotionGroup, Record, _representatives, dual_table, products
+from .groups import (Character, MotionGroup, Record, _representatives, dual_table, inverse,
+                     products)
 from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
 from .spectral import OrbitSpectral, _orbit_spectra, orbit_spectra
@@ -184,25 +194,68 @@ def _s_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
 
 # -------------------------------------------------------------- structural
 
-def _semigroup_closure(g: MotionGroup, seed: Sequence[int]) -> np.ndarray:
-    """Indices of the subgroup generated by seed (finite, so the
-    multiplicative closure already contains inverses)."""
-    gens = np.unique(np.asarray(list(seed), dtype=np.int64))
+def _closure(g: MotionGroup, seed: Sequence[int],
+             conjugators: Sequence[int] = ()) -> np.ndarray:
+    """Sorted indices of the smallest subgroup H that holds the seed and
+    is closed under x -> c x c^-1 for every c in conjugators.
+
+    The seed is walked in order, and an element x is kept only if it lies
+    outside H so far; H then grows to its closure under right
+    multiplication by every kept element and its dyadic powers
+    x^(2^j), 2^j < [G : H]. By Lagrange each kept element at least
+    doubles H, so at most log2 |G| are kept. The powers reach x^m,
+    m < [G : H], in one step per bit of m: a long cycle costs log2 of its
+    length in products calls, not its length. Once the seed is used up,
+    the conjugates c x c^-1 of the elements kept since become the seed,
+    until none is new: then every kept element's conjugates lie in H, and
+    with them all of c H c^-1.
+    """
     member = np.zeros(g.size, dtype=bool)
-    member[gens] = True
-    frontier = gens
-    while frontier.size:
-        prods = np.unique(products(g, frontier[:, None], gens))
-        fresh = prods[~member[prods]]
-        member[fresh] = True
-        frontier = fresh
+    member[0] = True                       # index 0 is the identity
+    order = 1
+    steps = np.zeros(0, dtype=np.int64)
+    conj = np.asarray(conjugators, dtype=np.int64)
+    conj_inv = g.inv_perm()[conj] if conj.size else conj
+    kept: List[int] = []                   # kept since the last conjugation
+    pending = np.asarray(seed, dtype=np.int64)
+    while order < g.size:
+        pending = pending[~member[pending]]
+        if not pending.size:
+            if not (kept and conj.size):
+                break
+            pending = products(g, products(g, conj[:, None], kept), conj_inv[:, None]).ravel()
+            kept = []
+            continue
+        x = int(pending[0])
+        kept.append(x)
+        powers = [x]
+        while 2 ** len(powers) < g.size // order:
+            p = int(products(g, powers[-1], powers[-1]))
+            if member[p] or p in powers:   # the rest lie in H or repeat
+                break
+            powers.append(p)
+        # H times the old steps stays in H: only the new steps leave it
+        frontier = (products(g, np.flatnonzero(member)[:, None], powers) if order > 1
+                    else np.array(powers))
+        steps = np.concatenate([steps, powers])
+        while True:
+            fresh = np.unique(frontier[~member[frontier]])
+            if not fresh.size:
+                break
+            member[fresh] = True
+            order += fresh.size
+            if 2 * order > g.size:         # by Lagrange only G is this large
+                member[:] = True
+                order = g.size
+                break
+            frontier = products(g, fresh[:, None], steps)
     return np.flatnonzero(member)
 
 
 def adapted(mu: GroupMeasure) -> AdaptedResult:
     """Does the support generate the whole group?"""
     require_probability(mu)
-    closure = _semigroup_closure(mu.group, mu.support())
+    closure = _closure(mu.group, mu.support())
     return AdaptedResult(closure.size == mu.group.size, int(closure.size))
 
 
@@ -210,19 +263,26 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
     """Is the support outside every coset of a proper normal subgroup?
 
     With s0 in the support, the support lies in a coset of a proper
-    normal subgroup exactly when the normal closure of
-    {s0^{-1} s : s in supp} is proper. Validates only that the support
-    is nonempty, so it can probe non-probability weight vectors too.
+    normal subgroup exactly when the normal closure N of the differences
+    {s0^{-1} s : s in supp} is proper. N comes from _closure, with the d
+    unit translations and the elements of K as conjugators: together they
+    generate G. A subgroup H of a finite group with c H c^-1 inside H has
+    c H c^-1 = H, so it is closed under conjugation by c^-1 too, and then
+    by every word in the conjugators: it is normal, and the smallest
+    normal subgroup holding the differences is N (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, on normal closures).
+    Validates only that the support is nonempty, so it can probe
+    non-probability weight vectors too.
     """
     g = mu.group
     supp = mu.support()
     if supp.size == 0:
         raise EmptySupport("measure has empty support")
-    inv = g.inv_perm()
-    diffs = products(g, inv[supp[0]], supp)
-    # conjugating the generating set first keeps the generated subgroup normal
-    conj = products(g, products(g, np.arange(g.size)[:, None], diffs), inv[:, None])
-    closure = _semigroup_closure(g, np.unique(conj))
+    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
+    diffs = products(g, g.index(inverse(g, g.element(int(supp[0])))), supp)
+    # the unit translation e_i has A-index n^(d-1-i); (0, k) has index k
+    generators = np.concatenate([n ** np.arange(d, dtype=np.int64) * nk, np.arange(1, nk)])
+    closure = _closure(g, diffs, generators)
     return AperiodicResult(closure.size == g.size, int(closure.size))
 
 

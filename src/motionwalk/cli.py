@@ -82,13 +82,15 @@ MAX_GROUP_ORDER = 1 << 20
 # table's associativity holds two |K|^3 int64 tables (a cyclic table at the
 # bound took 0.18 s and peaked at 67 MB, 2-vCPU x86-64)
 MAX_K_ORDER = 1 << 7
-# largest |G| classify takes: on a dense support the conjugation and the
-# subgroup closure of cross_check hold |G| x |support| index tables; at the
-# bound a random dense measure took 3.5 s and peaked at 426 MB
+# largest |G| classify takes. Time and memory do not set it: at the bound
+# a random dense measure took 0.14 s and peaked at 48 MB (2-vCPU x86-64).
+# The fixed guard band of the spectral checks does: from about |G| = 2^15
+# a mixing walk's 1 - rho falls below tol = 1e-8 and reads SR FAILS
 MAX_CLASSIFY_ORDER = 1 << 12
 # largest --n-max classify takes: every dyadic point adds a row to the
 # power chain and the block read-back; at |G| = 4096 a random dense
-# measure took 3.6 s at the bound, 3.5 s at 1024 (2-vCPU x86-64)
+# measure took 0.14 s and peaked at 51 MB at the bound, 48 MB at 1024
+# (2-vCPU x86-64)
 MAX_CLASSIFY_N_MAX = 1 << 20
 # largest window rosenblatt takes: the phase sweep steps n rows of
 # integers of about 2.3 n bits, so defect_norm's time grows like n^2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from typing import Iterator, List, Sequence, Tuple
 
@@ -178,6 +179,14 @@ class MotionGroup:
         xs = np.arange(self.size)
         return products(self, xs[:, None], xs)
 
+    @cached_property
+    def _moved_digits(self) -> np.ndarray:
+        """(d, |K|, |A|) int32 table of the digits of M_k b, for products:
+        built once per group, so a call costs its broadcast shape, not |G|."""
+        n = self.abelian.modulus
+        moved = np.einsum("kcd,bd->ckb", self.k.action, self.abelian.vectors()) % n
+        return moved.astype(np.int32)
+
     def inv_perm(self) -> np.ndarray:
         """Index permutation x -> x^{-1}, from
         (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1})."""
@@ -188,16 +197,24 @@ class MotionGroup:
 
 
 def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by cofactor expansion (d is small)."""
-    d = len(m)
-    if d == 1:
-        return int(m[0][0])
-    total = 0
-    for j in range(d):
-        minor = [[int(row[c]) for c in range(d) if c != j] for row in m[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * int(m[0][j]) * _int_det(minor)
-    return total
+    """Exact integer determinant by fraction-free Bareiss elimination on
+    Python ints, d^3 steps: after step k every entry of the trailing block
+    is a (k+1) x (k+1) minor, so the division by the previous pivot is
+    exact and no entry outgrows the Hadamard bound."""
+    a = [[int(v) for v in row] for row in m]
+    d, sign, prev = len(a), 1, 1
+    for k in range(d - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, d) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _validate_k_table(table: np.ndarray) -> np.ndarray:
@@ -341,13 +358,14 @@ def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
 def products(g: MotionGroup, xs, ys) -> np.ndarray:
     """int32 index of x * y for index arrays xs and ys broadcast against
     each other, from (a, k)(b, m) = (a + M_k b, k m): the package's one
-    group law. The digits of M_k b come from a (d, |K|, |A|) table, and
-    a + M_k b is added digit by digit in place, so the temporaries are two
-    int32 arrays of the broadcast shape and a few of the shape of xs."""
+    group law. The digits of M_k b come from the group's (d, |K|, |A|)
+    table, and a + M_k b is added digit by digit in place, so the
+    temporaries are two int32 arrays of the broadcast shape and a few of
+    the shape of xs."""
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
     a, k = np.divmod(np.asarray(xs), nk)
     b, m = np.divmod(np.asarray(ys), nk)
-    moved = (np.einsum("kcd,bd->ckb", g.k.action, g.abelian.vectors()) % n).astype(np.int32)
+    moved = g._moved_digits
     out = g.k.table.astype(np.int32)[k, m]
     for c in range(d):
         place = n ** (d - 1 - c)

@@ -2,13 +2,14 @@
 test-only helpers.
 
 Elementwise induced-representation matrices, K-side reconstructions,
-central measures, the exact translate-gap sweep, the per-step walk and
-Cesaro loops, the convolution-squaring Gelfand chain and power chain, and
-the lattice walk's per-entry integer phase route: each builds its answer
-a different way from the code under test, one element or one step at a
-time. The lattice walk's phase exponent and aperiodicity certificate, and
-the sampled measures of the radius-formula sweeps, are read only by the
-tests.
+central measures, the cofactor determinant, the breadth-first subgroup
+closures, the exact translate-gap sweep, the per-step walk and Cesaro
+loops, the convolution-squaring Gelfand chain and power chain, and the
+lattice walk's per-entry integer phase route: each builds its answer a
+different way from the code under test, one element or one step at a
+time. The lattice walk's phase exponent and aperiodicity certificate,
+and the sampled measures of the radius-formula sweeps, are read only by
+the tests.
 """
 from __future__ import annotations
 
@@ -120,6 +121,55 @@ def pik_consistency(mu: GroupMeasure) -> float:
     for k in range(g.k.order):
         rhs += kw[k] * left_regular_k(g, g.k.inv(k))
     return float(np.abs(lhs - rhs).max())
+
+
+# ------------------------------------------------------- integer determinants
+
+def cofactor_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by cofactor expansion along the first
+    row: d! terms."""
+    d = len(m)
+    if d == 1:
+        return int(m[0][0])
+    total = 0
+    for j in range(d):
+        minor = [[int(row[c]) for c in range(d) if c != j] for row in m[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * int(m[0][j]) * cofactor_det(minor)
+    return total
+
+
+# --------------------------------------------------------- subgroup closures
+
+def semigroup_closure(g: MotionGroup, seed: Sequence[int]) -> np.ndarray:
+    """Indices of the subgroup generated by seed (finite, so the
+    multiplicative closure already contains inverses): breadth first, every
+    frontier times every generator."""
+    gens = np.unique(np.asarray(list(seed), dtype=np.int64))
+    member = np.zeros(g.size, dtype=bool)
+    member[gens] = True
+    frontier = gens
+    while frontier.size:
+        prods = np.unique(products(g, frontier[:, None], gens))
+        fresh = prods[~member[prods]]
+        member[fresh] = True
+        frontier = fresh
+    return np.flatnonzero(member)
+
+
+def structure(mu: GroupMeasure) -> Tuple[bool, int, bool, int]:
+    """(adapted, subgroup size, strictly aperiodic, normal closure size)
+    of the support: the subgroup the support generates, and the one
+    generated by every conjugate x d x^-1, x in G, of every difference
+    d = s0^-1 s, which is the normal closure of the differences."""
+    g = mu.group
+    supp = mu.support()
+    sub = semigroup_closure(g, supp)
+    inv = g.inv_perm()
+    diffs = products(g, inv[supp[0]], supp)
+    conj = products(g, products(g, np.arange(g.size)[:, None], diffs), inv[:, None])
+    normal = semigroup_closure(g, np.unique(conj))
+    return sub.size == g.size, int(sub.size), normal.size == g.size, int(normal.size)
 
 
 # ------------------------------------------------------------------ measures

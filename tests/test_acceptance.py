@@ -36,6 +36,7 @@ from oracles import (
     pik_consistency,
     random_complex_measure,
     spectral_sample_groups,
+    structure,
 )
 
 
@@ -292,3 +293,14 @@ def test_suite_curves_bracket_the_exact_translate_gaps(classified):
             verdict, decays = _decide(gaps, threshold, pos, neg)
             if decays is not None:
                 assert curve.verdict == verdict, (case.name, key)
+
+
+def test_suite_structure_matches_the_breadth_first_closures(classified):
+    """On every case, the subgroup the support generates and the normal
+    closure of its differences have the sizes of the breadth-first
+    closures, the latter over all |G| conjugates of every difference."""
+    pairs, _ = classified
+    for case, v in pairs:
+        got = (v.adapted.adapted, v.adapted.subgroup_size,
+               v.strictly_aperiodic.strictly_aperiodic, v.strictly_aperiodic.closure_size)
+        assert got == structure(case.measure), case.name

@@ -26,12 +26,19 @@ from motionwalk.classify import (
     strictly_aperiodic_check,
 )
 from motionwalk.errors import EmptySupport, NotProbability
-from motionwalk.groups import GElem, _representatives, dual_orbits
+from motionwalk.groups import GElem, _representatives, dual_orbits, products
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
 from motionwalk.simulate import exact_powers
 
-from conftest import d4_group, negation_group, rotation_group, scaling_group, swap_group
-from oracles import lambda_elem, per_step_points, per_step_weak_mixing, translate_gaps
+from conftest import (
+    d4_group,
+    negation_group,
+    rotation_group,
+    scaling_group,
+    swap_group,
+    trivial_group,
+)
+from oracles import lambda_elem, per_step_points, per_step_weak_mixing, structure, translate_gaps
 
 
 def two_atom_walk(g):
@@ -204,6 +211,59 @@ def test_strictly_aperiodic(order10):
     assert not r.strictly_aperiodic and r.closure_size == 5
     with pytest.raises(EmptySupport):
         strictly_aperiodic_check(from_weights(order10, np.zeros(10)))
+
+
+def structural(mu):
+    a, s = adapted(mu), strictly_aperiodic_check(mu)
+    return a.adapted, a.subgroup_size, s.strictly_aperiodic, s.closure_size
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(6), lambda: scaling_group(7, 2, 3),
+                                   lambda: swap_group(4), lambda: rotation_group(6),
+                                   lambda: trivial_group(3, 3), lambda: d4_group(3)],
+                         ids=["negation6", "scaling7", "swap4", "rotation6", "z3_cubed", "d4_3"])
+def test_closures_match_breadth_first_oracle(maker):
+    # sparse supports of 1-4 atoms: proper subgroups and proper normal
+    # closures are common, and d4_3 has a non-abelian K
+    g = maker()
+    rng = np.random.default_rng(g.size)
+    for _ in range(60):
+        w = np.zeros(g.size)
+        w[rng.choice(g.size, rng.integers(1, 5), replace=False)] = 1.0
+        mu = from_weights(g, w / w.sum())
+        assert structural(mu) == structure(mu)
+
+
+def lazy_cycle_walk(n, step):
+    """Half the identity, half the translation by step, on Z_n."""
+    g = trivial_group(n)
+    w = np.zeros(n)
+    w[[0, step]] = 0.5
+    return from_weights(g, w)
+
+
+def test_closures_step_by_dyadic_powers(monkeypatch):
+    # a kept element's powers x^(2^j) cross a 4096-cycle in about log2 |G|
+    # products calls; one call per step of the cycle would take 4095
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return products(*args)
+    monkeypatch.setattr(classify, "products", counted)
+    mu = lazy_cycle_walk(4096, 1)
+    for check in (adapted, strictly_aperiodic_check):
+        calls.clear()
+        check(mu)
+        assert len(calls) <= 4 * 12, check.__name__
+
+
+def test_closures_on_long_cycles():
+    n = 1 << 15
+    assert structural(lazy_cycle_walk(n, 1)) == (True, n, True, n)
+    # steps of 2 reach only the even residues: a proper subgroup, normal,
+    # that holds the support
+    assert structural(lazy_cycle_walk(n, 2)) == (False, n // 2, False, n // 2)
 
 
 def test_empirical_mixing_patterns(order10):

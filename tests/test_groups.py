@@ -1,6 +1,12 @@
 """Group construction, element arithmetic and the dual action."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +16,7 @@ from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
 from motionwalk.groups import (
     Character,
     GElem,
+    _int_det,
     _representatives,
     build_motion_group,
     dual_action,
@@ -29,6 +36,9 @@ from conftest import (
     swap_group,
     trivial_group,
 )
+from oracles import cofactor_det
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_axioms(g) -> None:
@@ -66,6 +76,34 @@ def test_bad_action_is_not_a_homomorphism():
 def test_noninvertible_action_rejected():
     with pytest.raises(NotInvertible):
         build_motion_group(4, 1, cyclic_table(2), [[[1]], [[2]]])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_int_det_matches_cofactor_expansion(d):
+    # small entries make zero pivots and singular matrices common
+    rng = np.random.default_rng(d)
+    for _ in range(60):
+        m = rng.integers(-3, 4, size=(d, d))
+        if rng.random() < 0.2 and d > 1:
+            m[rng.integers(d)] = m[rng.integers(d)]
+        assert _int_det(m.tolist()) == cofactor_det(m.tolist())
+    big = rng.integers(-10**12, 10**12, size=(d, d)).tolist()
+    assert _int_det(big) == cofactor_det(big)
+
+
+def test_rank_20_group_file_parses_without_factorial_determinant():
+    # |G| = 2^20 is inside MAX_GROUP_ORDER; a d! determinant would stall
+    # the parse, so it runs in a child process under a timeout
+    data = {"abelian": {"modulus": 2, "rank": 20},
+            "k": {"table": [[0]], "action": [np.eye(20, dtype=int).tolist()]}}
+    code = ("import json, sys\n"
+            "from motionwalk.cli import parse_group_data\n"
+            "print(parse_group_data(json.loads(sys.stdin.read())).size)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], input=json.dumps(data), env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 1 << 20
 
 
 def test_broken_table_rejected():
