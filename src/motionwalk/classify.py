@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import (Character, MotionGroup, Record, _representatives, dual_table, inverse,
+from .groups import (Character, GElem, MotionGroup, Record, _representatives, dual_table,
                      products)
 from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
@@ -194,10 +194,11 @@ def _s_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
 
 # -------------------------------------------------------------- structural
 
-def _closure(g: MotionGroup, seed: Sequence[int],
-             conjugators: Sequence[int] = ()) -> np.ndarray:
+def _closure(g: MotionGroup, seed: Sequence[int], conjugators: Sequence[int] = (),
+             conjugator_inverses: Sequence[int] = ()) -> np.ndarray:
     """Sorted indices of the smallest subgroup H that holds the seed and
-    is closed under x -> c x c^-1 for every c in conjugators.
+    is closed under x -> c x c^-1 for every c in conjugators, whose
+    inverses conjugator_inverses lists in the same order.
 
     The seed is walked in order, and an element x is kept only if it lies
     outside H so far; H then grows to its closure under right
@@ -215,7 +216,7 @@ def _closure(g: MotionGroup, seed: Sequence[int],
     order = 1
     steps = np.zeros(0, dtype=np.int64)
     conj = np.asarray(conjugators, dtype=np.int64)
-    conj_inv = g.inv_perm()[conj] if conj.size else conj
+    conj_inv = np.asarray(conjugator_inverses, dtype=np.int64)
     kept: List[int] = []                   # kept since the last conjugation
     pending = np.asarray(seed, dtype=np.int64)
     while order < g.size:
@@ -278,11 +279,13 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
     supp = mu.support()
     if supp.size == 0:
         raise EmptySupport("measure has empty support")
-    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    diffs = products(g, g.index(inverse(g, g.element(int(supp[0])))), supp)
-    # the unit translation e_i has A-index n^(d-1-i); (0, k) has index k
-    generators = np.concatenate([n ** np.arange(d, dtype=np.int64) * nk, np.arange(1, nk)])
-    closure = _closure(g, diffs, generators)
+    d = g.abelian.rank
+    inv = g.inv_perm()
+    diffs = products(g, inv[supp[0]], supp)
+    # g.index reduces mod n: at modulus 1 every unit translation is the identity
+    units = [g.index(GElem(tuple(int(i == j) for j in range(d)), 0)) for i in range(d)]
+    generators = np.concatenate([units, np.arange(1, g.k.order)]).astype(np.int64)
+    closure = _closure(g, diffs, generators, inv[generators])
     return AperiodicResult(closure.size == g.size, int(closure.size))
 
 

@@ -22,10 +22,13 @@ from motionwalk.cli import (
     parse_group_data,
     parse_measure_data,
 )
+from motionwalk.classify import strictly_aperiodic_check
 from motionwalk.errors import ParseError
 from motionwalk.measures import from_weights
 from motionwalk import simulate
 from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
+
+from oracles import structure
 
 
 def write_group(path, g):
@@ -261,6 +264,30 @@ def test_k_order_budget_holds_at_modulus_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith(f"error: group file: |K| exceeds {MAX_K_ORDER}")
     assert parse_group_data(cyclic_k_data(MAX_K_ORDER)).size == MAX_K_ORDER
+
+
+@pytest.mark.parametrize("order", [1, 2, 6, 12])
+def test_structure_at_modulus_one_matches_breadth_first_oracle(tmp_path, capsys, order):
+    # A = Z_1 has one element, so every unit translation is the identity
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(cyclic_k_data(order)))
+    g = parse_group_data(cyclic_k_data(order))
+    rng = np.random.default_rng(order)
+    for _ in range(5):
+        ks = rng.choice(order, min(order, int(rng.integers(1, 4))), replace=False)
+        data = {"atoms": [{"a": [0], "k": int(k), "re": 1.0 / ks.size} for k in ks]}
+        mu = parse_measure_data(g, data)
+        expected = structure(mu)
+        sa = strictly_aperiodic_check(mu)
+        assert (sa.strictly_aperiodic, sa.closure_size) == expected[2:]
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(data))
+        assert main(["classify", "--group", str(gpath), "--measure", str(mpath)]) in (0, 3)
+        report = json.loads(capsys.readouterr().out)["report"]
+        got = (report["adapted"]["adapted"], report["adapted"]["subgroup_size"],
+               report["strictly_aperiodic"]["strictly_aperiodic"],
+               report["strictly_aperiodic"]["closure_size"])
+        assert got == expected, ks
 
 
 def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):
