@@ -44,11 +44,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import (Character, GElem, MotionGroup, Record, _representatives, dual_table,
-                     products)
+from .groups import Character, GElem, MotionGroup, Record, products
 from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
-from .spectral import OrbitSpectral, _orbit_spectra, orbit_spectra
+from .spectral import OrbitSpectral, orbit_spectra
 
 __all__ = [
     "TriState",
@@ -330,8 +329,7 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
     so mu^n is read back from the block powers, which come by repeated
     squaring."""
     require_probability(mu)
-    reps = _representatives(mu.group)
-    return _curves(mu, reps, n_max, 1)[0]
+    return _curves(mu, n_max, 1)[0]
 
 
 def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -345,8 +343,7 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve
     is read back from the block sums.
     """
     require_probability(mu)
-    reps = _representatives(mu.group)
-    return _curves(mu, reps, 1, n_max)[1]
+    return _curves(mu, 1, n_max)[1]
 
 
 def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -371,34 +368,34 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
     (_row_max): no term is built per element of G.
     """
     require_probability(mu)
-    reps = _representatives(mu.group)
-    return _curves(mu, reps, 1, n_max)[2]
-
-
-def _phase_orders(g: MotionGroup, reps: np.ndarray) -> np.ndarray:
-    """(orbits, nk) order m of the phases <a, beta_{k'}> over a in
-    A = (Z_n)^d, alpha the character of each A-index of reps: they are the
-    m-th roots of unity, m = n / gcd(beta_{k'}, n), with
-    beta_{k'} = dual_action(k', alpha) read off dual_table."""
-    betas = g.abelian.vectors()[dual_table(g)[reps]]
-    n = g.abelian.modulus
-    return n // np.gcd.reduce(betas, axis=-1, initial=n)
+    return _curves(mu, 1, n_max)[2]
 
 
 def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """(orbits, c, k') max over x = (a, k) of sum_j |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2,
-    from gram[r, c, i, l] = sum_j P^j[i, c] conj(P^j[l, c]) and _phase_orders.
+    from gram[r, c, i, l] = sum_j P^j[i, c] conj(P^j[l, c]) and the group's
+    phase orders (MotionGroup._phase_orders).
 
     Row k' of Lambda_alpha(a, k) holds phi = <a, beta_{k'}> in column
     i = k^{-1} k', so the sum is gram[c,i,i] + gram[c,k',k'] - 2 Re(phi z)
     with z = gram[c,i,k']. Over the m-th roots of unity phi, -2 Re(phi z)
     peaks at 2|z| cos(delta), delta the distance from arg z + pi to the
-    nearest multiple of 2 pi / m; k sweeps i over all of K.
+    nearest multiple of 2 pi / m; k sweeps i over all of K. The chain runs
+    in place on two arrays of gram's shape.
     """
     diag = np.einsum("rcii->rci", gram).real
     step = 2.0 * np.pi / orders[:, None, None, :]
-    delta = step / 2 - np.abs((np.angle(gram) + np.pi) % step - step / 2)
-    rows = diag[..., :, None] + diag[..., None, :] + 2.0 * np.abs(gram) * np.cos(delta)
+    half = step / 2
+    delta = np.angle(gram)
+    delta += np.pi
+    np.remainder(delta, step, out=delta)
+    delta -= half
+    np.abs(delta, out=delta)
+    np.subtract(half, delta, out=delta)
+    rows = np.abs(gram)
+    rows *= 2.0
+    rows *= np.cos(delta, out=delta)
+    rows += np.add(diag[..., :, None], diag[..., None, :], out=delta)
     return rows.max(axis=2)
 
 
@@ -417,18 +414,20 @@ def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
                    "WEAK_MIXING", "NOT_WEAK_MIXING")
 
 
-def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
+def _curves(mu: GroupMeasure, mixing_n_max: int,
             cesaro_n_max: int) -> Tuple[DecayCurve, DecayCurve, DecayCurve]:
     """The mixing, ergodic and weak-mixing curves of a probability measure,
-    given the dual-orbit representatives' A-indices, from one block stack
-    P = Lambda_alpha(mu) and one chain of its dyadic powers P^n. The walk
+    from one stack P = Lambda_alpha(mu) of every dual-orbit representative's
+    block and one chain of its dyadic powers P^n. The walk
     runs on the real part of mu: a probability measure is real within
     PROBABILITY_TOL, and so are its powers and averages.
 
     The mixing rows are the powers themselves. The block sums
     S_n = sum_{k=1..n} P^k double as S_2n = S_n + P^n S_n, and the Gram sums
     of empirical_weak_mixing as G_2n = G_n + P^n G_n (P^n)^*. One read-back
-    serves the mixing and ergodic rows together. Each row w reports d(w)
+    serves the mixing and ergodic rows together. Each Gram sum is reduced
+    by _row_max as soon as it is made, so at most two are held: G_n, and
+    G_{n/2} for the last window's G_n - G_{n/2}. Each row w reports d(w)
     against its own mass m, not 1: the chain's mass drifts like (1 + eps)^n,
     and u scaled by 1 would break d <= sup gap. A curve a caller does not
     read costs one row at n_max = 1.
@@ -437,29 +436,30 @@ def _curves(mu: GroupMeasure, reps: np.ndarray, mixing_n_max: int,
         if n_max < 1 or n_max & (n_max - 1):
             raise ValueError(f"n_max must be a power of two, got {n_max}")
     g = mu.group
-    p = _blocks(g, mu.weights.real, reps)
+    p = _blocks(g, mu.weights.real)
     powers = _dyadic_powers(p, max(mixing_n_max, cesaro_n_max))
     ns = [1 << k for k in range(len(powers))]
     n_mix, n_ces = mixing_n_max.bit_length(), cesaro_n_max.bit_length()
     # averages run over j = 1..n: the j = 0 term is n-independent and would
     # mask the decay (uniform mu must come out exactly 0)
-    sums, grams = [p], [np.einsum("ric,rlc->rcil", p, p.conj())]
-    for pn in powers[:n_ces - 1]:
+    orders = g._phase_orders
+    gram = np.einsum("ric,rlc->rcil", p, p.conj())
+    sums, last, wm = [p], 0, [(1, float(_row_max(gram, orders).max()))]
+    for n, pn in zip(ns[1:n_ces], powers):
         sums.append(sums[-1] + pn @ sums[-1])
-        grams.append(grams[-1] + pn[:, None] @ grams[-1] @ pn[:, None].conj().swapaxes(-1, -2))
-    rows = _measure_of_blocks(g, np.stack(powers[:n_mix] + sums), reps).real
+        last, gram = gram, gram + pn[:, None] @ gram @ pn[:, None].conj().swapaxes(-1, -2)
+        wm.append((n, float(_row_max(gram, orders).max()) / n))
+    rows = _measure_of_blocks(g, np.stack(powers[:n_mix] + sums)).real
     rows[n_mix:] /= np.array(ns[:n_ces])[:, None]
     dists = np.abs(rows - rows.sum(axis=1, keepdims=True) / g.size).sum(axis=1).tolist()
 
     mix = tuple(zip(ns, dists[:n_mix]))
     erg = tuple(zip(ns, dists[n_mix:]))
 
-    orders = _phase_orders(g, reps)
-    wm = tuple((n, float(_row_max(gram, orders).max()) / n) for n, gram in zip(ns, grams))
+    wm = tuple(wm)
     # the mean of squares over the last window j in (cesaro_n_max/2, cesaro_n_max];
     # cancellation can leave a vanishing one a hair below 0
-    last = grams[-2] if len(grams) > 1 else 0
-    window = max(float(_row_max(grams[-1] - last, orders).max()), 0.0) \
+    window = max(float(_row_max(gram - last, orders).max()), 0.0) \
         / (cesaro_n_max - cesaro_n_max // 2)
     return (DecayCurve(mix, MIXING_THRESHOLD,
                        *_decide(_upper(mix), MIXING_THRESHOLD, "MIXING", "NOT_MIXING")),
@@ -506,12 +506,11 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    reps = _representatives(mu.group)
-    spectra = _orbit_spectra(mu, reps, tol)
+    spectra = orbit_spectra(mu, tol)
     sr = _sr_from_spectra(spectra, tol)
     s = _s_from_spectra(spectra, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
-    mix, erg, wm = _curves(mu, reps, mixing_n_max, ergodic_n_max)
+    mix, erg, wm = _curves(mu, mixing_n_max, ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

@@ -157,8 +157,13 @@ def parse_group_data(data) -> MotionGroup:
         table, action = (_integral(kpart[key], f"group file: k {key}") for key in ("table", "action"))
         if len(table) > MAX_K_ORDER:
             raise ParseError(f"group file: |K| exceeds {MAX_K_ORDER} elements")
-        # for n >= 2, n^21 already exceeds the budget: cap the power there
-        if n >= 2 and d >= 1 and n ** min(d, 21) * len(table) > MAX_GROUP_ORDER:
+        # the largest rank |G| admits at modulus 2, at every modulus: at
+        # modulus 1, A is trivial whatever the rank, and the transforms'
+        # rank + 2 axes would pass numpy's 64
+        max_rank = MAX_GROUP_ORDER.bit_length() - 1
+        if d > max_rank:
+            raise ParseError(f"group file: rank exceeds {max_rank}")
+        if n >= 2 and d >= 1 and n ** d * len(table) > MAX_GROUP_ORDER:
             raise ParseError(f"group file: |G| exceeds {MAX_GROUP_ORDER} elements")
         return build_motion_group(n, d, table, action)
     except (NotAGroupTable, NotAHomomorphism, NotInvertible, ParseError):

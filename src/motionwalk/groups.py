@@ -144,7 +144,16 @@ class KGroup:
 @dataclass(eq=False)
 class MotionGroup:
     """Semidirect product G = A x| K with the fixed element enumeration
-    (a lexicographic, then k index)."""
+    (a lexicographic, then k index).
+
+    The tables that depend on the group alone are built on first use and
+    kept, read-only, for the group's lifetime: the digit table of products
+    and its int32 K table, the dual table, the inverse permutation, the
+    dual-orbit representatives, their phase orders and block index, and
+    the complement basis of l2(K). dual_table(g), _representatives(g),
+    g.inv_perm() and reps.complement_basis(g) return these shared arrays,
+    so a caller that wants to write copies first.
+    """
 
     abelian: AbelianGroup
     k: KGroup
@@ -179,21 +188,82 @@ class MotionGroup:
         xs = np.arange(self.size)
         return products(self, xs[:, None], xs)
 
+    def inv_perm(self) -> np.ndarray:
+        """Index permutation x -> x^{-1}, from
+        (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1}): the group's shared read-only
+        table."""
+        return self._inv_perm
+
+    @cached_property
+    def _inv_perm(self) -> np.ndarray:
+        n, d = self.abelian.modulus, self.abelian.rank
+        moved = np.einsum("ad,kmd->akm", self.abelian.vectors(), self.k.action[self.k.inverses])
+        a_idx = (-moved % n) @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+        return _frozen((a_idx * self.k.order + self.k.inverses).ravel())
+
     @cached_property
     def _moved_digits(self) -> np.ndarray:
         """(d, |K|, |A|) int32 table of the digits of M_k b, for products:
         built once per group, so a call costs its broadcast shape, not |G|."""
         n = self.abelian.modulus
         moved = np.einsum("kcd,bd->ckb", self.k.action, self.abelian.vectors()) % n
-        return moved.astype(np.int32)
+        return _frozen(moved.astype(np.int32))
 
-    def inv_perm(self) -> np.ndarray:
-        """Index permutation x -> x^{-1}, from
-        (a, k)^{-1} = (-M_{k^{-1}} a, k^{-1})."""
+    @cached_property
+    def _k_table32(self) -> np.ndarray:
+        """The K multiplication table as int32, the dtype of products."""
+        return _frozen(self.k.table.astype(np.int32))
+
+    @cached_property
+    def _dual_table(self) -> np.ndarray:
         n, d = self.abelian.modulus, self.abelian.rank
-        moved = np.einsum("ad,kmd->akm", self.abelian.vectors(), self.k.action[self.k.inverses])
-        a_idx = (-moved % n) @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
-        return (a_idx * self.k.order + self.k.inverses).ravel()
+        moved = np.einsum("id,kde->ike", self.abelian.vectors(),
+                          self.k.action[self.k.inverses]) % n
+        return _frozen(moved @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64)))
+
+    @cached_property
+    def _representatives(self) -> np.ndarray:
+        table = self._dual_table
+        return _frozen(np.flatnonzero(table.min(axis=1) == np.arange(len(table))))
+
+    @cached_property
+    def _phase_orders(self) -> np.ndarray:
+        """(orbits, nk) order m of the phases <a, beta_{k'}> over a in
+        A = (Z_n)^d, alpha the character of each representative: they are
+        the m-th roots of unity, m = n / gcd(beta_{k'}, n), with
+        beta_{k'} = dual_action(k', alpha) read off the dual table."""
+        betas = self.abelian.vectors()[self._dual_table[self._representatives]]
+        n = self.abelian.modulus
+        return _frozen(n // np.gcd.reduce(betas, axis=-1, initial=n))
+
+    @cached_property
+    def _block_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) placing the stack of every representative's block in
+        the (|A|, |K|) A-Fourier transform: entry (r, k', c) of the stack
+        is entry (rows[r, k', 0], cols[0, k', c]), the A-index of
+        beta_{k'} = dual_action(k', alpha_r) and k' c^{-1}. cols is the
+        same for any characters."""
+        rows = self._dual_table[self._representatives]
+        cols = self.k.table[:, self.k.inverses]
+        return _frozen(rows[:, :, None]), _frozen(cols[None, :, :])
+
+    @cached_property
+    def _complement_basis(self) -> np.ndarray:
+        nk = self.k.order
+        if nk == 1:
+            return _frozen(np.zeros((1, 0)))
+        u = np.full(nk, 1.0 / np.sqrt(nk))
+        v = u.copy()
+        v[0] -= 1.0
+        v /= np.linalg.norm(v)
+        q = np.eye(nk) - 2.0 * np.outer(v, v)    # q[:, 0] == u up to rounding
+        return _frozen(q[:, 1:])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _int_det(m: Sequence[Sequence[int]]) -> int:
@@ -316,22 +386,21 @@ def dual_action(g: MotionGroup, k: int, alpha: Character) -> Character:
 
 def dual_table(g: MotionGroup) -> np.ndarray:
     """(|A|, |K|) table whose entry [i, k] is the A-index of
-    dual_action(k, alpha_i), alpha_i the character with A-index i."""
-    n, d = g.abelian.modulus, g.abelian.rank
-    moved = np.einsum("id,kde->ike", g.abelian.vectors(), g.k.action[g.k.inverses]) % n
-    return moved @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    dual_action(k, alpha_i), alpha_i the character with A-index i: the
+    group's shared read-only table."""
+    return g._dual_table
 
 
 def _representatives(g: MotionGroup) -> np.ndarray:
     """A-indices of the dual-orbit representatives, in increasing order,
-    trivial character first: the rows i of dual_table with minimum i.
+    trivial character first: the rows i of dual_table with minimum i; the
+    group's shared read-only array.
 
     Row i of dual_table is the whole orbit of alpha_i, because K is a
     group, and A-index order is lexicographic order, so these are the
     orbits' lexicographically minimal members, one per orbit.
     """
-    table = dual_table(g)
-    return np.flatnonzero(table.min(axis=1) == np.arange(len(table)))
+    return g._representatives
 
 
 def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
@@ -366,7 +435,7 @@ def products(g: MotionGroup, xs, ys) -> np.ndarray:
     a, k = np.divmod(np.asarray(xs), nk)
     b, m = np.divmod(np.asarray(ys), nk)
     moved = g._moved_digits
-    out = g.k.table.astype(np.int32)[k, m]
+    out = g._k_table32[k, m]
     for c in range(d):
         place = n ** (d - 1 - c)
         digit = moved[c][k, b]

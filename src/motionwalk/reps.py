@@ -11,7 +11,7 @@ block at the trivial character.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,38 +26,31 @@ __all__ = [
 ]
 
 
-def _block_index(g: MotionGroup, alphas: Sequence[int]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) placing the block stack in the (|A|, |K|) transform,
-    for the characters of A-indices alphas: entry (r, k', c) of the stack
-    is entry (rows[r, k', 0], cols[0, k', c]), the A-index of
-    beta_{k'} = dual_action(k', alpha_r) and k' c^{-1}."""
-    rows = dual_table(g)[alphas]
-    cols = g.k.table[:, g.k.inverses]
-    return rows[:, :, None], cols[None, :, :]
-
-
-def _blocks(g: MotionGroup, w: np.ndarray, alphas: Sequence[int]) -> np.ndarray:
+def _blocks(g: MotionGroup, w: np.ndarray,
+            alphas: Optional[Sequence[int]] = None) -> np.ndarray:
     """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per
-    A-index of alphas.
+    A-index of alphas, or per dual-orbit representative
+    (groups._representatives) when alphas is None.
 
     Every Lambda_alpha(a, k) is monomial: row k' holds <a, beta_{k'}>, with
     beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)
     is the unnormalized inverse A-Fourier transform of w(., k' c^{-1}) at
     beta_{k'}, and one ifftn over the translation axes plus one gather
-    through _block_index yields every block (the abelian-extension FFT).
+    through the group's block index (MotionGroup._block_index) yields every
+    block (the abelian-extension FFT).
     """
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
     f = np.fft.ifftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d)),
                      norm="forward").reshape(n ** d, nk)
-    return f[_block_index(g, alphas)]
+    rows, cols = g._block_index
+    if alphas is not None:
+        rows = dual_table(g)[alphas][:, :, None]
+    return f[rows, cols]
 
 
-def _measure_of_blocks(g: MotionGroup, stack: np.ndarray,
-                       reps: Sequence[int]) -> np.ndarray:
-    """The weights w with _blocks(g, w, reps) == stack, for reps the
-    A-indices of the dual-orbit representatives (groups._representatives);
-    a (..., orbits, nk, nk) stack gives
+def _measure_of_blocks(g: MotionGroup, stack: np.ndarray) -> np.ndarray:
+    """The weights w with _blocks(g, w) == stack, the blocks of every
+    dual-orbit representative; a (..., orbits, nk, nk) stack gives
     (..., |G|) weights.
 
     The orbits cover the dual group, so the scatter writes every entry of
@@ -68,7 +61,7 @@ def _measure_of_blocks(g: MotionGroup, stack: np.ndarray,
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
     lead = stack.shape[:-3]
     f = np.empty(lead + (n ** d, nk), dtype=np.complex128)
-    f[(...,) + _block_index(g, reps)] = stack
+    f[(...,) + g._block_index] = stack
     return np.fft.fftn(f.reshape(lead + (n,) * d + (nk,)), norm="forward",
                        axes=tuple(range(len(lead), len(lead) + d))).reshape(lead + (-1,))
 
@@ -91,20 +84,13 @@ def rep_of_measure(mu: GroupMeasure, alpha: Character) -> np.ndarray:
 
 def complement_basis(g: MotionGroup) -> np.ndarray:
     """Fixed orthonormal basis of the orthocomplement of constants in l2(K),
-    returned as the columns of a |K| x (|K|-1) matrix.
+    returned as the columns of a |K| x (|K|-1) matrix: the group's shared
+    read-only table.
 
     Built from the Householder reflector sending e_0 to the normalized
     constant vector, so the basis is deterministic across runs.
     """
-    nk = g.k.order
-    if nk == 1:
-        return np.zeros((1, 0))
-    u = np.full(nk, 1.0 / np.sqrt(nk))
-    v = u.copy()
-    v[0] -= 1.0
-    v /= np.linalg.norm(v)
-    q = np.eye(nk) - 2.0 * np.outer(v, v)    # q[:, 0] == u up to rounding
-    return q[:, 1:]
+    return g._complement_basis
 
 
 def compress_to_complement(g: MotionGroup, block: np.ndarray) -> np.ndarray:

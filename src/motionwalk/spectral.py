@@ -213,15 +213,9 @@ def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
     """Records of every dual-orbit Fourier block, zero orbit first, and of
     the zero-orbit block compressed to the complement of the constants:
     one FFT, and one call of each spectral function per stack."""
-    return _orbit_spectra(mu, _representatives(mu.group), tol)
-
-
-def _orbit_spectra(mu: GroupMeasure, reps: np.ndarray, tol: float
-                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
-    """orbit_spectra given the representatives' A-indices."""
     g = mu.group
-    blocks = _blocks(g, mu.weights[g.inv_perm()], reps)
-    chars = [Character(tuple(v)) for v in g.abelian.vectors()[reps].tolist()]
+    blocks = _blocks(g, mu.weights[g.inv_perm()])
+    chars = [Character(tuple(v)) for v in g.abelian.vectors()[_representatives(g)].tolist()]
 
     def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
         ois = one_in_spectrum(stack, tol=tol)

@@ -7,7 +7,9 @@ closures, the exact translate-gap sweep, the per-step walk and Cesaro
 loops, the convolution-squaring Gelfand chain and power chain, and the
 lattice walk's per-entry integer phase route: each builds its answer a
 different way from the code under test, one element or one step at a
-time. The lattice walk's phase exponent and aperiodicity certificate,
+time. The list-based Gram loop of the weak-mixing curve is the
+classifier's earlier route, kept to show that the streamed one keeps its
+bits. The lattice walk's phase exponent and aperiodicity certificate,
 and the sampled measures of the radius-formula sweeps, are read only by
 the tests.
 """
@@ -19,6 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from motionwalk.classify import _dyadic_powers
 from motionwalk.families import (
     negation_group,
     rotation_group,
@@ -28,7 +31,7 @@ from motionwalk.families import (
 )
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits, products
 from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
-from motionwalk.reps import compress_to_complement, fourier
+from motionwalk.reps import _blocks, compress_to_complement, fourier
 from motionwalk.rosenblatt import (
     QSqrt5,
     ZElem,
@@ -292,6 +295,33 @@ def per_step_weak_mixing(mu, n_max):
         if count in checkpoints:
             points.append((count, float(acc.max()) / count))
     return points, float(np.sqrt(window.max() / (n_max - n_max // 2)))
+
+
+def gram_list_weak_mixing(mu: GroupMeasure, n_max: int) -> Tuple[tuple, float]:
+    """The weak-mixing points and the last window's root mean square as
+    classify computed them with every Gram sum held: the list
+    G_1, G_2, G_4, ..., G_n_max from G_2n = G_n + P^n G_n (P^n)^*, then
+    the closed-form max over x of each, one out-of-place array per step
+    of the chain. The classifier streams the sums and runs that chain in
+    place; both must keep every bit."""
+    g = mu.group
+    p = _blocks(g, mu.weights.real)
+    grams = [np.einsum("ric,rlc->rcil", p, p.conj())]
+    for pn in _dyadic_powers(p, n_max)[:n_max.bit_length() - 1]:
+        grams.append(grams[-1] + pn[:, None] @ grams[-1] @ pn[:, None].conj().swapaxes(-1, -2))
+
+    def row_max(gram):
+        diag = np.einsum("rcii->rci", gram).real
+        step = 2.0 * np.pi / g._phase_orders[:, None, None, :]
+        delta = step / 2 - np.abs((np.angle(gram) + np.pi) % step - step / 2)
+        rows = diag[..., :, None] + diag[..., None, :] + 2.0 * np.abs(gram) * np.cos(delta)
+        return rows.max(axis=2)
+
+    points = tuple((1 << j, float(row_max(gram).max()) / (1 << j))
+                   for j, gram in enumerate(grams))
+    last = grams[-2] if len(grams) > 1 else 0
+    window = max(float(row_max(grams[-1] - last).max()), 0.0) / (n_max - n_max // 2)
+    return points, float(np.sqrt(window))
 
 
 # ------------------------------------------------------------ Gelfand chain

@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from motionwalk.classify import ERGODIC_THRESHOLD, MIXING_THRESHOLD, TriState, _decide, cross_check
+from motionwalk import classify
+from motionwalk.classify import (CESARO_N_MAX, ERGODIC_THRESHOLD, MIXING_THRESHOLD, TriState,
+                                 _decide, cross_check, empirical_weak_mixing)
 from motionwalk.groups import Character, dual_orbits
 from motionwalk.measures import convolve, tv_norm
 from motionwalk.reps import fourier, rep_of_measure
@@ -31,6 +33,7 @@ from motionwalk.suite import acceptance_suite, roster
 
 from oracles import (
     central_measure,
+    gram_list_weak_mixing,
     orbit_conjugation_check,
     per_step_points,
     pik_consistency,
@@ -293,6 +296,28 @@ def test_suite_curves_bracket_the_exact_translate_gaps(classified):
             verdict, decays = _decide(gaps, threshold, pos, neg)
             if decays is not None:
                 assert curve.verdict == verdict, (case.name, key)
+
+
+def test_suite_weak_mixing_matches_the_gram_list_loop(classified, monkeypatch):
+    """On every case, the weak-mixing points of cross_check and of
+    empirical_weak_mixing, and the last window's root mean square the
+    verdict reads, are == to those of the loop that holds every Gram sum
+    (oracles.gram_list_weak_mixing)."""
+    read = []
+
+    def verdict(points, window):
+        read.append((points, window))
+        return weak_mixing_verdict(points, window)
+
+    weak_mixing_verdict = classify._weak_mixing_verdict
+    monkeypatch.setattr(classify, "_weak_mixing_verdict", verdict)
+    pairs, _ = classified
+    for case, v in pairs:
+        read.clear()
+        curve = empirical_weak_mixing(case.measure)
+        want = gram_list_weak_mixing(case.measure, CESARO_N_MAX)
+        assert curve.points == v.weak_mixing_empirical.points == want[0], case.name
+        assert read == [want], case.name
 
 
 def test_suite_structure_matches_the_breadth_first_closures(classified):

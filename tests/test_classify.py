@@ -13,7 +13,6 @@ from motionwalk.classify import (
     AdaptedResult,
     TriState,
     _decide,
-    _phase_orders,
     _row_max,
     _weak_mixing_verdict,
     adapted,
@@ -26,7 +25,7 @@ from motionwalk.classify import (
     strictly_aperiodic_check,
 )
 from motionwalk.errors import EmptySupport, NotProbability
-from motionwalk.groups import GElem, _representatives, dual_orbits, products
+from motionwalk.groups import GElem, dual_orbits, products
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
 from motionwalk.simulate import exact_powers
 
@@ -535,7 +534,7 @@ def test_phase_coset_max_matches_every_element(maker):
         powers = [np.linalg.matrix_power(p, j) for j in (1, 2, 3)]
         gram = sum(np.einsum("ric,rlc->rcil", pw, pw.conj()) for pw in powers)
         want = sum(np.abs((lams - eye) @ pw[:, None]) ** 2 for pw in powers).max(axis=1)
-        got = _row_max(gram, _phase_orders(g, _representatives(g))).swapaxes(1, 2)
+        got = _row_max(gram, g._phase_orders).swapaxes(1, 2)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_group, swap_group,
                         uniform)
+from motionwalk import cli
 from motionwalk.cli import (
     MAX_CLASSIFY_N_MAX,
+    MAX_GROUP_ORDER,
     MAX_K_ORDER,
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
@@ -24,6 +26,7 @@ from motionwalk.cli import (
 )
 from motionwalk.classify import strictly_aperiodic_check
 from motionwalk.errors import ParseError
+from motionwalk.groups import build_motion_group
 from motionwalk.measures import from_weights
 from motionwalk import simulate
 from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
@@ -543,25 +546,84 @@ def _mutate(data, draw):
         parent[path[-1]] = draw(_JUNK)
 
 
+# (modulus, rank, |K|) at each budget of a group file and one over it
+_BUDGET_EDGES = [
+    (2, 20, 1), (2, 21, 1),                                # rank, |G| = 2^20 and 2^21
+    (1, 20, 2), (1, 21, 2),                                # rank at modulus 1, where |G| = |K|
+    (1, 1, MAX_K_ORDER), (1, 1, MAX_K_ORDER + 1),          # |K| at modulus 1
+    (2, 13, MAX_K_ORDER), (2, 13, MAX_K_ORDER + 1),        # |K| with n^d |K| at the cap
+    (MAX_GROUP_ORDER, 1, 1), (MAX_GROUP_ORDER + 1, 1, 1),  # n^d |K| at the cap and one over
+]
+
+# a rank-20 group at modulus 1: A is trivial, so |G| = |K| = 2
+_MODULUS_ONE = build_motion_group(1, 20, [[0, 1], [1, 0]], [np.eye(20, dtype=int)] * 2)
+
+
+def _budget_edge_group(n, d, nk):
+    """A group file with a cyclic K of order nk acting trivially on (Z_n)^d."""
+    return {"abelian": {"modulus": n, "rank": d},
+            "k": {"table": [[(i + j) % nk for j in range(nk)] for i in range(nk)],
+                  "action": [np.eye(d, dtype=int).tolist()] * nk}}
+
+
+def _over_budget(n, d, nk):
+    """Whether a group file breaks a budget: |K|, the rank (the largest
+    that modulus 2 admits under the |G| budget) or n^d |K|."""
+    return nk > MAX_K_ORDER or d > MAX_GROUP_ORDER.bit_length() - 1 \
+        or n ** d * nk > MAX_GROUP_ORDER
+
+
+@pytest.mark.parametrize("edge", _BUDGET_EDGES)
+def test_group_budgets_are_checked_before_the_build(monkeypatch, edge):
+    # the fuzz below draws these edges among others; here every one is run
+    built = []
+    monkeypatch.setattr(cli, "build_motion_group", lambda *args: built.append(args))
+    if _over_budget(*edge):
+        with pytest.raises(ParseError):
+            parse_group_data(_budget_edge_group(*edge))
+        assert built == []
+    else:
+        parse_group_data(_budget_edge_group(*edge))
+        assert [args[:2] for args in built] == [edge[:2]]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, data):
-    g = data.draw(st.sampled_from([negation_group(3), swap_group(2)]))
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, data):
+    g = data.draw(st.sampled_from([negation_group(3), swap_group(2), _MODULUS_ONE]))
     group = group_to_data(g)
     w = np.zeros(g.size, dtype=complex)
     w[g.index(GElem((1,) * g.abelian.rank, 0))] = 0.5
     w[g.index(GElem((0,) * g.abelian.rank, 1))] = 0.5
     measure = measure_to_data(from_weights(g, w))
+    # a file at a budget's edge replaces the group file; it is not mutated,
+    # and it never reaches build_motion_group, so no 2^20-element group is built
+    edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES))
+    if edge is not None:
+        group = _budget_edge_group(*edge)
     for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data.draw(st.sampled_from([group, measure])), data.draw)
+        _mutate(data.draw(st.sampled_from([measure] if edge else [group, measure])), data.draw)
     gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
     gpath.write_text(json.dumps(group))
     mpath.write_text(json.dumps(measure))
     command = data.draw(st.sampled_from([
         ["classify", "--n-max", "16"], ["verify-srf"], ["spectrum"],
         ["simulate", "--steps", "4", "--trials", "20"]]))
-    code = main([command[0], "--group", str(gpath), "--measure", str(mpath), *command[1:]])
+    built = []
+
+    def admitted(*args):
+        built.append(args)
+        raise ParseError("the budgets admitted the group file")
+
+    with monkeypatch.context() as patch:
+        if edge is not None:
+            patch.setattr(cli, "build_motion_group", admitted)
+        code = main([command[0], "--group", str(gpath), "--measure", str(mpath), *command[1:]])
     err = capsys.readouterr().err
     assert code in {0, 2, 3, 64, 65}
     assert "Traceback" not in err
+    if edge is not None:
+        # an over-budget file exits 64 before build_motion_group runs
+        assert code == 64
+        assert bool(built) is not _over_budget(*edge), (edge, err)

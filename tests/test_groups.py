@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
+from motionwalk.reps import complement_basis
 from motionwalk.groups import (
     Character,
     GElem,
@@ -231,6 +233,50 @@ def test_representatives_are_the_dual_orbit_representatives(request, group):
     g = request.getfixturevalue(group)
     want = [g.abelian.index(o.representative.alpha) for o in dual_orbits(g)]
     assert _representatives(g).tolist() == want
+
+
+@pytest.mark.parametrize("group", ["order10", "z2", "order16", "order21", "order20",
+                                   "order18", "order72"])
+def test_cached_tables_match_elementwise_and_are_shared_read_only(request, group):
+    # every table a group builds once: its value against a recomputation
+    # one entry at a time from dual_action, inverse, act and the K table;
+    # the same object on a second call; and no write goes through
+    g = request.getfixturevalue(group)
+    ab, nk, n = g.abelian, g.k.order, g.abelian.modulus
+    dual = [[ab.index(dual_action(g, k, Character(v)).alpha) for k in range(nk)]
+            for v in ab.elements()]
+    reps = [i for i, row in enumerate(dual) if min(row) == i]
+    tables = {
+        "dual table": (lambda: dual_table(g), dual),
+        "inverse permutation": (g.inv_perm, [g.index(inverse(g, x)) for x in g.elements()]),
+        "representatives": (lambda: _representatives(g), reps),
+        "phase orders": (lambda: g._phase_orders,
+                         [[n // math.gcd(n, *ab.vector(dual[r][k])) for k in range(nk)]
+                          for r in reps]),
+        "block rows": (lambda: g._block_index[0],
+                       [[[dual[r][k]] for k in range(nk)] for r in reps]),
+        "block columns": (lambda: g._block_index[1],
+                          [[[int(g.k.table[k, g.k.inv(c)]) for c in range(nk)]
+                            for k in range(nk)]]),
+        "int32 K table": (lambda: g._k_table32, g.k.table.tolist()),
+        "moved digits": (lambda: g._moved_digits,
+                         [[[g.act(k, ab.vector(b))[c] for b in range(ab.size)]
+                           for k in range(nk)] for c in range(ab.rank)]),
+        "complement basis": (lambda: complement_basis(g), None),
+    }
+    for name, (read, want) in tables.items():
+        table = read()
+        if want is None:
+            # orthonormal columns, orthogonal to the constants
+            assert table.shape == (nk, nk - 1), name
+            assert np.allclose(table.T @ table, np.eye(nk - 1), atol=1e-13), name
+            assert np.allclose(np.ones(nk) @ table, 0.0, atol=1e-13), name
+        else:
+            assert table.tolist() == want, name
+        assert read() is table, name
+        with pytest.raises(ValueError):
+            table[...] = 0
+    assert g._k_table32.dtype == np.int32 and g._moved_digits.dtype == np.int32
 
 
 @pytest.mark.parametrize("maker", [lambda: negation_group(7),

@@ -313,8 +313,9 @@ def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
         calls.append(g)
         return _representatives(g)
 
-    for module in (motionwalk.spectral, motionwalk.classify):
-        monkeypatch.setattr(module, "_representatives", counted)
+    # classify reads the representatives only through orbit_spectra and the
+    # group's cached block index
+    monkeypatch.setattr(motionwalk.spectral, "_representatives", counted)
     g = rotation_group(4)
     rng = np.random.default_rng(67)
     w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
