@@ -42,12 +42,14 @@ SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s"
                     ("peak_rss_mb", True))
 
 # times every stage cross_check calls, under the names of this checkout
-# (orbit_spectra, _curves) and of older ones (_orbit_spectra;
-# empirical_mixing, then _mixing) alike
+# (_block_spectra, _curves) and of older ones (orbit_spectra,
+# _orbit_spectra; empirical_mixing, then _mixing) alike. Where cross_check
+# reads one block stack for both, its transform is in neither stage
 TIMED = """
 import json, resource, sys, time
 from motionwalk import classify
-NAMES = {"orbit_spectra": "spectral_s", "_orbit_spectra": "spectral_s", "adapted": "adapted_s",
+NAMES = {"_block_spectra": "spectral_s", "orbit_spectra": "spectral_s",
+         "_orbit_spectra": "spectral_s", "adapted": "adapted_s",
          "strictly_aperiodic_check": "aperiodic_s", "empirical_mixing": "mixing_s",
          "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s",
          "_curves": "curves_s"}

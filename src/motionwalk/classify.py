@@ -31,6 +31,14 @@ by a generating set is normal, so the result is the normal closure
 complement of the constants line inside the zero-orbit block; the
 trivial representation lives exactly on that line and is excluded.
 
+(SR), (S) and the empirical curves read one stack of blocks
+P = Lambda_alpha(mu) of the real part of mu, which is a probability
+within PROBABILITY_TOL. For a real mu, orbit_spectra's
+mu_hat(Lambda_alpha) = Lambda_alpha(conj mu)^* is P^*, with the same
+radius, norm and sigma_min(I - P), and Lambda_{-alpha}(mu) is the
+conjugate of P, so the orbits of alpha and -alpha always tie. Among
+tied worst blocks, rounding picks the witness.
+
 Spectral verdicts are tri-state. Strict inequalities cannot be
 certified at the boundary, so values inside a guard band around the
 decision threshold come back INDETERMINATE instead of being forced.
@@ -47,7 +55,7 @@ from .errors import EmptySupport
 from .groups import Character, GElem, MotionGroup, Record, products
 from .measures import GroupMeasure, require_probability
 from .reps import _blocks, _measure_of_blocks
-from .spectral import OrbitSpectral, orbit_spectra
+from .spectral import OrbitSpectral, _block_spectra
 
 __all__ = [
     "TriState",
@@ -142,53 +150,45 @@ class Verdict(Record):
 
 # ---------------------------------------------------------------- spectral
 
-# orbit_spectra's records: every dual orbit, zero orbit first, and the complement
+# _block_spectra's records: every dual orbit, zero orbit first, and the complement
 _Spectra = Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]
 
 
-def _nontrivial(spectra: _Spectra) -> List[Tuple[OrbitSpectral, bool]]:
-    """The nonzero-orbit records, then the complement's, each paired with
-    whether it is the complement."""
+def _records(spectra: _Spectra, field: str) -> Tuple[BlockRecord, ...]:
+    """field of the nonzero-orbit records, then of the complement's."""
     per_orbit, comp = spectra
-    return [(o, False) for o in per_orbit[1:]] + [(comp, True)]
+    return tuple(BlockRecord(o.representative, c, getattr(o, field))
+                 for o, c in [(o, False) for o in per_orbit[1:]] + [(comp, True)])
 
 
 def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """Spectral radius < 1 on every nontrivial block, tri-state."""
     require_probability(mu)
-    return _sr_from_spectra(orbit_spectra(mu, tol), tol)
+    return _sr_from_spectra(_block_spectra(mu.group, _blocks(mu.group, mu.weights.real), tol), tol)
 
 
 def _sr_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
-    records = tuple(BlockRecord(o.representative, comp, o.spectral_radius)
-                    for o, comp in _nontrivial(spectra))
+    records = _records(spectra, "spectral_radius")
     worst = max(records, key=lambda r: r.value, default=None)
-    if worst is None or worst.value < 1.0 - tol:
-        verdict, witness = TriState.HOLDS, worst
-    elif worst.value >= 1.0 - tol + tol / GUARD_FRACTION:
-        verdict, witness = TriState.FAILS, worst
-    else:
-        verdict, witness = TriState.INDETERMINATE, worst
-    return ConditionCheck("SR", verdict, records, witness, tol)
+    verdict = (TriState.HOLDS if worst is None or worst.value < 1.0 - tol
+               else TriState.FAILS if worst.value >= 1.0 - tol + tol / GUARD_FRACTION
+               else TriState.INDETERMINATE)
+    return ConditionCheck("SR", verdict, records, worst, tol)
 
 
 def check_s(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
     """1 not in the spectrum of any nontrivial block, by singular-value margin."""
     require_probability(mu)
-    return _s_from_spectra(orbit_spectra(mu, tol), tol)
+    return _s_from_spectra(_block_spectra(mu.group, _blocks(mu.group, mu.weights.real), tol), tol)
 
 
 def _s_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
-    records = tuple(BlockRecord(o.representative, comp, o.margin)
-                    for o, comp in _nontrivial(spectra))
+    records = _records(spectra, "margin")
     worst = min(records, key=lambda r: r.value, default=None)
-    if worst is None or worst.value > tol:
-        verdict, witness = TriState.HOLDS, worst
-    elif worst.value <= tol / GUARD_FRACTION:
-        verdict, witness = TriState.FAILS, worst
-    else:
-        verdict, witness = TriState.INDETERMINATE, worst
-    return ConditionCheck("S", verdict, records, witness, tol)
+    verdict = (TriState.HOLDS if worst is None or worst.value > tol
+               else TriState.FAILS if worst.value <= tol / GUARD_FRACTION
+               else TriState.INDETERMINATE)
+    return ConditionCheck("S", verdict, records, worst, tol)
 
 
 # -------------------------------------------------------------- structural
@@ -329,7 +329,7 @@ def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
     so mu^n is read back from the block powers, which come by repeated
     squaring."""
     require_probability(mu)
-    return _curves(mu, n_max, 1)[0]
+    return _curves(mu.group, _blocks(mu.group, mu.weights.real), n_max, 1)[0]
 
 
 def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -343,7 +343,7 @@ def empirical_ergodic(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve
     is read back from the block sums.
     """
     require_probability(mu)
-    return _curves(mu, 1, n_max)[1]
+    return _curves(mu.group, _blocks(mu.group, mu.weights.real), 1, n_max)[1]
 
 
 def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayCurve:
@@ -368,7 +368,7 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
     (_row_max): no term is built per element of G.
     """
     require_probability(mu)
-    return _curves(mu, 1, n_max)[2]
+    return _curves(mu.group, _blocks(mu.group, mu.weights.real), 1, n_max)[2]
 
 
 def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -414,13 +414,11 @@ def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
                    "WEAK_MIXING", "NOT_WEAK_MIXING")
 
 
-def _curves(mu: GroupMeasure, mixing_n_max: int,
+def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
             cesaro_n_max: int) -> Tuple[DecayCurve, DecayCurve, DecayCurve]:
-    """The mixing, ergodic and weak-mixing curves of a probability measure,
-    from one stack P = Lambda_alpha(mu) of every dual-orbit representative's
-    block and one chain of its dyadic powers P^n. The walk
-    runs on the real part of mu: a probability measure is real within
-    PROBABILITY_TOL, and so are its powers and averages.
+    """The mixing, ergodic and weak-mixing curves of a probability measure
+    on g, from its block stack p = P = Lambda_alpha(mu) and one chain of
+    its dyadic powers P^n.
 
     The mixing rows are the powers themselves. The block sums
     S_n = sum_{k=1..n} P^k double as S_2n = S_n + P^n S_n, and the Gram sums
@@ -435,8 +433,6 @@ def _curves(mu: GroupMeasure, mixing_n_max: int,
     for n_max in (mixing_n_max, cesaro_n_max):
         if n_max < 1 or n_max & (n_max - 1):
             raise ValueError(f"n_max must be a power of two, got {n_max}")
-    g = mu.group
-    p = _blocks(g, mu.weights.real)
     powers = _dyadic_powers(p, max(mixing_n_max, cesaro_n_max))
     ns = [1 << k for k in range(len(powers))]
     n_mix, n_ces = mixing_n_max.bit_length(), cesaro_n_max.bit_length()
@@ -506,11 +502,12 @@ def cross_check(mu: GroupMeasure, tol: float = 1e-8,
                 mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
-    spectra = orbit_spectra(mu, tol)
+    p = _blocks(mu.group, mu.weights.real)
+    spectra = _block_spectra(mu.group, p, tol)
     sr = _sr_from_spectra(spectra, tol)
     s = _s_from_spectra(spectra, tol)
     ad = adapted(mu)
     sa = strictly_aperiodic_check(mu)
-    mix, erg, wm = _curves(mu, mixing_n_max, ergodic_n_max)
+    mix, erg, wm = _curves(mu.group, p, mixing_n_max, ergodic_n_max)
     violations = _grid_violations(sr, s, ad, sa, mix, erg, wm)
     return Verdict(sr, s, ad, sa, mix, erg, wm, tuple(violations))

@@ -71,6 +71,8 @@ class RunConfig(Record):
             raise ParseError(f"tol must be positive and finite, got {self.tol}")
         if self.n_max < 1 or self.n_max & (self.n_max - 1):
             raise ParseError(f"n_max must be a power of two, got {self.n_max}")
+        if not 0 <= self.seed < 1 << 128:  # the 128-bit Philox key
+            raise ParseError(f"seed must be in [0, 2^128), got {self.seed}")
 
 
 _SETTINGS = ("tol", "n_max", "seed")
@@ -376,14 +378,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _dyadic_upto(n: int) -> List[int]:
-    out = []
-    v = 1
-    while v <= n:
-        out.append(v)
-        v *= 2
-    if out[-1] != n:
-        out.append(n)
-    return out
+    out = [1 << k for k in range(n.bit_length())]
+    return out if out[-1] == n else out + [n]
 
 
 def _cmd_simulate(args) -> int:

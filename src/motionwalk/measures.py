@@ -3,6 +3,11 @@
 On a finite group every measure is a dense weight vector over the canonical
 element enumeration, convolution is the algebra product of M(G), and the
 total-variation norm is the l1 norm of the weights.
+
+The package's one Fourier convention: _transform takes weights w to
+h(xi, k) = sum_a w(a, k) <a, xi>, <a, xi> = exp(2 pi i a.xi / n), an
+unnormalized ifftn over the translation axes, and _weights inverts it.
+Convolution and the blocks of reps both use it.
 """
 from __future__ import annotations
 
@@ -117,22 +122,24 @@ def tv_norm(mu: GroupMeasure) -> float:
 
 
 def _transform(g: MotionGroup, w: np.ndarray) -> np.ndarray:
-    """A-Fourier transform of weights w: fftn over the translation axes,
-    as an (|A|, |K|) array."""
+    """A-Fourier transform of (..., |G|) weights, as (..., |A|, |K|)."""
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    return np.fft.fftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d))).reshape(-1, nk)
+    return np.fft.ifftn(w.reshape(w.shape[:-1] + (n,) * d + (nk,)), norm="forward",
+                        axes=range(-d - 1, -1)).reshape(w.shape[:-1] + (n ** d, nk))
 
 
 def _weights(g: MotionGroup, h: np.ndarray) -> np.ndarray:
-    """The weights whose A-Fourier transform is h: the inverse of _transform."""
+    """The (..., |G|) weights whose A-Fourier transform is h."""
     n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    return np.fft.ifftn(h.reshape((n,) * d + (nk,)), axes=tuple(range(d))).reshape(-1)
+    return np.fft.fftn(h.reshape(h.shape[:-2] + (n,) * d + (nk,)), norm="forward",
+                       axes=range(-d - 1, -1)).reshape(h.shape[:-2] + (-1,))
 
 
 def _product_index(g: MotionGroup) -> np.ndarray:
     """Flat (|A|, |K|, |K|) gather index into an (|A|, |K|) transform:
     entry [xi, k1, k] points at (xi . M_{k1}, k1^{-1} k), with
-    xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table."""
+    xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table; the
+    action is linear, so either sign of the transform's phase may use it."""
     inv = g.k.inverses
     return dual_table(g)[:, inv, None] * g.k.order + g.k.table[inv][None, :, :]
 
@@ -151,9 +158,9 @@ def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
 
     With y = (b, k1), x = (a, k): y^{-1} x = (phi_{k1}^{-1}(a - b), k1^{-1} k),
     and <phi_{k1}(a), xi> = <a, xi . M_{k1}>, so the A-Fourier transform
-    (fftn over the translation axes) turns the product into
-    _fourier_product's twisted sum over k1: one fftn per factor, one
-    gather, one einsum and one ifftn.
+    (_transform) turns the product into _fourier_product's twisted sum
+    over k1: one transform per factor, one gather, one einsum and one
+    inverse (_weights).
     """
     _same_group(mu, nu)
     g = mu.group

@@ -7,7 +7,9 @@ For a character alpha of A, the induced representation of G acts by
 realized here as dense |K| x |K| unitary matrices in the delta-function
 basis of l2(K).  Spectral conditions are always evaluated on these blocks,
 one per dual orbit, plus the complement-of-constants compression of the
-block at the trivial character.
+block at the trivial character.  The blocks are gathered from
+measures._transform and read back through measures._weights, so they
+share that module's one Fourier convention.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import Character, MotionGroup, dual_table
-from .measures import GroupMeasure
+from .measures import GroupMeasure, _transform, _weights
 
 __all__ = [
     "fourier",
@@ -34,18 +36,14 @@ def _blocks(g: MotionGroup, w: np.ndarray,
 
     Every Lambda_alpha(a, k) is monomial: row k' holds <a, beta_{k'}>, with
     beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)
-    is the unnormalized inverse A-Fourier transform of w(., k' c^{-1}) at
-    beta_{k'}, and one ifftn over the translation axes plus one gather
-    through the group's block index (MotionGroup._block_index) yields every
-    block (the abelian-extension FFT).
+    is the A-Fourier transform (measures._transform) of w(., k' c^{-1}) at
+    beta_{k'}: one transform and one gather through the group's block index
+    (MotionGroup._block_index) give every block (the abelian-extension FFT).
     """
-    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    f = np.fft.ifftn(w.reshape((n,) * d + (nk,)), axes=tuple(range(d)),
-                     norm="forward").reshape(n ** d, nk)
     rows, cols = g._block_index
     if alphas is not None:
         rows = dual_table(g)[alphas][:, :, None]
-    return f[rows, cols]
+    return _transform(g, w)[rows, cols]
 
 
 def _measure_of_blocks(g: MotionGroup, stack: np.ndarray) -> np.ndarray:
@@ -56,14 +54,11 @@ def _measure_of_blocks(g: MotionGroup, stack: np.ndarray) -> np.ndarray:
     The orbits cover the dual group, so the scatter writes every entry of
     the transform; a beta with a nontrivial stabilizer is written once per
     k' that sends alpha to it, with equal values on a stack of blocks.
-    One fftn over the translation axes undoes _blocks' ifftn.
+    One inverse transform (measures._weights) undoes _blocks' transform.
     """
-    n, d, nk = g.abelian.modulus, g.abelian.rank, g.k.order
-    lead = stack.shape[:-3]
-    f = np.empty(lead + (n ** d, nk), dtype=np.complex128)
+    f = np.empty(stack.shape[:-3] + (g.abelian.size, g.k.order), dtype=np.complex128)
     f[(...,) + g._block_index] = stack
-    return np.fft.fftn(f.reshape(lead + (n,) * d + (nk,)), norm="forward",
-                       axes=tuple(range(len(lead), len(lead) + d))).reshape(lead + (-1,))
+    return _weights(g, f)
 
 
 def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:

@@ -39,11 +39,11 @@ cuts names its atom outright, and only the uniforms in a cut bucket are
 searched. Scaling by a power of two is exact, so every draw is the
 search's own, bit for bit.
 
-The exact powers come from a chain of convolution squares on A-Fourier
-transforms. Each product of the chain is put back on the probability
-simplex (real part, clipped at 0, unit mass), so the roundoff of the FFT
-does not compound over the squarings into a measure that is no longer a
-probability.
+The exact powers come from a chain of convolution squares (convolve, on
+A-Fourier transforms). Each product of the chain is put back on the
+probability simplex (real part, clipped at 0, unit mass), so the roundoff
+of the FFT does not compound over the squarings into a measure that is
+no longer a probability.
 """
 from __future__ import annotations
 
@@ -57,8 +57,7 @@ import numpy as np
 
 from .errors import GroupMismatch
 from .groups import MotionGroup, products
-from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
-                       delta, from_weights, require_probability)
+from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
 
 # buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
 GUIDE_SIZE = 1 << 12
@@ -266,19 +265,17 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     one chain of squarings mu, mu^2, mu^4, ... up to max(ns). Each power is
     the product of the chain's entries at the set bits of n, lowest bit
     first, and starts from its first factor; n = 0 gives the point mass at
-    the identity. Each convolution is one _fourier_product through one
-    gather index per chain, put back on the simplex (_on_simplex), so each
-    power is a probability at every n. The power at n does not depend on
-    the other entries of ns, so it equals exact_power(mu, n) bit for bit."""
+    the identity. Each product is one convolve, put back on the simplex
+    (_on_simplex), so each power is a probability at every n. The power at
+    n does not depend on the other entries of ns, so it equals
+    exact_power(mu, n) bit for bit."""
     require_probability(mu)
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
     g = mu.group
-    index = _product_index(g)
 
     def product(a: GroupMeasure, b: GroupMeasure) -> GroupMeasure:
-        h = _fourier_product(_transform(g, a.weights), _transform(g, b.weights), index)
-        return _on_simplex(g, _weights(g, h))
+        return _on_simplex(g, convolve(a, b).weights)
 
     squares = [mu]
     while 2 ** len(squares) <= max(ns):

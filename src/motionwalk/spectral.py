@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import NoConvergence, Overflow
-from .groups import Character, Record, _representatives
+from .groups import Character, MotionGroup, Record, _representatives
 from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
                        tv_norm)
 from .reps import _blocks, compress_to_complement
@@ -208,13 +208,11 @@ def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
     return _gelfand_estimates(mu, (kmax,))[0]
 
 
-def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
-                  ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
-    """Records of every dual-orbit Fourier block, zero orbit first, and of
-    the zero-orbit block compressed to the complement of the constants:
-    one FFT, and one call of each spectral function per stack."""
-    g = mu.group
-    blocks = _blocks(g, mu.weights[g.inv_perm()])
+def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = 1e-8
+                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
+    """Records of a stack of blocks, one per dual-orbit representative
+    (reps._blocks), and of the zero orbit's compressed to the complement
+    of the constants: one call of each spectral function per stack."""
     chars = [Character(tuple(v)) for v in g.abelian.vectors()[_representatives(g)].tolist()]
 
     def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
@@ -225,6 +223,14 @@ def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
 
     comp = compress_to_complement(g, blocks[0])[None]
     return records(chars, blocks), records(chars[:1], comp)[0]
+
+
+def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
+                  ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
+    """_block_spectra of every dual-orbit Fourier block mu_hat(Lambda_alpha),
+    zero orbit first: one transform, of the reflected weights."""
+    g = mu.group
+    return _block_spectra(g, _blocks(g, mu.weights[g.inv_perm()]), tol)
 
 
 def verify_srf(mu: GroupMeasure, tol: float = 1e-6, kmax: int = 20) -> SpectralReport:

@@ -28,7 +28,7 @@ from motionwalk.rosenblatt import (
     z_multiply,
 )
 from motionwalk.simulate import empirical_distribution, exact_power
-from motionwalk.spectral import verify_srf
+from motionwalk.spectral import orbit_spectra, verify_srf
 from motionwalk.suite import acceptance_suite, roster
 
 from oracles import (
@@ -261,6 +261,28 @@ def test_suite_matches_frozen_census(classified):
     }
     assert got.keys() == census.keys()
     assert [name for name in census if got[name] != census[name]] == []
+
+
+def test_suite_spectral_records_match_the_reflected_transform(classified):
+    """On every case, cross_check's (SR) and (S) records, read off the
+    blocks P = Lambda_alpha(mu), agree within 1e-14 with orbit_spectra's,
+    which read mu_hat(Lambda_alpha) = P^* off the reflected weights, and
+    the verdicts and witness values those records give are cross_check's."""
+    pairs, _ = classified
+    for case, v in pairs:
+        spectra = orbit_spectra(case.measure)
+        per_orbit, comp = spectra
+        want = [(o, False) for o in per_orbit[1:]] + [(comp, True)]
+        for check, field, decide in ((v.sr, "spectral_radius", classify._sr_from_spectra),
+                                     (v.s, "margin", classify._s_from_spectra)):
+            assert [(r.representative, r.is_complement) for r in check.records] \
+                == [(o.representative, c) for o, c in want], case.name
+            for r, (o, _) in zip(check.records, want):
+                assert r.value == pytest.approx(getattr(o, field), rel=0, abs=1e-14), \
+                    (case.name, check.condition)
+            reflected = decide(spectra, check.tol)
+            assert reflected.verdict == check.verdict, (case.name, check.condition)
+            assert abs(reflected.witness.value - check.witness.value) <= 1e-14, case.name
 
 
 def test_criterion_9_simulation_consistency(suite):

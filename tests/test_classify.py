@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionwalk import classify
+from motionwalk import classify, measures
 from motionwalk.classify import (
     AdaptedResult,
     TriState,
@@ -163,13 +164,11 @@ def test_cross_check_builds_no_mult_table(no_mult_table):
 
 
 def test_cross_check_transforms_and_sweeps_once(monkeypatch):
-    # the three curves share one block stack, one power chain and one
-    # read-back
+    # the spectral checks and the three curves share one A-Fourier
+    # transform, one block stack, one power chain and one read-back
     calls = {}
 
-    def counted(name):
-        f = getattr(classify, name)
-
+    def counted(name, f):
         def call(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return f(*args, **kwargs)
@@ -177,9 +176,16 @@ def test_cross_check_transforms_and_sweeps_once(monkeypatch):
 
     names = ("_blocks", "_dyadic_powers", "_measure_of_blocks")
     for name in names:
-        monkeypatch.setattr(classify, name, counted(name))
+        monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+    original = measures._transform
+    transform = counted("_transform", original)
+    for module in list(sys.modules.values()):
+        if getattr(module, "_transform", None) is original:
+            monkeypatch.setattr(module, "_transform", transform)
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     v = cross_check(five_atom_walk(rotation_group(16)))
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict.fromkeys(names + ("_transform", "fftn", "ifftn"), 1)
     assert len(v.empirical_mixing.points) == 11 and len(v.empirical_ergodic.points) == 10
 
 

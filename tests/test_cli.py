@@ -99,6 +99,24 @@ def test_run_config_validation():
     assert cfg.to_dict()["n_max"] == 1024
 
 
+# the seed is the 128-bit key of the walk's Philox stream
+SEED_EDGES = [-1, 0, 2 ** 128 - 1, 2 ** 128]
+
+
+@pytest.mark.parametrize("seed", SEED_EDGES)
+def test_simulate_seed_out_of_range_exits_64(tmp_path, d5, capsys, seed):
+    g, gpath = d5
+    mpath = write_measure(tmp_path / "m.json", delta(g, GElem((1,), 1)))
+    code = main(["simulate", "--group", gpath, "--measure", mpath, "--steps", "4",
+                 "--trials", "20", f"--seed={seed}"])
+    err = capsys.readouterr().err
+    if 0 <= seed < 2 ** 128:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 64
+        assert err == f"error: seed must be in [0, 2^128), got {seed}\n"
+
+
 def test_classify_uniform_exits_zero(tmp_path, d5, capsys):
     g, gpath = d5
     mpath = write_measure(tmp_path / "u.json", uniform(g))
@@ -587,29 +605,56 @@ def test_group_budgets_are_checked_before_the_build(monkeypatch, edge):
         assert [args[:2] for args in built] == [edge[:2]]
 
 
+_FUZZ_GROUPS = [negation_group(3), swap_group(2), _MODULUS_ONE]
+
+_FUZZ_COMMANDS = [["classify", "--n-max", "16"], ["verify-srf"], ["spectrum"],
+                  ["simulate", "--steps", "4", "--trials", "20"]]
+
+
+def _fuzz_files(g):
+    """The group file of g and a measure file of half a unit translation,
+    half the bare first element of K, as JSON trees."""
+    w = np.zeros(g.size, dtype=complex)
+    w[g.index(GElem((1,) * g.abelian.rank, 0))] = 0.5
+    w[g.index(GElem((0,) * g.abelian.rank, 1))] = 0.5
+    return group_to_data(g), measure_to_data(from_weights(g, w))
+
+
+def _run(tmp_path, group, measure, command):
+    gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
+    gpath.write_text(json.dumps(group))
+    mpath.write_text(json.dumps(measure))
+    return main([command[0], "--group", str(gpath), "--measure", str(mpath), *command[1:]])
+
+
+@pytest.mark.parametrize("command", _FUZZ_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("g", _FUZZ_GROUPS, ids=["neg3", "swap2", "modulus1"])
+def test_fuzz_files_unmutated_reach_a_verdict(tmp_path, capsys, g, command):
+    # the fuzz below starts from these files: unmutated, every command runs
+    # to a verdict and writes nothing to stderr
+    code = _run(tmp_path, *_fuzz_files(g), command)
+    assert code in {0, 2, 3}
+    assert capsys.readouterr().err == ""
+
+
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, data):
-    g = data.draw(st.sampled_from([negation_group(3), swap_group(2), _MODULUS_ONE]))
-    group = group_to_data(g)
-    w = np.zeros(g.size, dtype=complex)
-    w[g.index(GElem((1,) * g.abelian.rank, 0))] = 0.5
-    w[g.index(GElem((0,) * g.abelian.rank, 1))] = 0.5
-    measure = measure_to_data(from_weights(g, w))
+    group, measure = _fuzz_files(data.draw(st.sampled_from(_FUZZ_GROUPS)))
     # a file at a budget's edge replaces the group file; it is not mutated,
     # and it never reaches build_motion_group, so no 2^20-element group is built
     edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES))
     if edge is not None:
         group = _budget_edge_group(*edge)
-    for _ in range(data.draw(st.integers(1, 3))):
+    mutations = data.draw(st.integers(0, 3))
+    for _ in range(mutations):
         _mutate(data.draw(st.sampled_from([measure] if edge else [group, measure])), data.draw)
-    gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
-    gpath.write_text(json.dumps(group))
-    mpath.write_text(json.dumps(measure))
-    command = data.draw(st.sampled_from([
-        ["classify", "--n-max", "16"], ["verify-srf"], ["spectrum"],
-        ["simulate", "--steps", "4", "--trials", "20"]]))
+    command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    seed = data.draw(st.none() | st.sampled_from(SEED_EDGES)) if command[0] == "simulate" \
+        else None
+    if seed is not None:
+        command = command + [f"--seed={seed}"]
     built = []
 
     def admitted(*args):
@@ -619,11 +664,16 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
     with monkeypatch.context() as patch:
         if edge is not None:
             patch.setattr(cli, "build_motion_group", admitted)
-        code = main([command[0], "--group", str(gpath), "--measure", str(mpath), *command[1:]])
+        code = _run(tmp_path, group, measure, command)
     err = capsys.readouterr().err
     assert code in {0, 2, 3, 64, 65}
     assert "Traceback" not in err
-    if edge is not None:
+    if seed is not None and not 0 <= seed < 2 ** 128:
+        # the seed is checked before either file is read
+        assert code == 64 and err.startswith("error: seed must be"), err
+    elif edge is not None:
         # an over-budget file exits 64 before build_motion_group runs
         assert code == 64
         assert bool(built) is not _over_budget(*edge), (edge, err)
+    elif mutations == 0:
+        assert code in {0, 2, 3} and err == "", err
