@@ -13,11 +13,12 @@ Three parts:
   --repeats calls per case, summed, in a fresh process per checkout.
 - ladder: a whole cross_check of the 5-atom measure (weights
   0.5/0.2/0.1/0.1/0.1 on the identity, ((1,0),0), ((0,0),1), ((5,9),3)
-  and ((-1,2),2)) on rotation_group(n), |G| = 4 n^2, one fresh process
-  per point and checkout: its time, its stage split, its verdicts and
-  the process's peak RSS. Each process first makes one untimed
-  cross_check on rotation_group(4), so no stage is charged the first
-  call's warm-up, while the ladder group's own tables stay cold.
+  and ((-1,2),2)) on rotation_group(n), |G| = 4 n^2, in --repeats fresh
+  processes per point and checkout, the checkouts alternating which runs
+  first: the median and quartiles of its time, of its stage split and of
+  the process's peak RSS, and its verdicts. Each process first makes one
+  untimed cross_check on rotation_group(4), so no stage is charged the
+  first call's warm-up, while the ladder group's own tables stay cold.
 
 Without --parent only this checkout is measured. Run from the
 repository root, with a checkout of the parent commit:
@@ -26,17 +27,7 @@ repository root, with a checkout of the parent commit:
 
     PYTHONPATH=src python3 scripts/bench_cesaro.py --pairs 0 --ladder 4 --repeats 1 --out -
 """
-import argparse
-import json
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
-
-from paired_runs import in_checkout, pairs
+from paired_runs import add_pairs, in_checkout, parser, start, summary, write
 
 SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
                     ("peak_rss_mb", True))
@@ -108,39 +99,44 @@ print(json.dumps({"order": g.size, "cross_check_s": round(whole, 4),
 """
 
 
+def ladder(checkouts: dict, ns: list, repeats: int) -> dict:
+    """Each side's ladder points: every point run repeats times per
+    checkout, the sides alternating which runs first; the time of the
+    whole check, of each stage and the peak RSS as their summary (median
+    and quartiles), with the first run's verdicts."""
+    out = {side: [] for side in checkouts}
+    for n in ns:
+        runs = {side: [] for side in checkouts}
+        for r in range(repeats):
+            order = list(checkouts.items())
+            for side, path in order if r % 2 == 0 else order[::-1]:
+                runs[side].append(in_checkout(path, LADDER, str(n)))
+        for side, points in runs.items():
+            first = points[0]
+            out[side].append({
+                "order": first["order"],
+                "cross_check_s": summary([p["cross_check_s"] for p in points]),
+                "stages": {stage: summary([p["stages"][stage] for p in points])
+                           for stage in first["stages"]},
+                "peak_rss_mb": summary([p["peak_rss_mb"] for p in points]),
+                "verdicts": first["verdicts"], "consistency": first["consistency"]})
+    return out
+
+
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--repeats", type=int, default=5, help="calls per case in the stage split")
+    ap = parser(__doc__, "BENCH_cesaro.json")
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="calls per case in the stage split, and runs per ladder point "
+                         "and checkout")
     ap.add_argument("--ladder", type=int, nargs="*", default=[16, 24, 48, 128],
                     help="n of rotation_group(n) for the 5-atom ladder")
-    ap.add_argument("--out", default="BENCH_cesaro.json", help="output file, or - for stdout")
     args = ap.parse_args()
-    here = Path.cwd()
-    checkouts = {"change": here}
-    result = {"command": "PYTHONPATH=src python3 scripts/bench_cesaro.py " + " ".join(sys.argv[1:]),
-              "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                              "nproc": os.cpu_count(), "machine": platform.machine(),
-                              "blas_threads": 1}}
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        checkouts["parent"] = parent
-        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent,
-                                          capture_output=True, text=True).stdout.strip() or None
-        result["command"] = result["command"].replace(str(args.parent), "<parent checkout>")
+    result, checkouts = start("bench_cesaro.py", args, blas_threads=1)
     result["stages"] = {side: in_checkout(path, STAGES, str(args.repeats))
                         for side, path in checkouts.items()}
-    result["ladder"] = {side: [in_checkout(path, LADDER, str(n)) for n in args.ladder]
-                        for side, path in checkouts.items()}
-    if args.parent is not None and args.pairs:
-        result["suite200"] = pairs(checkouts["parent"], here, "suite200", args.pairs,
-                                   SUITE200_METRICS)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    result["ladder"] = ladder(checkouts, args.ladder, args.repeats)
+    add_pairs(result, checkouts, args, "suite200", SUITE200_METRICS)
+    write(result, args.out)
 
 
 if __name__ == "__main__":

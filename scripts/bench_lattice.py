@@ -18,17 +18,7 @@ repository root, with a checkout of the parent commit:
 
     PYTHONPATH=src python3 scripts/bench_lattice.py --pairs 0 --ladder 7 8 --repeats 1 --out -
 """
-import argparse
-import json
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
-
-from paired_runs import in_checkout, pairs
+from paired_runs import add_pairs, in_checkout, parser, start, write
 
 LATTICE_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("op_p50_ms", True),
                    ("setup_s", True), ("peak_rss_mb", True))
@@ -51,37 +41,17 @@ print(json.dumps({"n": n, "defect_norm_s": round(spent, 5),
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap = parser(__doc__, "BENCH_lattice.json")
     ap.add_argument("--ladder", type=int, nargs="*", default=list(range(7, 15)),
                     help="exponents j of the ladder points n = 2^j")
     ap.add_argument("--repeats", type=int, default=3, help="calls per ladder point")
-    ap.add_argument("--out", default="BENCH_lattice.json", help="output file, or - for stdout")
     args = ap.parse_args()
-    here = Path.cwd()
-    checkouts = {"change": here}
-    result = {"command": "PYTHONPATH=src python3 scripts/bench_lattice.py " + " ".join(sys.argv[1:]),
-              "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                              "nproc": os.cpu_count(), "machine": platform.machine(),
-                              "blas_threads": 1}}
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        checkouts["parent"] = parent
-        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent,
-                                          capture_output=True, text=True).stdout.strip() or None
-        result["command"] = result["command"].replace(str(args.parent), "<parent checkout>")
+    result, checkouts = start("bench_lattice.py", args, blas_threads=1)
     result["ladder"] = {side: [in_checkout(path, POINT, str(j), str(args.repeats))
                                for j in args.ladder]
                         for side, path in checkouts.items()}
-    if args.parent is not None and args.pairs:
-        result["lattice_defect"] = pairs(checkouts["parent"], here, "lattice_defect", args.pairs,
-                                         LATTICE_METRICS)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    add_pairs(result, checkouts, args, "lattice_defect", LATTICE_METRICS)
+    write(result, args.out)
 
 
 if __name__ == "__main__":

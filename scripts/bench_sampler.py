@@ -29,11 +29,6 @@ with a checkout of the parent commit:
     PYTHONPATH=src python3 scripts/bench_sampler.py --pairs 0 --steps 4 --trials 5000 \
         --slices 1024 --repeats 1 --out -
 """
-import argparse
-import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -48,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import (WALK_MEASURES, WALK_N, WALK_STEPS, WALK_TRIALS,  # noqa: E402
                        _rng, lazy_adapted_weights)
 
-from paired_runs import pairs  # noqa: E402
+from paired_runs import add_pairs, parser, start, write  # noqa: E402
 
 CPUS, MIN_SLICE = simulate.WORKERS, simulate.MIN_SLICE
 WALK_SIM_METRICS = (("op_p50_ref_ms", True), ("op_p50_ms", True), ("setup_s", True),
@@ -159,41 +154,23 @@ def floor(g, mu, sizes: list, trials_steps: int, repeats: int) -> list:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap = parser(__doc__, "BENCH_sampler.json")
     ap.add_argument("--steps", type=int, default=WALK_STEPS, help="steps of a timed walk")
     ap.add_argument("--trials", type=int, default=WALK_TRIALS, help="trials of a timed walk")
     ap.add_argument("--slices", type=int, nargs="*", default=[1 << j for j in range(10, 16)],
                     help="slice sizes of the floor part")
     ap.add_argument("--repeats", type=int, default=5, help="walks per timing, the least kept")
-    ap.add_argument("--out", default="BENCH_sampler.json", help="output file, or - for stdout")
     args = ap.parse_args()
-    command = "PYTHONPATH=src python3 scripts/bench_sampler.py " + " ".join(sys.argv[1:])
-    result = {"command": command,
-              "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                              "nproc": os.cpu_count(), "cpus": CPUS, "min_slice": MIN_SLICE,
-                              "machine": platform.machine()}}
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        result["command"] = command.replace(str(args.parent), "<parent checkout>")
-        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent,
-                                          capture_output=True, text=True).stdout.strip() or None
-        # before the walks below: Linux reports a child's peak RSS as at
-        # least this process's RSS when it forked
-        if args.pairs:
-            result["walk_sim"] = pairs(parent, Path.cwd(), "walk_sim", args.pairs,
-                                       WALK_SIM_METRICS)
+    result, checkouts = start("bench_sampler.py", args, cpus=CPUS, min_slice=MIN_SLICE)
+    # before the walks below: Linux reports a child's peak RSS as at least
+    # this process's RSS when it forked
+    add_pairs(result, checkouts, args, "walk_sim", WALK_SIM_METRICS)
     g = rotation_group(WALK_N)
     walks = measures(g)
     result["per_step"] = per_step(g, walks, args.steps, args.trials)
     result["workers"] = per_worker(g, walks, args.steps, args.trials, args.repeats)
     result["floor"] = floor(g, walks[0][1], args.slices, args.steps * args.trials, args.repeats)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -23,17 +23,7 @@ the repository root, with a checkout of the parent commit:
 
     PYTHONPATH=src python3 scripts/bench_spectral.py --pairs 0 --repeats 1 --out -
 """
-import argparse
-import json
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
-
-from paired_runs import in_checkout, pairs
+from paired_runs import add_pairs, in_checkout, parser, start, write
 
 SPECTRAL_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("op_p50_ms", True),
                     ("setup_s", True), ("peak_rss_mb", True))
@@ -71,36 +61,15 @@ print(json.dumps({"order": g.size, "measures": len(weights), "kmax": kmax,
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap = parser(__doc__, "BENCH_spectral.json")
     ap.add_argument("--repeats", type=int, default=5,
                     help="calls per measure and stage in the stage split")
-    ap.add_argument("--out", default="BENCH_spectral.json", help="output file, or - for stdout")
     args = ap.parse_args()
-    here = Path.cwd()
-    checkouts = {"change": here}
-    result = {"command": "PYTHONPATH=src python3 scripts/bench_spectral.py "
-                         + " ".join(sys.argv[1:]),
-              "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                              "nproc": os.cpu_count(), "machine": platform.machine(),
-                              "blas_threads_in_stage_split": 1}}
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        checkouts["parent"] = parent
-        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent,
-                                          capture_output=True, text=True).stdout.strip() or None
-        result["command"] = result["command"].replace(str(args.parent), "<parent checkout>")
+    result, checkouts = start("bench_spectral.py", args, blas_threads_in_stage_split=1)
     result["stages"] = {side: in_checkout(path, STAGES, str(args.repeats), str(KMAX))
                         for side, path in checkouts.items()}
-    if args.parent is not None and args.pairs:
-        result["spectral2304"] = pairs(checkouts["parent"], here, "spectral2304", args.pairs,
-                                       SPECTRAL_METRICS)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    add_pairs(result, checkouts, args, "spectral2304", SPECTRAL_METRICS)
+    write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
 """Alternating runs of one perfbench workload on a parent checkout and on
-this one, and code run inside a checkout, shared by the bench_*.py
-evidence scripts.
+this one, code run inside a checkout, and the command line, header and
+output of a bench_*.py evidence script, shared by those scripts.
 
 Pair i runs both sides with seed i + 1, the parent first on even i and
 this checkout first on odd i, so a drift in machine load hits both sides.
 """
+import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -65,3 +67,54 @@ def pairs(parent: Path, here: Path, workload: str, n: int,
         out[metric]["change_wins"] = sum(c < p if lower else c > p
                                          for p, c in zip(runs["parent"], runs["change"]))
     return out
+
+
+def parser(doc: str, out: str) -> argparse.ArgumentParser:
+    """A bench script's parser, described by the first line of its
+    docstring doc, with the flags every one takes: --parent, --pairs, and
+    --out with default out."""
+    ap = argparse.ArgumentParser(description=doc.split("\n")[0])
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", default=out, help="output file, or - for stdout")
+    return ap
+
+
+def start(script: str, args: argparse.Namespace,
+          **environment) -> Tuple[dict, Dict[str, Path]]:
+    """(result, checkouts) of a run of scripts/<script>: result holds the
+    command line, with the parent's path written as <parent checkout>, the
+    environment (python, numpy, CPUs, machine and the given entries) and,
+    with --parent, the parent's short commit; checkouts maps "change" to
+    this checkout and, with --parent, "parent" to that one."""
+    checkouts = {"change": Path.cwd()}
+    command = f"PYTHONPATH=src python3 scripts/{script} " + " ".join(sys.argv[1:])
+    result = {"command": command,
+              "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                              "nproc": os.cpu_count(), "machine": platform.machine(),
+                              **environment}}
+    if args.parent is not None:
+        checkouts["parent"] = args.parent.resolve()
+        result["parent"] = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                                          cwd=checkouts["parent"], capture_output=True,
+                                          text=True).stdout.strip() or None
+        result["command"] = command.replace(str(args.parent), "<parent checkout>")
+    return result, checkouts
+
+
+def add_pairs(result: dict, checkouts: Dict[str, Path], args: argparse.Namespace,
+              workload: str, metrics: Iterable[Tuple[str, bool]]) -> None:
+    """result[workload] = --pairs alternating pairs of the workload, when
+    there is a parent checkout and --pairs is not 0."""
+    if "parent" in checkouts and args.pairs:
+        result[workload] = pairs(checkouts["parent"], checkouts["change"], workload,
+                                 args.pairs, metrics)
+
+
+def write(result: dict, out: str) -> None:
+    """result as indented JSON to the file out, or to stdout for -."""
+    text = json.dumps(result, indent=1) + "\n"
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)

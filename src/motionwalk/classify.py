@@ -52,10 +52,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySupport
-from .groups import Character, GElem, MotionGroup, Record, products
+from .groups import Character, GElem, MotionGroup, Record, inverse, products
 from .measures import GroupMeasure, require_probability
-from .reps import _blocks, _measure_of_blocks
-from .spectral import OrbitSpectral, _block_spectra
+from .reps import _blocks, _dyadic_powers, _measure_of_blocks
+from .spectral import SPECTRAL_TOL, OrbitSpectral, _block_spectra
 
 __all__ = [
     "TriState",
@@ -78,8 +78,9 @@ __all__ = [
 # fraction of tol separating FAILS from INDETERMINATE
 GUARD_FRACTION = 8.0
 
-# fixed budget of the Cesaro curves: the last n of the ergodic and
-# weak-mixing averages
+# default budget of the mixing curve and fixed budget of the Cesaro
+# curves: the last n of mu^n and of the ergodic and weak-mixing averages
+MIXING_N_MAX = 1024
 CESARO_N_MAX = 512
 
 # final values below which the empirical curves count as decayed
@@ -161,7 +162,7 @@ def _records(spectra: _Spectra, field: str) -> Tuple[BlockRecord, ...]:
                  for o, c in [(o, False) for o in per_orbit[1:]] + [(comp, True)])
 
 
-def check_sr(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
+def check_sr(mu: GroupMeasure, tol: float = SPECTRAL_TOL) -> ConditionCheck:
     """Spectral radius < 1 on every nontrivial block, tri-state."""
     require_probability(mu)
     return _sr_from_spectra(_block_spectra(mu.group, _blocks(mu.group, mu.weights.real), tol), tol)
@@ -176,7 +177,7 @@ def _sr_from_spectra(spectra: _Spectra, tol: float) -> ConditionCheck:
     return ConditionCheck("SR", verdict, records, worst, tol)
 
 
-def check_s(mu: GroupMeasure, tol: float = 1e-8) -> ConditionCheck:
+def check_s(mu: GroupMeasure, tol: float = SPECTRAL_TOL) -> ConditionCheck:
     """1 not in the spectrum of any nontrivial block, by singular-value margin."""
     require_probability(mu)
     return _s_from_spectra(_block_spectra(mu.group, _blocks(mu.group, mu.weights.real), tol), tol)
@@ -279,12 +280,13 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
     if supp.size == 0:
         raise EmptySupport("measure has empty support")
     d = g.abelian.rank
-    inv = g.inv_perm()
-    diffs = products(g, inv[supp[0]], supp)
-    # g.index reduces mod n: at modulus 1 every unit translation is the identity
+    diffs = products(g, g.index(inverse(g, g.element(int(supp[0])))), supp)
+    # (e_i, 0)^-1 = (-e_i, 0) and (0, k)^-1 = (0, k^-1); g.index reduces mod n
     units = [g.index(GElem(tuple(int(i == j) for j in range(d)), 0)) for i in range(d)]
-    generators = np.concatenate([units, np.arange(1, g.k.order)]).astype(np.int64)
-    closure = _closure(g, diffs, generators, inv[generators])
+    unit_inverses = [g.index(GElem(tuple(-int(i == j) for j in range(d)), 0)) for i in range(d)]
+    ks = np.arange(1, g.k.order)
+    closure = _closure(g, diffs, np.concatenate([units, ks]).astype(np.int64),
+                       np.concatenate([unit_inverses, g.k.inverses[ks]]).astype(np.int64))
     return AperiodicResult(closure.size == g.size, int(closure.size))
 
 
@@ -313,16 +315,7 @@ def _upper(points: Sequence[Tuple[int, float]]) -> List[Tuple[int, float]]:
     return [(n, 2.0 * d) for n, d in points]
 
 
-def _dyadic_powers(p: np.ndarray, n_max: int) -> List[np.ndarray]:
-    """[p, p^2, p^4, ..., p^n_max] of the block stack p, by repeated
-    squaring: 9 squarings reach n = 512."""
-    powers = [p]
-    for _ in range(n_max.bit_length() - 1):
-        powers.append(powers[-1] @ powers[-1])
-    return powers
-
-
-def empirical_mixing(mu: GroupMeasure, n_max: int = 1024) -> DecayCurve:
+def empirical_mixing(mu: GroupMeasure, n_max: int = MIXING_N_MAX) -> DecayCurve:
     """d(mu^n) = ||mu^n - m u||_1 at dyadic n, m the mass of mu^n: the
     bracket d <= sup_x ||f_x * mu^n||_1 <= 2d of the paper's sup form, whose
     upper end the verdict reads. Lambda_alpha(mu^n) is Lambda_alpha(mu)^n,
@@ -498,8 +491,8 @@ def _grid_violations(sr: ConditionCheck, s: ConditionCheck,
     return out
 
 
-def cross_check(mu: GroupMeasure, tol: float = 1e-8,
-                mixing_n_max: int = 1024, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
+def cross_check(mu: GroupMeasure, tol: float = SPECTRAL_TOL,
+                mixing_n_max: int = MIXING_N_MAX, ergodic_n_max: int = CESARO_N_MAX) -> Verdict:
     """Evaluate all six conditions and list violated implications."""
     require_probability(mu)
     p = _blocks(mu.group, mu.weights.real)

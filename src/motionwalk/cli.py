@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .classify import CESARO_N_MAX, Verdict, cross_check
+from .classify import CESARO_N_MAX, MIXING_N_MAX, Verdict, cross_check
 from .errors import (
     NotAGroupTable,
     NotAHomomorphism,
@@ -43,7 +43,7 @@ from .groups import GElem, MotionGroup, Record, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
 from .simulate import empirical_distributions, exact_powers, tv_to_uniform
-from .spectral import OrbitSpectral, orbit_spectra, verify_srf
+from .spectral import SPECTRAL_TOL, OrbitSpectral, orbit_spectra, verify_srf
 
 __all__ = [
     "RunConfig",
@@ -61,8 +61,8 @@ __all__ = [
 class RunConfig(Record):
     group_path: str
     measure_path: str
-    tol: float = 1e-8
-    n_max: int = 1024
+    tol: float = SPECTRAL_TOL
+    n_max: int = MIXING_N_MAX
     format: str = "json"
     seed: int = 0
 
@@ -87,7 +87,7 @@ MAX_K_ORDER = 1 << 7
 # largest |G| classify takes. Time and memory do not set it: at the bound
 # a random dense measure took 0.14 s and peaked at 48 MB (2-vCPU x86-64).
 # The fixed guard band of the spectral checks does: from about |G| = 2^15
-# a mixing walk's 1 - rho falls below tol = 1e-8 and reads SR FAILS
+# a mixing walk's 1 - rho falls below tol = SPECTRAL_TOL and reads SR FAILS
 MAX_CLASSIFY_ORDER = 1 << 12
 # largest --n-max classify takes: every dyadic point adds a row to the
 # power chain and the block read-back; at |G| = 4096 a random dense
@@ -451,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="six-condition verdict with cross-checks")
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--n-max", type=int, default=1024, dest="n_max")
+    p.add_argument("--tol", type=float, default=SPECTRAL_TOL)
+    p.add_argument("--n-max", type=int, default=MIXING_N_MAX, dest="n_max")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("verify-srf", help="radius formula check on one measure")
@@ -460,12 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="largest gap between the Gelfand estimate and the largest "
                         "block radius that passes; the one_in_spectrum column "
-                        "ignores it and always takes a margin of at most 1e-8")
+                        f"ignores it and always takes a margin of at most {SPECTRAL_TOL:g}")
     p.set_defaults(func=_cmd_verify_srf)
 
     p = subs.add_parser("spectrum", help="per-block radius, norm, and margin")
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=SPECTRAL_TOL,
                    help="margin at or below which 1 counts as in a block's spectrum")
     p.set_defaults(func=_cmd_spectrum)
 

@@ -51,7 +51,9 @@ class AbelianGroup:
         return self.modulus ** self.rank
 
     def index(self, vec: Sequence[int]) -> int:
-        # lexicographic enumeration, first coordinate most significant
+        # lexicographic, first coordinate most significant; each read mod n
+        if len(vec) != self.rank:
+            raise ValueError(f"need a vector of length {self.rank}, got {tuple(vec)}")
         idx = 0
         for v in vec:
             idx = idx * self.modulus + (v % self.modulus)
@@ -163,9 +165,13 @@ class MotionGroup:
         return self.abelian.size * self.k.order
 
     def index(self, x: GElem) -> int:
+        if not 0 <= x.k < self.k.order:
+            raise ValueError(f"need 0 <= k < {self.k.order}, got k = {x.k}")
         return self.abelian.index(x.a) * self.k.order + x.k
 
     def element(self, idx: int) -> GElem:
+        if not 0 <= idx < self.size:
+            raise ValueError(f"need 0 <= index < {self.size}, got {idx}")
         a_idx, k = divmod(idx, self.k.order)
         return GElem(self.abelian.vector(a_idx), k)
 

@@ -1,7 +1,7 @@
 """Monte Carlo sampling of the random walk and empirical decay to uniform.
 
-Exact dyadic convolution is always available as ground truth; the sampler
-exists to exercise the probabilistic path and as an independent
+Exact powers (exact_powers) are always available as ground truth; the
+sampler exists to exercise the probabilistic path and as an independent
 statistical check on the spectral classifiers. Trials draw from a
 counter-based generator, so a fixed seed reproduces the histogram bit for
 bit.
@@ -39,25 +39,25 @@ cuts names its atom outright, and only the uniforms in a cut bucket are
 searched. Scaling by a power of two is exact, so every draw is the
 search's own, bit for bit.
 
-The exact powers come from a chain of convolution squares (convolve, on
-A-Fourier transforms). Each product of the chain is put back on the
-probability simplex (real part, clipped at 0, unit mass), so the roundoff
-of the FFT does not compound over the squarings into a measure that is
-no longer a probability.
+The exact powers square mu's Fourier blocks, Lambda_alpha(mu^n) =
+Lambda_alpha(mu)^n, on the classifier's chain (reps._dyadic_powers), and
+each is put back on the probability simplex (real part, clipped at 0,
+unit mass), so roundoff never leaves a measure that is not a probability.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import GroupMismatch
 from .groups import MotionGroup, products
-from .measures import GroupMeasure, convolve, delta, from_weights, require_probability
+from .measures import GroupMeasure, delta, from_weights, require_probability
+from .reps import _blocks, _dyadic_powers, _measure_of_blocks
 
 # buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
 GUIDE_SIZE = 1 << 12
@@ -252,47 +252,34 @@ def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
 
 
 def _on_simplex(g: MotionGroup, w: np.ndarray) -> GroupMeasure:
-    """The measure on g of the real part of weights w, clipped at 0 and
-    scaled to unit mass. On a convolution of probabilities it removes what
-    the FFT's roundoff left off the simplex: imaginary parts, entries below
-    0, mass away from 1."""
+    """The real part of weights w, clipped at 0 and scaled to unit mass:
+    on a power of a probability, what roundoff left off the simplex
+    (imaginary parts, entries below 0, mass away from 1) is removed."""
     w = np.clip(w.real, 0.0, None)
     return GroupMeasure(g, w / w.sum())
 
 
 def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
-    """mu^n of a probability mu for each entry of ns, in its order, from
-    one chain of squarings mu, mu^2, mu^4, ... up to max(ns). Each power is
-    the product of the chain's entries at the set bits of n, lowest bit
-    first, and starts from its first factor; n = 0 gives the point mass at
-    the identity. Each product is one convolve, put back on the simplex
-    (_on_simplex), so each power is a probability at every n. The power at
-    n does not depend on the other entries of ns, so it equals
-    exact_power(mu, n) bit for bit."""
+    """mu^n of a probability mu for each entry of ns, in its order. One
+    chain squares the block stack P = Lambda_alpha(mu) to P, P^2, P^4, ...
+    up to the top bit of max(ns); the blocks of mu^n are the product of its
+    entries at the set bits of n, lowest first, and one read-back of all of
+    them gives the weights, each put back on the simplex (_on_simplex).
+    n = 0 gives the point mass at the identity. The power at n does not
+    depend on the rest of ns: it is exact_power(mu, n) bit for bit."""
     require_probability(mu)
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
     g = mu.group
-
-    def product(a: GroupMeasure, b: GroupMeasure) -> GroupMeasure:
-        return _on_simplex(g, convolve(a, b).weights)
-
-    squares = [mu]
-    while 2 ** len(squares) <= max(ns):
-        squares.append(product(squares[-1], squares[-1]))
-    powers = []
-    for n in ns:
-        result = None
-        for bit, square in enumerate(squares):
-            if n >> bit & 1:
-                result = square if result is None else product(result, square)
-        powers.append(delta(g, g.identity()) if result is None else result)
-    return powers
+    squares = _dyadic_powers(_blocks(g, mu.weights.real), max(ns))
+    blocks = [reduce(np.matmul, [p for bit, p in enumerate(squares) if n >> bit & 1])
+              for n in ns if n]
+    rows = iter(_measure_of_blocks(g, np.stack(blocks)) if blocks else ())
+    return [_on_simplex(g, next(rows)) if n else delta(g, g.identity()) for n in ns]
 
 
 def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:
-    """mu^n of a probability mu by square-and-multiply convolution; n = 0
-    gives the point mass at the identity."""
+    """mu^n of a probability mu: exact_powers(mu, [n])[0]."""
     return exact_powers(mu, [n])[0]
 
 

@@ -47,6 +47,9 @@ __all__ = [
 
 SINGULAR_REASON = "discrete Haar: all measures absolutely continuous"
 
+# default margin of one_in_spectrum and guard band of the spectral verdicts
+SPECTRAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class OneInSpectrumResult:
@@ -119,7 +122,7 @@ def op_norm(m: np.ndarray) -> float | np.ndarray:
     return _scalar(s.max(axis=-1, initial=0.0), a)
 
 
-def one_in_spectrum(m: np.ndarray, tol: float = 1e-8) -> OneInSpectrumResult:
+def one_in_spectrum(m: np.ndarray, tol: float = SPECTRAL_TOL) -> OneInSpectrumResult:
     """Test 1 in spectrum(m) via the smallest singular value of I - m.
 
     The singular-value margin is backward stable and never above the
@@ -208,7 +211,7 @@ def gelfand_radius(mu: GroupMeasure, kmax: int = 20) -> float:
     return _gelfand_estimates(mu, (kmax,))[0]
 
 
-def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = 1e-8
+def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = SPECTRAL_TOL
                    ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
     """Records of a stack of blocks, one per dual-orbit representative
     (reps._blocks), and of the zero orbit's compressed to the complement
@@ -225,7 +228,7 @@ def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = 1e-8
     return records(chars, blocks), records(chars[:1], comp)[0]
 
 
-def orbit_spectra(mu: GroupMeasure, tol: float = 1e-8
+def orbit_spectra(mu: GroupMeasure, tol: float = SPECTRAL_TOL
                   ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
     """_block_spectra of every dual-orbit Fourier block mu_hat(Lambda_alpha),
     zero orbit first: one transform, of the reflected weights."""

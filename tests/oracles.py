@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from motionwalk.classify import _dyadic_powers
 from motionwalk.families import (
     negation_group,
     rotation_group,
@@ -31,7 +30,7 @@ from motionwalk.families import (
 )
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits, products
 from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
-from motionwalk.reps import _blocks, compress_to_complement, fourier
+from motionwalk.reps import _blocks, _dyadic_powers, compress_to_complement, fourier
 from motionwalk.rosenblatt import (
     QSqrt5,
     ZElem,
@@ -350,7 +349,9 @@ def convolve_gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
 def convolve_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     """mu^n for each n of ns by a chain of convolve calls: squares
     mu, mu^2, mu^4, ... and, per n, the product of the squares at its set
-    bits, lowest first, each convolution put back on the simplex."""
+    bits, lowest first, each convolution put back on the simplex. It
+    multiplies in the weights' A-Fourier transform and never reads the
+    block stack, so it checks simulate.exact_powers by another route."""
     g = mu.group
     squares = [mu]
     while 2 ** len(squares) <= max(ns):

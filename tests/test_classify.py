@@ -28,7 +28,6 @@ from motionwalk.classify import (
 from motionwalk.errors import EmptySupport, NotProbability
 from motionwalk.groups import GElem, dual_orbits, products
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
-from motionwalk.simulate import exact_powers
 
 from conftest import (
     d4_group,
@@ -38,7 +37,8 @@ from conftest import (
     swap_group,
     trivial_group,
 )
-from oracles import lambda_elem, per_step_points, per_step_weak_mixing, structure, translate_gaps
+from oracles import (convolve_powers, lambda_elem, per_step_points, per_step_weak_mixing, structure,
+                     translate_gaps)
 
 
 def two_atom_walk(g):
@@ -161,6 +161,15 @@ def test_cross_check_builds_no_mult_table(no_mult_table):
     assert v.sr.verdict == TriState.HOLDS
     assert v.empirical_mixing.verdict == "MIXING"
     assert v.consistency == ()
+
+
+def test_cross_check_builds_no_inverse_permutation():
+    # s0^-1 and the conjugators' inverses come one element at a time, and
+    # the spectral checks read the unreflected blocks: no |G|-sized table
+    # of inverses is built
+    g = rotation_group(16)
+    cross_check(five_atom_walk(g))
+    assert "_inv_perm" not in vars(g)
 
 
 def test_cross_check_transforms_and_sweeps_once(monkeypatch):
@@ -324,14 +333,15 @@ def test_translate_gaps_match_dense_table(request, group, scale):
 
 
 def test_mixing_gap_is_within_twice_the_distance_to_uniform():
-    # each point is the distance of mu^n to Haar, mu^n from the convolution
-    # squares, at |G| = 2304, and brackets the exact translate gap
+    # each point is the distance of mu^n to Haar, mu^n from the convolve
+    # chain, a route that never reads the blocks the curve squares, at
+    # |G| = 2304, and brackets the exact translate gap
     g = rotation_group(24)
     mu = five_atom_walk(g)
     curve = empirical_mixing(mu)
     ns = [n for n, _ in curve.points]
     assert ns[-1] == 1024 and curve.verdict == "MIXING"
-    rows = np.array([power.weights.real for power in exact_powers(mu, ns)])
+    rows = np.array([power.weights.real for power in convolve_powers(mu, ns)])
     for (n, d), row in zip(curve.points, rows):
         assert abs(d - np.abs(row - 1 / g.size).sum()) <= 1e-12, n
     gaps = translate_gaps(g, rows)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
-from motionwalk.reps import complement_basis
+from motionwalk.measures import delta, uniform
+from motionwalk.reps import complement_basis, fourier
 from motionwalk.groups import (
     Character,
     GElem,
@@ -316,3 +317,16 @@ def test_random_negation_groups_are_valid(n, seed):
     for _ in range(20):
         x, y, z = (elems[rng.integers(len(elems))] for _ in range(3))
         assert multiply(g, multiply(g, x, y), z) == multiply(g, x, multiply(g, y, z))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: delta(g, GElem((0, 0), 5)),     # k outside K: was ((0, 1), 1)
+    lambda g: delta(g, GElem((0,), 0)),       # rank 1 of 2: was the identity
+    lambda g: fourier(uniform(g), Character((1,))),  # was the block of (0, 1)
+    lambda g: g.element(g.size),              # was the identity
+    lambda g: g.abelian.index((1, 2, 3)),     # was 27 >= |A| = 16
+], ids=["delta_k", "delta_rank", "fourier_rank", "element", "abelian_index"])
+def test_index_helpers_reject_what_names_no_element(call):
+    # each of these named some other element of rotation_group(4)
+    with pytest.raises(ValueError):
+        call(rotation_group(4))

@@ -5,6 +5,7 @@ import pytest
 from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
+from motionwalk.cli import MAX_SIM_STEPS
 from motionwalk.measures import convolve, delta, from_weights, is_probability, tv_norm, uniform
 from motionwalk.simulate import (
     GUIDE_SIZE,
@@ -12,7 +13,6 @@ from motionwalk.simulate import (
     _guide_table,
     _increment_cdf,
     _lookup,
-    _on_simplex,
     _walk,
     empirical_distribution,
     empirical_distributions,
@@ -22,7 +22,7 @@ from motionwalk.simulate import (
     tv_to_uniform,
 )
 from motionwalk.spectral import verify_srf
-from motionwalk.suite import fast_mixer
+from motionwalk.suite import acceptance_suite, fast_mixer
 
 from conftest import d4_group, negation_group, rotation_group, trivial_group
 from oracles import convolve_powers
@@ -92,8 +92,6 @@ def test_exact_power_basics(order10):
     p0 = exact_power(mu, 0)
     assert np.isclose(p0.weights[order10.index(order10.identity())], 1.0)
     p3 = exact_power(mu, 3)
-    from motionwalk.measures import convolve
-
     ref = convolve(convolve(mu, mu), mu)
     assert np.allclose(p3.weights, ref.weights, atol=1e-15)
 
@@ -226,29 +224,31 @@ def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
 
 
 def test_exact_powers_square_one_chain(order18, monkeypatch):
-    # dyadic rows are squares of the previous row; a non-dyadic n multiplies
-    # the chain's entries; every power equals its own exact_power bit for bit
+    # one block stack, one chain of squarings up to the top bit of max(ns)
+    # and one read-back per call; every power equals its own exact_power
+    # bit for bit
     mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
-    calls = []
+    names = ("_blocks", "_dyadic_powers", "_measure_of_blocks")
+    calls, chains = {}, []
 
-    def counting(a, b):
-        calls.append(1)
-        return convolve(a, b)
+    def counted(name, f):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            out = f(*args)
+            if name == "_dyadic_powers":
+                chains.append(len(out))
+            return out
+        return call
 
-    monkeypatch.setattr(simulate, "convolve", counting)
-    ns = [1, 2, 4, 8, 16, 32, 64, 128]
-    powers = exact_powers(mu, ns)
-    assert len(calls) == 7
-    assert np.array_equal(powers[0].weights, mu.weights)
-    for prev, cur in zip(powers, powers[1:]):
-        square = _on_simplex(order18, convolve(prev, prev).weights)
-        assert np.array_equal(cur.weights, square.weights)
-    calls.clear()
-    ns = [1, 2, 4, 8, 16, 20, 0, 3]
-    powers = exact_powers(mu, ns)
-    assert len(calls) == 6  # four squarings, 4 * 16 and 1 * 2
-    for n, power in zip(ns, powers):
-        assert np.array_equal(power.weights, exact_power(mu, n).weights)
+    for name in names:
+        monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
+    for ns, chain in (([1, 2, 4, 8, 16, 32, 64, 128], 8), ([1, 2, 4, 8, 16, 20, 0, 3], 5)):
+        calls.clear()
+        chains.clear()
+        powers = exact_powers(mu, ns)
+        assert calls == dict.fromkeys(names, 1) and chains == [chain]
+        for n, power in zip(ns, powers):
+            assert np.array_equal(power.weights, exact_power(mu, n).weights)
     assert np.array_equal(powers[6].weights, delta(order18, order18.identity()).weights)
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError):
@@ -259,28 +259,42 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
                                   lambda: rotation_group(16)],
                          ids=["order10", "d4_3", "rotation16"])
 def test_exact_powers_equal_a_convolve_chain(make):
-    # one gather index per chain changes no bit of any power
+    # the block chain against the convolve chain of the weights, a route
+    # that never reads the blocks
     g = make()
     w = np.random.default_rng(8).random(g.size) ** 8
     mu = from_weights(g, w / w.sum())
     ns = [0, 1, 3, 8, 20, 64, 255]
     for power, ref in zip(exact_powers(mu, ns), convolve_powers(mu, ns)):
-        assert np.array_equal(power.weights, ref.weights)
+        assert np.abs(power.weights - ref.weights).max() <= 1e-12
+
+
+def test_exact_powers_match_the_convolve_chain_on_the_suite():
+    # every acceptance case; the largest difference was 2.3e-14
+    ns = [0, 1, 2, 3, 8, 13, 64, 128]
+    for case in acceptance_suite():
+        powers = exact_powers(case.measure, ns)
+        for n, power, ref in zip(ns, powers, convolve_powers(case.measure, ns)):
+            assert np.abs(power.weights - ref.weights).max() <= 1e-12, (case.name, n)
+            assert is_probability(power, tol=1e-14)
 
 
 @pytest.mark.parametrize("a, b, ns", [
     # a translation and a rotation: the mass drifted to -1.8e-12 at 2^16
-    (GElem((1, 0), 0), GElem((0, 0), 1), [2 ** 13, 2 ** 16]),
+    # on the convolve chain
+    (GElem((1, 0), 0), GElem((0, 0), 1), [2 ** 13, 2 ** 16, MAX_SIM_STEPS]),
     # a lazy screw motion: the imaginary part drifted to 1.9e-12 at 2^19
-    (GElem((0, 0), 0), GElem((1, 0), 1), [2 ** 16, 2 ** 19]),
+    # on the convolve chain; the two chains differed by 5.1e-12 at 2^20
+    (GElem((0, 0), 0), GElem((1, 0), 1), [2 ** 16, 2 ** 19, MAX_SIM_STEPS]),
 ])
 def test_exact_powers_stay_probabilities(a, b, ns):
     g = rotation_group(16)
     mu = 0.5 * delta(g, a) + 0.5 * delta(g, b)
-    for power in exact_powers(mu, ns):
+    for power, ref in zip(exact_powers(mu, ns), convolve_powers(mu, ns)):
         # unit mass to roundoff, far inside PROBABILITY_TOL at every n
         assert is_probability(power, tol=1e-14)
         assert 0.0 <= tv_to_uniform(power) < 1.0
+        assert np.abs(power.weights - ref.weights).max() <= 1e-10
 
 
 def test_empirical_distributions_rows_are_prefixes(order18):
