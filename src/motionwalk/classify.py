@@ -426,7 +426,7 @@ def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
     for n_max in (mixing_n_max, cesaro_n_max):
         if n_max < 1 or n_max & (n_max - 1):
             raise ValueError(f"n_max must be a power of two, got {n_max}")
-    powers = _dyadic_powers(p, max(mixing_n_max, cesaro_n_max))
+    powers = list(_dyadic_powers(p, max(mixing_n_max, cesaro_n_max)))
     ns = [1 << k for k in range(len(powers))]
     n_mix, n_ces = mixing_n_max.bit_length(), cesaro_n_max.bit_length()
     # averages run over j = 1..n: the j = 0 term is n-independent and would

@@ -108,6 +108,10 @@ MAX_SIM_STEPS = 1 << 20
 # largest --steps x --trials: about 16 ns per trial step on one thread and
 # 9 ns on two (16.9 s and 9.5 s at the bound, 2-vCPU x86-64 Xeon)
 MAX_SIM_TRIAL_STEPS = 1 << 30
+# largest block stack of simulate's exact powers, orbits * |K|^2 complex
+# entries (|G| to |G| |K|): at the bound (Z_128 acting trivially on Z_1024)
+# the chain to 2^20 peaked at 595 MB RSS in 7.5 s (2-vCPU x86-64)
+MAX_SIM_BLOCK_ENTRIES = 1 << 24
 
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
@@ -391,6 +395,8 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"simulate: need --trials <= {MAX_SIM_TRIALS}, --steps <= "
                          f"{MAX_SIM_STEPS} and their product <= {MAX_SIM_TRIAL_STEPS}")
     g = load_group(args.group)
+    if (entries := len(g._representatives) * g.k.order ** 2) > MAX_SIM_BLOCK_ENTRIES:
+        raise ParseError(f"simulate: {entries} block entries exceed {MAX_SIM_BLOCK_ENTRIES}")
     mu = load_measure(args.measure, g)
     ns = _dyadic_upto(args.steps)
     empirical = empirical_distributions(g, mu, ns, args.trials, cfg.seed)

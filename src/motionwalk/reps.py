@@ -13,7 +13,7 @@ share that module's one Fourier convention.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,15 +61,15 @@ def _measure_of_blocks(g: MotionGroup, stack: np.ndarray) -> np.ndarray:
     return _weights(g, f)
 
 
-def _dyadic_powers(p: np.ndarray, n_max: int) -> List[np.ndarray]:
-    """[p, p^2, p^4, ..., p^(2^j)] of the block stack p, 2^j the top bit of
-    n_max, by repeated squaring (Lambda_alpha(mu^n) = Lambda_alpha(mu)^n):
-    the package's one block-squaring chain, for the classifier's curves
-    and simulate.exact_powers. 9 squarings reach n = 512."""
-    powers = [p]
+def _dyadic_powers(p: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
+    """p, p^2, p^4, ..., p^(2^j) of the block stack p, 2^j the top bit of
+    n_max, each squared when asked for (Lambda_alpha(mu^n) =
+    Lambda_alpha(mu)^n): the package's one block-squaring chain, for the
+    classifier's curves and simulate.exact_powers."""
+    yield p
     for _ in range(n_max.bit_length() - 1):
-        powers.append(powers[-1] @ powers[-1])
-    return powers
+        p = p @ p
+        yield p
 
 
 def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:

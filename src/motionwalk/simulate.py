@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -261,21 +261,23 @@ def _on_simplex(g: MotionGroup, w: np.ndarray) -> GroupMeasure:
 
 def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     """mu^n of a probability mu for each entry of ns, in its order. One
-    chain squares the block stack P = Lambda_alpha(mu) to P, P^2, P^4, ...
-    up to the top bit of max(ns); the blocks of mu^n are the product of its
-    entries at the set bits of n, lowest first, and one read-back of all of
-    them gives the weights, each put back on the simplex (_on_simplex).
-    n = 0 gives the point mass at the identity. The power at n does not
-    depend on the rest of ns: it is exact_power(mu, n) bit for bit."""
+    chain squares the blocks P = Lambda_alpha(mu) up to the top bit of
+    max(ns); mu^n's blocks, the squares at the set bits of n multiplied
+    lowest first, are read back as soon as its top bit is in and put on
+    the simplex (_on_simplex), so two squares and one product per open n
+    are held. n = 0 gives the point mass at the identity. The power at n
+    is exact_power(mu, n) bit for bit, whatever the rest of ns."""
     require_probability(mu)
     if len(ns) == 0 or min(ns) < 0:
         raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
     g = mu.group
-    squares = _dyadic_powers(_blocks(g, mu.weights.real), max(ns))
-    blocks = [reduce(np.matmul, [p for bit, p in enumerate(squares) if n >> bit & 1])
-              for n in ns if n]
-    rows = iter(_measure_of_blocks(g, np.stack(blocks)) if blocks else ())
-    return [_on_simplex(g, next(rows)) if n else delta(g, g.identity()) for n in ns]
+    powers, pending = {0: delta(g, g.identity())}, {}
+    for bit, square in enumerate(_dyadic_powers(_blocks(g, mu.weights.real), max(ns))):
+        for n in {n for n in ns if n >> bit & 1}:
+            pending[n] = pending[n] @ square if n in pending else square
+            if n >> bit == 1:
+                powers[n] = _on_simplex(g, _measure_of_blocks(g, pending.pop(n)))
+    return [powers[n] for n in ns]
 
 
 def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:

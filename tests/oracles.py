@@ -306,7 +306,7 @@ def gram_list_weak_mixing(mu: GroupMeasure, n_max: int) -> Tuple[tuple, float]:
     g = mu.group
     p = _blocks(g, mu.weights.real)
     grams = [np.einsum("ric,rlc->rcil", p, p.conj())]
-    for pn in _dyadic_powers(p, n_max)[:n_max.bit_length() - 1]:
+    for pn in list(_dyadic_powers(p, n_max))[:-1]:
         grams.append(grams[-1] + pn[:, None] @ grams[-1] @ pn[:, None].conj().swapaxes(-1, -2))
 
     def row_max(gram):

@@ -14,6 +14,7 @@ from motionwalk.cli import (
     MAX_CLASSIFY_N_MAX,
     MAX_GROUP_ORDER,
     MAX_K_ORDER,
+    MAX_SIM_BLOCK_ENTRIES,
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
     MAX_SIM_TRIALS,
@@ -322,6 +323,22 @@ def test_simulate_budgets_are_checked_before_the_group_file(tmp_path, capsys):
     sizes = ["--steps", str(MAX_SIM_STEPS), "--trials", str(per_step)]
     assert main(["simulate", "--group", missing, "--measure", missing, *sizes]) == 64
     assert "absent.json" in capsys.readouterr().err
+
+
+def test_simulate_block_stack_budget(tmp_path, capsys):
+    # K = Z_128 acting trivially on Z_2048: every character is its own
+    # orbit, so the exact powers' block stack has |G| |K| = 2^25 entries
+    cyclic = [[(i + j) % 128 for j in range(128)] for i in range(128)]
+    g = build_motion_group(2048, 1, cyclic, [[[1]]] * 128)
+    assert len(g._representatives) * 128 ** 2 == 2 * MAX_SIM_BLOCK_ENTRIES
+    gpath = write_group(tmp_path / "g.json", g)
+    missing = str(tmp_path / "absent.json")
+    assert main(["simulate", "--group", gpath, "--measure", missing, "--steps", "1",
+                 "--trials", "1"]) == 64
+    assert capsys.readouterr().err.startswith(
+        f"error: simulate: {2 * MAX_SIM_BLOCK_ENTRIES} block entries exceed")
+    # the largest free action holds about |G| entries and passes
+    assert len(rotation_group(512)._representatives) * 16 < MAX_SIM_BLOCK_ENTRIES / 8
 
 
 def test_non_probability_exits_65(tmp_path, d5, capsys):

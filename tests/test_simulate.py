@@ -1,4 +1,6 @@
 """Sampler determinism, exactness checks, and concentration envelopes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,35 +226,59 @@ def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
 
 
 def test_exact_powers_square_one_chain(order18, monkeypatch):
-    # one block stack, one chain of squarings up to the top bit of max(ns)
-    # and one read-back per call; every power equals its own exact_power
-    # bit for bit
+    # one block stack and one chain of squarings up to the top bit of
+    # max(ns) per call, one read-back per distinct n > 0; every power
+    # equals its own exact_power bit for bit
     mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
-    names = ("_blocks", "_dyadic_powers", "_measure_of_blocks")
-    calls, chains = {}, []
+    calls = {}
 
     def counted(name, f):
         def call(*args):
             calls[name] = calls.get(name, 0) + 1
-            out = f(*args)
-            if name == "_dyadic_powers":
-                chains.append(len(out))
-            return out
+            return f(*args)
         return call
 
-    for name in names:
+    def chain(p, n_max):
+        calls["_dyadic_powers"] = calls.get("_dyadic_powers", 0) + 1
+        for square in dyadic_powers(p, n_max):
+            calls["squares"] = calls.get("squares", 0) + 1
+            yield square
+
+    dyadic_powers = simulate._dyadic_powers
+    monkeypatch.setattr(simulate, "_dyadic_powers", chain)
+    for name in ("_blocks", "_measure_of_blocks"):
         monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
-    for ns, chain in (([1, 2, 4, 8, 16, 32, 64, 128], 8), ([1, 2, 4, 8, 16, 20, 0, 3], 5)):
+    for ns, squares, reads in (([1, 2, 4, 8, 16, 32, 64, 128], 8, 8),
+                               ([1, 2, 4, 8, 16, 20, 0, 3, 3], 5, 7)):
         calls.clear()
-        chains.clear()
         powers = exact_powers(mu, ns)
-        assert calls == dict.fromkeys(names, 1) and chains == [chain]
+        assert calls == {"_blocks": 1, "_dyadic_powers": 1, "squares": squares,
+                         "_measure_of_blocks": reads}
         for n, power in zip(ns, powers):
             assert np.array_equal(power.weights, exact_power(mu, n).weights)
+    # mu^1 is mu read back from its blocks: equal to roundoff, not bit for bit
+    assert np.abs(powers[0].weights - mu.weights).max() <= 1e-15
     assert np.array_equal(powers[6].weights, delta(order18, order18.identity()).weights)
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError):
             exact_powers(mu, bad)
+
+
+def test_exact_powers_hold_a_few_stacks():
+    # the chain is read as it is made: besides the powers it returns, a
+    # call up to MAX_SIM_STEPS holds a few block stacks, not one per square
+    g = rotation_group(32)
+    mu = 0.5 * delta(g, GElem((0, 0), 0)) + 0.5 * delta(g, GElem((1, 0), 1))
+    ns = [1 << k for k in range(MAX_SIM_STEPS.bit_length())]
+    stack = simulate._blocks(g, mu.weights.real).nbytes
+    tracemalloc.start()
+    try:
+        powers = exact_powers(mu, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(power.weights.nbytes for power in powers)
+    assert peak - held <= 6 * stack
 
 
 @pytest.mark.parametrize("make", [lambda: negation_group(5), lambda: d4_group(3),
