@@ -7,16 +7,19 @@ Four parts:
   per pair; each side's end-to-end metrics and the unscaled op_p50_ms,
   with median and quartiles, and the pairs this checkout wins on each.
 - per-step split: one walk of each measure timed call by call on one
-  thread, as the mean per step of the uniform draw, the guide-table
-  lookup and the gather through the right-product table, next to the
-  search over the atoms' CDF that the lookup replaced, timed on the same
-  uniforms. The measures are the three walk_sim measures of seed 1 and a
-  dense one with an atom on every element, all on rotation_group(16) at
-  --trials trials, and the first walk_sim measure at one trial.
+  thread, as the mean per step of the draw of raw 64-bit words, the
+  guide-table lookup (shift, take, search of the cut buckets) and the
+  gather through the right-product table, next to what the walk no
+  longer runs: Generator.random's draw of the same words as uniforms,
+  from a second Philox with the same key, and the search over the atoms'
+  CDF on those uniforms, which the lookup must match. The measures are
+  the three walk_sim measures of seed 1 and a dense one with an atom on
+  every element, all on rotation_group(16) at --trials trials, and the
+  first walk_sim measure at one trial.
 - workers: the same measures walked by sample_path at each worker count
   up to the CPUs the process may run on (at least 2), the minimum of
   --repeats walks per count, as ms per step; every count draws the same
-  uniforms and must return the same positions.
+  words and must return the same positions.
 - floor: a walk of the first walk_sim measure in slices of each size of
   --slices trials, on one thread and on 2, as us per step: where the
   slices gain, which sets simulate.MIN_SLICE.
@@ -58,29 +61,31 @@ def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
     scaled, guide = _guide_table(cdf)
     k = len(atoms)
     table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
+    bits = np.random.Philox(key=seed)
+    # the same words, as the uniforms the search is defined on
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u, plain = np.empty(trials), np.empty(trials)
-    bucket, row = np.empty(trials, dtype=np.intp), np.empty(trials, dtype=np.intp)
+    u = np.empty(trials)
+    bucket, row = np.empty(trials, dtype=np.uint64), np.empty(trials, dtype=np.intp)
     x = np.zeros(trials, dtype=np.intp)
-    spent = dict.fromkeys(("draw", "lookup", "gather", "search"), 0.0)
+    spent = dict.fromkeys(("draw", "lookup", "gather", "random", "search"), 0.0)
     clock = time.perf_counter
     for _ in range(steps):
         t0 = clock()
-        rng.random(out=u)
+        raw = bits.random_raw(trials)
         t1 = clock()
-        np.copyto(plain, u)
+        _lookup(scaled, guide, raw, bucket, row)
         t2 = clock()
-        searched = np.searchsorted(cdf, plain, side="right")
+        rng.random(out=u)
         t3 = clock()
-        _lookup(scaled, guide, u, bucket, row)
+        searched = np.searchsorted(cdf, u, side="right")
         t4 = clock()
         assert np.array_equal(row, searched)
         t5 = clock()
         np.add(row, x, out=row)
         np.take(table, row, out=x, mode="clip")
         t6 = clock()
-        for part, dt in (("draw", t1 - t0), ("search", t3 - t2), ("lookup", t4 - t3),
-                         ("gather", t6 - t5)):
+        for part, dt in (("draw", t1 - t0), ("lookup", t2 - t1), ("random", t3 - t2),
+                         ("search", t4 - t3), ("gather", t6 - t5)):
             spent[part] += dt
     start = clock()
     sample_path(g, mu, WalkConfig(steps, trials, seed))

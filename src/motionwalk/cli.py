@@ -112,6 +112,13 @@ MAX_SIM_TRIAL_STEPS = 1 << 30
 # entries (|G| to |G| |K|): at the bound (Z_128 acting trivially on Z_1024)
 # the chain to 2^20 peaked at 595 MB RSS in 7.5 s (2-vCPU x86-64)
 MAX_SIM_BLOCK_ENTRIES = 1 << 24
+# largest weak-mixing Gram tensor of classify's curves, orbits * |K|^3
+# complex entries (|G| |K| to |G| |K|^2): K = Z_32 acting trivially on Z_128
+# is at the bound, 3.3 s and 336 MB peak RSS; Z_64 on Z_32 (2^23) 7.1 s and
+# 591 MB; Z_64 on Z_64 and Z_128 on Z_8 (2^24) 12.7-13.1 s and 1.1 GB. A free
+# action at the |G| cap, rotation_group(32), holds 2^14 (0.04 s, 51 MB;
+# 2-vCPU x86-64)
+MAX_CLASSIFY_GRAM_ENTRIES = 1 << 22
 
 
 def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
@@ -331,6 +338,8 @@ def _cmd_classify(args) -> int:
     g = load_group(args.group)
     if g.size > MAX_CLASSIFY_ORDER:
         raise ParseError(f"classify: |G| = {g.size} exceeds {MAX_CLASSIFY_ORDER} elements")
+    if (entries := len(g._representatives) * g.k.order ** 3) > MAX_CLASSIFY_GRAM_ENTRIES:
+        raise ParseError(f"classify: {entries} Gram entries exceed {MAX_CLASSIFY_GRAM_ENTRIES}")
     mu = load_measure(args.measure, g)
     verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
     payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX),

@@ -6,14 +6,14 @@ statistical check on the spectral classifiers. Trials draw from a
 counter-based generator, so a fixed seed reproduces the histogram bit for
 bit.
 
-The walk is step-major: step s draws one uniform per trial, the block
+The walk is step-major: step s draws one 64-bit word per trial, the block
 [s*trials, (s+1)*trials) of the seed's stream, maps it to an atom of the
 measure by inverse CDF over the atoms only, and steps x -> x * atom
 through the (|G|, #atoms) table of right products by the atoms. The dense
 |G| x |G| multiplication table is never built. A walk of n steps is
 therefore a prefix of every longer walk with the same seed, and one walk
 yields the histogram at every requested n. Memory beyond the (|G|,
-#atoms) table is O(trials): the trials x steps uniforms are never
+#atoms) table is O(trials): the trials x steps words are never
 materialised, and a slice's scratch is one block of TRIAL_BLOCK trials.
 
 The trials are walked in equal contiguous slices, one per CPU the process
@@ -23,21 +23,22 @@ trials, so a small walk runs on the calling thread alone. Before each
 step the slice [lo, hi) seeks its generator to stream position
 step * trials + lo. The generator is counter-based (Salmon et al.,
 Parallel Random Numbers: As Easy as 1, 2, 3, SC'11), so a seek is one
-counter advance and at most three discarded draws, and each slice reads
-exactly the uniforms a single pass over all trials would. The slices
+counter advance and at most three discarded words, and each slice reads
+exactly the words a single pass over all trials would. The slices
 count their positions at the wanted steps as integers and the counts are
 summed, so every histogram and every final position is the same bit for
 bit at any number of slices. There is no setting for the number of
 threads.
 
-The atom a uniform u draws is defined as searchsorted(cdf, u,
-side="right") over the atoms' CDF. The walk reads that search through a
-guide table (the indexed search of Chen and Asau, 1974; Devroye,
-Non-Uniform Random Variate Generation, 1986, ch. III): u * GUIDE_SIZE
-falls into one of GUIDE_SIZE equal buckets, a bucket that no CDF boundary
-cuts names its atom outright, and only the uniforms in a cut bucket are
-searched. Scaling by a power of two is exact, so every draw is the
-search's own, bit for bit.
+The atom a word w draws is defined as searchsorted(cdf, u, side="right")
+over the atoms' CDF, for the uniform u = (w >> 11) 2^-53 in [0, 1) that
+numpy's Generator.random forms from the same word. The walk reads that
+search through a guide table (the indexed search of Chen and Asau, 1974;
+Devroye, Non-Uniform Random Variate Generation, 1986, ch. III): the top 12
+bits of w, w >> 52 = floor(u * GUIDE_SIZE), name one of GUIDE_SIZE equal
+buckets, a bucket that no CDF boundary cuts names its atom outright, and
+only the words in a cut bucket form u and are searched. So every draw is
+the search's own on Generator.random's uniform, bit for bit.
 
 The exact powers square mu's Fourier blocks, Lambda_alpha(mu^n) =
 Lambda_alpha(mu)^n, on the classifier's chain (reps._dyadic_powers), and
@@ -46,6 +47,8 @@ unit mass), so roundoff never leaves a measure that is not a probability.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,19 +62,19 @@ from .groups import MotionGroup, products
 from .measures import GroupMeasure, delta, from_weights, require_probability
 from .reps import _blocks, _dyadic_powers, _measure_of_blocks
 
-# buckets of the guide table: u * GUIDE_SIZE is exact for a power of two
+# buckets of the guide table, named by a word's top 12 bits
 GUIDE_SIZE = 1 << 12
-# trials a walk step handles per pass: three scratch arrays of this length
-# (768 KB) instead of three of the trials' length
+# trials a walk step handles per pass: two scratch arrays of this length
+# and the step's words (768 KB) instead of three of the trials' length
 TRIAL_BLOCK = 1 << 15
 # slices a walk splits its trials into: one per CPU the process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 # fewest trials a slice takes: every numpy call of a step hands the GIL
-# between the threads, which small slices do not repay. In three runs two
-# slices of 2^14 trials walked 1.5-1.8x as fast as one thread, of 2^13
-# 0.8-1.25x, of 2^12 0.6-0.7x (2-vCPU x86-64 Xeon; BENCH_sampler.json,
-# "floor")
+# between the threads, which small slices do not repay. In three runs of
+# the raw-word walk two slices of 2^15 trials walked 1.1-1.9x as fast as
+# one thread, of 2^14 0.93-1.5x, of 2^13 0.77-1.2x, of 2^12 0.5-0.9x
+# (2-vCPU x86-64 Xeon; BENCH_sampler.json, "floor")
 MIN_SLICE = 1 << 14
 
 __all__ = [
@@ -92,6 +95,11 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # the seed is the 128-bit Philox key, which would truncate a float
+        # and read a bool as 0 or 1
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"need an integer seed in [0, 2^128), got {self.seed!r}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.steps < 0:
@@ -128,19 +136,22 @@ def _guide_table(cdf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return scaled, np.where(lo == hi, lo, -1)
 
 
-def _lookup(scaled: np.ndarray, guide: np.ndarray, u: np.ndarray,
+def _lookup(scaled: np.ndarray, guide: np.ndarray, raw: np.ndarray,
             bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = searchsorted(cdf, u, side="right") for uniforms u in [0, 1),
-    through _guide_table(cdf) = (scaled, guide); u is scaled in place and
-    bucket is scratch of u's length. Only the uniforms in a cut bucket are
-    searched, and on the scaled cdf, which orders them as the cdf does."""
-    u *= GUIDE_SIZE
-    np.copyto(bucket, u, casting="unsafe")  # truncation: the bucket index
-    # every index is in range (u < 1), so no bounds check and no buffered out
-    np.take(guide, bucket, out=out, mode="clip")
+    """out = searchsorted(cdf, u, side="right") for the uniforms u =
+    (raw >> 11) 2^-53 of the 64-bit words raw, through _guide_table(cdf) =
+    (scaled, guide); bucket is uint64 scratch of raw's length. The bucket
+    is a word's top 12 bits, floor(u * GUIDE_SIZE); only the words in a
+    cut bucket form u, and are searched on the scaled cdf, which orders
+    them as the cdf does."""
+    np.right_shift(raw, 52, out=bucket)  # 64 - log2(GUIDE_SIZE)
+    # every index is below GUIDE_SIZE, so no bounds check and no buffered out
+    np.take(guide, bucket.view(np.intp), out=out, mode="clip")
     cut = np.flatnonzero(out < 0)
     if cut.size:
-        out[cut] = np.searchsorted(scaled, u[cut], side="right")
+        # (raw >> 11) < 2^53 converts exactly, and 2^-53 * GUIDE_SIZE is exact
+        u = (raw[cut] >> 11) * (GUIDE_SIZE / (1 << 53))
+        out[cut] = np.searchsorted(scaled, u, side="right")
     return out
 
 
@@ -191,37 +202,36 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
     generator on the seed's stream; the integer histogram of the positions
     at each step of wanted, and the positions themselves in x at the end."""
     bits = np.random.Philox(key=cfg.seed)
-    rng = np.random.Generator(bits)
     # a step runs over blocks of TRIAL_BLOCK trials with one block of
     # scratch, so only the positions grow with trials; the blocks draw the
-    # slice's uniforms in stream order, the same as one draw of all of them
+    # slice's words in stream order, the same as one draw of all of them
     width = min(hi - lo, TRIAL_BLOCK)
-    u, bucket, row = np.empty(width), np.empty(width, np.intp), np.empty(width, np.intp)
+    bucket, row = np.empty(width, np.uint64), np.empty(width, np.intp)
     blocks = []
     for start in range(lo, hi, width):
         xs = x[start:min(start + width, hi)]
-        blocks.append((xs, u[:len(xs)], bucket[:len(xs)], row[:len(xs)]))
+        blocks.append((xs, bucket[:len(xs)], row[:len(xs)]))
     counts, targets = [], set(wanted)
     # Philox draws in blocks of four: block is the next one it computes
     block = 0
     for step in range(cfg.steps + 1):
         if step in targets:
             hist = np.zeros(size, dtype=np.intp)
-            for xs, _, bs, _ in blocks:
-                hist += np.bincount(np.floor_divide(xs, k, out=bs), minlength=size)
+            for xs, _, rs in blocks:
+                hist += np.bincount(np.floor_divide(xs, k, out=rs), minlength=size)
             counts.append(hist)
         if step == cfg.steps:
             break
         if hi - lo < cfg.trials:
-            # the slice's uniforms of this step start at stream position
+            # the slice's words of this step start at stream position
             # step * trials + lo; a whole walk reads the stream in order
             at = step * cfg.trials + lo
             bits.advance(at // 4 - block)  # may step back a block: it wraps
             if at % 4:
                 bits.random_raw(at % 4)
             block = (at + hi - lo - 1) // 4 + 1
-        for xs, us, bs, rs in blocks:
-            np.add(_lookup(scaled, guide, rng.random(out=us), bs, rs), xs, out=rs)
+        for xs, bs, rs in blocks:
+            np.add(_lookup(scaled, guide, bits.random_raw(len(xs)), bs, rs), xs, out=rs)
             np.take(table, rs, out=xs, mode="clip")
     np.floor_divide(x[lo:hi], k, out=x[lo:hi])
     return counts
@@ -268,8 +278,9 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     are held. n = 0 gives the point mass at the identity. The power at n
     is exact_power(mu, n) bit for bit, whatever the rest of ns."""
     require_probability(mu)
+    ns = [operator.index(n) for n in ns]
     if len(ns) == 0 or min(ns) < 0:
-        raise ValueError(f"need a nonempty list of n >= 0, got {list(ns)}")
+        raise ValueError(f"need a nonempty list of n >= 0, got {ns}")
     g = mu.group
     powers, pending = {0: delta(g, g.identity())}, {}
     for bit, square in enumerate(_dyadic_powers(_blocks(g, mu.weights.real), max(ns))):

@@ -11,6 +11,7 @@ from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_gr
                         uniform)
 from motionwalk import cli
 from motionwalk.cli import (
+    MAX_CLASSIFY_GRAM_ENTRIES,
     MAX_CLASSIFY_N_MAX,
     MAX_GROUP_ORDER,
     MAX_K_ORDER,
@@ -31,6 +32,7 @@ from motionwalk.groups import build_motion_group
 from motionwalk.measures import from_weights
 from motionwalk import simulate
 from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
+from motionwalk.suite import roster
 
 from oracles import structure
 
@@ -608,6 +610,39 @@ def _over_budget(n, d, nk):
         or n ** d * nk > MAX_GROUP_ORDER
 
 
+# (modulus, rank, |K|) at classify's Gram budget and just over it: with K
+# acting trivially every character is its own orbit, so the tensor holds
+# n^d |K|^3 entries; Z_32 on Z_128 is at the bound, and Z_33 on Z_117 is
+# the least cyclic K acting trivially on Z_n over it that |G| <= 4096 admits
+_GRAM_EDGES = [(128, 1, 32), (117, 1, 33)]
+
+
+def _over_gram(n, d, nk):
+    return n ** d * nk ** 3 > MAX_CLASSIFY_GRAM_ENTRIES
+
+
+@pytest.mark.parametrize("edge", _GRAM_EDGES)
+def test_classify_gram_budget_is_checked_before_the_measure_file(tmp_path, capsys, edge):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(_budget_edge_group(*edge)))
+    missing = str(tmp_path / "absent.json")
+    assert main(["classify", "--group", str(gpath), "--measure", missing]) == 64
+    err = capsys.readouterr().err
+    n, d, nk = edge
+    if _over_gram(*edge):
+        assert err == (f"error: classify: {n ** d * nk ** 3} Gram entries exceed "
+                       f"{MAX_CLASSIFY_GRAM_ENTRIES}\n")
+    else:
+        # at the bound the budget passes, and the missing file is what fails
+        assert n ** d * nk ** 3 == MAX_CLASSIFY_GRAM_ENTRIES and "absent.json" in err
+
+
+def test_classify_gram_budget_admits_the_suite_and_the_fuzz_groups():
+    # and the free action at classify's |G| cap, about |G| |K| entries
+    for g in [*roster().values(), *_FUZZ_GROUPS, rotation_group(32)]:
+        assert len(g._representatives) * g.k.order ** 3 <= MAX_CLASSIFY_GRAM_ENTRIES
+
+
 @pytest.mark.parametrize("edge", _BUDGET_EDGES)
 def test_group_budgets_are_checked_before_the_build(monkeypatch, edge):
     # the fuzz below draws these edges among others; here every one is run
@@ -660,8 +695,10 @@ def test_fuzz_files_unmutated_reach_a_verdict(tmp_path, capsys, g, command):
 def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, data):
     group, measure = _fuzz_files(data.draw(st.sampled_from(_FUZZ_GROUPS)))
     # a file at a budget's edge replaces the group file; it is not mutated,
-    # and it never reaches build_motion_group, so no 2^20-element group is built
-    edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES))
+    # and it never reaches build_motion_group, so no 2^20-element group is
+    # built. A file at the Gram budget's edge is built (|G| <= 4096), and
+    # never reaches load_measure, so no Gram tensor is
+    edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES + _GRAM_EDGES))
     if edge is not None:
         group = _budget_edge_group(*edge)
     mutations = data.draw(st.integers(0, 3))
@@ -679,7 +716,9 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
         raise ParseError("the budgets admitted the group file")
 
     with monkeypatch.context() as patch:
-        if edge is not None:
+        if edge in _GRAM_EDGES:
+            patch.setattr(cli, "load_measure", admitted)
+        elif edge is not None:
             patch.setattr(cli, "build_motion_group", admitted)
         code = _run(tmp_path, group, measure, command)
     err = capsys.readouterr().err
@@ -689,8 +728,11 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
         # the seed is checked before either file is read
         assert code == 64 and err.startswith("error: seed must be"), err
     elif edge is not None:
-        # an over-budget file exits 64 before build_motion_group runs
+        # an over-budget file exits 64 before build_motion_group runs, and a
+        # group over classify's Gram budget before the measure file is read
         assert code == 64
-        assert bool(built) is not _over_budget(*edge), (edge, err)
+        over = command[0] == "classify" and _over_gram(*edge) if edge in _GRAM_EDGES \
+            else _over_budget(*edge)
+        assert bool(built) is not over, (edge, err)
     elif mutations == 0:
         assert code in {0, 2, 3} and err == "", err

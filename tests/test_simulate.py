@@ -358,31 +358,63 @@ def test_inverse_cdf_draws_last_atom_at_the_top(order10):
     assert drawn.tolist() == [2] * len(u)
 
 
-def _lookup_oracle(cdf, u):
+def _uniforms(words):
+    """Generator.random's uniforms of 64-bit words."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _lookup_oracle(cdf, words):
     scaled, guide = _guide_table(cdf)
-    got = _lookup(scaled, guide, u.copy(), np.empty(len(u), dtype=np.intp),
-                  np.empty(len(u), dtype=np.intp))
-    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+    got = _lookup(scaled, guide, words.copy(), np.empty(len(words), dtype=np.uint64),
+                  np.empty(len(words), dtype=np.intp))
+    assert np.array_equal(got, np.searchsorted(cdf, _uniforms(words), side="right"))
     return guide
 
 
+def _words(m):
+    """The words whose uniform is m 2^-53, with the 11 low bits clear and set."""
+    m = np.asarray(m, dtype=np.uint64) << np.uint64(11)
+    return np.concatenate([m, m | np.uint64(0x7FF)])
+
+
 def test_guide_lookup_matches_search():
-    # uniforms on and just below every bucket edge, and the top of [0, 1)
-    edges = np.arange(GUIDE_SIZE) / GUIDE_SIZE
-    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)],
-                        np.random.default_rng(5).random(5000)])
+    # uniforms on and just below every bucket edge, and the top of [0, 1),
+    # each with the 11 low bits of its word clear and set; the largest
+    # word; and a stretch of a Philox stream
+    edges = np.arange(GUIDE_SIZE, dtype=np.uint64) << np.uint64(41)
+    words = np.concatenate([_words(np.concatenate([edges, edges[1:] - 1, [2 ** 53 - 1]])),
+                            np.array([2 ** 64 - 1], dtype=np.uint64),
+                            np.random.Philox(5).random_raw(5000)])
     # boundaries exactly on bucket edges: no bucket is cut
-    assert (_lookup_oracle(np.array([0.25, 0.5, 1.0]), u) >= 0).all()
-    # 1000 boundaries 1e-9 apart, all inside bucket 0, and one in bucket 3
+    assert (_lookup_oracle(np.array([0.25, 0.5, 1.0]), words) >= 0).all()
+    # 1000 boundaries 1e-9 apart, all inside bucket 0, and one in bucket 3;
+    # the uniforms just below and at or above each of them
     crowded = np.append(np.arange(1, 1001) * 1e-9, [3.5 / GUIDE_SIZE, 1.0])
-    guide = _lookup_oracle(crowded, np.concatenate([u, crowded[:-1],
-                                                    np.nextafter(crowded[:-1], 0.0)]))
+    above = np.ceil(crowded[:-1] * 2.0 ** 53)
+    guide = _lookup_oracle(crowded, np.concatenate([words, _words(above), _words(above - 1)]))
     assert np.flatnonzero(guide < 0).tolist() == [0, 3]
     # the walk's own tables: flat steps, and a total above 1 before the seal
     g = rotation_group(4)
     for kind in ("dense", "sparse", "zero-width", "above-one", "crowded"):
         cdf = _increment_cdf(from_weights(g, _oracle_weights(g, kind)))
-        _lookup_oracle(cdf[np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)], u)
+        _lookup_oracle(cdf[np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)], words)
+
+
+def test_philox_words_form_the_generator_uniforms():
+    # the walk reads raw words where Generator.random would form uniforms:
+    # a stream read whole, and reads of 501 words that start where a
+    # slice's seek starts them, after one counter advance (forward or back
+    # along one generator) and a partial Philox block of four
+    key = 0x5EED
+    u = np.random.Generator(np.random.Philox(key=key)).random(4000)
+    assert np.array_equal(_uniforms(np.random.Philox(key=key).random_raw(4000)), u)
+    bits, block = np.random.Philox(key=key), 0
+    for at in (1, 6, 3, 1999, 2002, 0):
+        bits.advance(at // 4 - block)
+        if at % 4:
+            bits.random_raw(at % 4)
+        assert np.array_equal(_uniforms(bits.random_raw(501)), u[at:at + 501]), at
+        block = (at + 500) // 4 + 1
 
 
 def test_tv_to_uniform_values(order10):
@@ -408,6 +440,26 @@ def test_walk_rejects_a_measure_from_another_group():
         sample_path(g, mu, WalkConfig(4, 10, 0))
     with pytest.raises(GroupMismatch):
         empirical_distributions(g, mu, [1, 2], 100, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, False, np.True_, "3", -1, 2 ** 128])
+def test_walk_rejects_a_seed_that_is_no_philox_key(order10, monkeypatch, seed):
+    # a float or a bool would walk as its truncated key; every bad seed is
+    # refused before the product table is built
+    with pytest.raises(ValueError, match="seed"):
+        WalkConfig(4, 10, seed)
+    monkeypatch.setattr(simulate, "products", lambda *args: pytest.fail("table built"))
+    with pytest.raises(ValueError, match="seed"):
+        empirical_distributions(order10, two_atom_walk(order10), [1, 2], 10, seed)
+
+
+@pytest.mark.parametrize("ns", [[np.int64(3)], np.arange(1, 9), [np.uint8(5), 0, 2]])
+def test_exact_powers_take_numpy_integers(order10, ns):
+    # the ns empirical_distributions takes, with the powers of the same ints
+    mu = two_atom_walk(order10)
+    got, want = exact_powers(mu, ns), exact_powers(mu, [int(n) for n in ns])
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want, strict=True))
+    empirical_distributions(order10, mu, ns, 10, seed=1)
 
 
 def test_walk_config_validation():
