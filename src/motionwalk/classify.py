@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,17 @@ CESARO_N_MAX = 512
 MIXING_THRESHOLD = 1e-6
 ERGODIC_THRESHOLD = 0.02
 WEAK_MIXING_THRESHOLD = 0.01
+
+# most complex entries _curves reduces in one batch of rows or of Gram
+# sums. 2^15 is the least power of two at which the 5-atom walk at
+# |G| = 1024 (21 rows of 1056 entries) reads all its rows back at once,
+# and a suite case (at most 4928 Gram entries) makes one _row_max; from
+# |G| = 16384 on each row and each Gram sum is reduced alone. Swept from
+# 2^12 to 2^20 (2 vCPU, BLAS on 1 thread): the suite's curves took the same
+# time within noise from 2^14 up, and the 5-atom walk peaked at 38, 41 and
+# 43 MB at |G| = 1024, 9216 and 16384 (37, 40 and 43 MB at 2^12; 39, 44 and
+# 45 MB at 2^16, above the unbatched 38 MB at 1024; 39, 60 and 79 MB at 2^20)
+CURVE_BATCH_ENTRIES = 1 << 15
 
 
 class TriState(str, Enum):
@@ -365,9 +376,11 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
 
 
 def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """(orbits, c, k') max over x = (a, k) of sum_j |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2,
-    from gram[r, c, i, l] = sum_j P^j[i, c] conj(P^j[l, c]) and the group's
-    phase orders (MotionGroup._phase_orders).
+    """(..., orbits, c, k') max over x = (a, k) of
+    sum_j |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, from
+    gram[..., r, c, i, l] = sum_j P^j[i, c] conj(P^j[l, c]) and the group's
+    phase orders (MotionGroup._phase_orders). Leading axes stack Gram
+    sums, each reduced as on its own.
 
     Row k' of Lambda_alpha(a, k) holds phi = <a, beta_{k'}> in column
     i = k^{-1} k', so the sum is gram[c,i,i] + gram[c,k',k'] - 2 Re(phi z)
@@ -376,7 +389,7 @@ def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
     nearest multiple of 2 pi / m; k sweeps i over all of K. The chain runs
     in place on two arrays of gram's shape.
     """
-    diag = np.einsum("rcii->rci", gram).real
+    diag = np.einsum("...cii->...ci", gram).real
     step = 2.0 * np.pi / orders[:, None, None, :]
     half = step / 2
     delta = np.angle(gram)
@@ -389,7 +402,7 @@ def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
     rows *= 2.0
     rows *= np.cos(delta, out=delta)
     rows += np.add(diag[..., :, None], diag[..., None, :], out=delta)
-    return rows.max(axis=2)
+    return rows.max(axis=-2)
 
 
 def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
@@ -407,6 +420,29 @@ def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
                    "WEAK_MIXING", "NOT_WEAK_MIXING")
 
 
+class _Batch:
+    """Arrays of size entries each, with a key each, reduced together by
+    reduce(stack, keys) as soon as one more array would pass
+    CURVE_BATCH_ENTRIES entries, so a batch holds at least one. A
+    one-array batch is reduced on the view a[None], not on a stacked copy."""
+
+    def __init__(self, reduce: Callable[[np.ndarray, list], None], size: int):
+        self.reduce, self.room = reduce, max(1, CURVE_BATCH_ENTRIES // size)
+        self.arrays: List[np.ndarray] = []
+        self.keys: list = []
+
+    def add(self, key, a: np.ndarray) -> None:
+        self.arrays.append(a)
+        self.keys.append(key)
+        if len(self.arrays) == self.room:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.arrays:
+            arrays, keys, self.arrays, self.keys = self.arrays, self.keys, [], []
+            self.reduce(arrays[0][None] if len(arrays) == 1 else np.array(arrays), keys)
+
+
 def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
             cesaro_n_max: int) -> Tuple[DecayCurve, DecayCurve, DecayCurve]:
     """The mixing, ergodic and weak-mixing curves of a probability measure
@@ -415,41 +451,70 @@ def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
 
     The mixing rows are the powers themselves. The block sums
     S_n = sum_{k=1..n} P^k double as S_2n = S_n + P^n S_n, and the Gram sums
-    of empirical_weak_mixing as G_2n = G_n + P^n G_n (P^n)^*. One read-back
-    serves the mixing and ergodic rows together. Each Gram sum is reduced
-    by _row_max as soon as it is made, so at most two are held: G_n, and
-    G_{n/2} for the last window's G_n - G_{n/2}. Each row w reports d(w)
-    against its own mass m, not 1: the chain's mass drifts like (1 + eps)^n,
-    and u scaled by 1 would break d <= sup gap. A curve a caller does not
-    read costs one row at n_max = 1.
+    of empirical_weak_mixing as G_2n = G_n + P^n G_n (P^n)^*. The rows and
+    the Gram sums are each collected into batches of at most
+    CURVE_BATCH_ENTRIES complex entries (_Batch), and a batch is reduced as
+    soon as one more array would overflow it: one read-back
+    (_measure_of_blocks) for the mixing and ergodic rows of a batch, one
+    _row_max for its Gram sums, the last window's G_n - G_{n/2} in the last
+    Gram batch. Besides the batches, the chain holds P^n, S_n, G_n and
+    G_{n/2}; a group whose rows or Gram sums pass the bound reduces each
+    on its own as soon as it is made. Each row w reports d(w) against its
+    own mass m, not 1: the chain's mass drifts like (1 + eps)^n, and u
+    scaled by 1 would break d <= sup gap. A curve a caller does not read
+    costs one row at n_max = 1.
     """
     for n_max in (mixing_n_max, cesaro_n_max):
         if n_max < 1 or n_max & (n_max - 1):
             raise ValueError(f"n_max must be a power of two, got {n_max}")
-    powers = list(_dyadic_powers(p, max(mixing_n_max, cesaro_n_max)))
-    ns = [1 << k for k in range(len(powers))]
     n_mix, n_ces = mixing_n_max.bit_length(), cesaro_n_max.bit_length()
+    orders = g._phase_orders
+    out = {}
+
+    def read_rows(stack: np.ndarray, keys: list) -> None:
+        # the ergodic rows are the averages S_n / n
+        rows = _measure_of_blocks(g, stack).real
+        rows /= np.array([n if curve == "erg" else 1 for curve, n in keys])[:, None]
+        dists = np.abs(rows - rows.sum(axis=1, keepdims=True) / g.size).sum(axis=1)
+        out.update(zip(keys, dists.tolist()))
+
+    def read_grams(stack: np.ndarray, keys: list) -> None:
+        peaks = _row_max(stack, orders).reshape(len(keys), -1).max(axis=1)
+        out.update(zip(keys, peaks.tolist()))
+
+    rows = _Batch(read_rows, p.size)
+    grams = _Batch(read_grams, p.size * g.k.order)
     # averages run over j = 1..n: the j = 0 term is n-independent and would
     # mask the decay (uniform mu must come out exactly 0)
-    orders = g._phase_orders
-    gram = np.einsum("ric,rlc->rcil", p, p.conj())
-    sums, last, wm = [p], 0, [(1, float(_row_max(gram, orders).max()))]
-    for n, pn in zip(ns[1:n_ces], powers):
-        sums.append(sums[-1] + pn @ sums[-1])
-        last, gram = gram, gram + pn[:, None] @ gram @ pn[:, None].conj().swapaxes(-1, -2)
-        wm.append((n, float(_row_max(gram, orders).max()) / n))
-    rows = _measure_of_blocks(g, np.stack(powers[:n_mix] + sums)).real
-    rows[n_mix:] /= np.array(ns[:n_ces])[:, None]
-    dists = np.abs(rows - rows.sum(axis=1, keepdims=True) / g.size).sum(axis=1).tolist()
+    s, last, gram = p, 0, np.einsum("ric,rlc->rcil", p, p.conj())
+    for k, pn in enumerate(_dyadic_powers(p, max(mixing_n_max, cesaro_n_max))):
+        n = 1 << k
+        if k < n_mix:
+            rows.add(("mix", n), pn)
+        if k < n_ces:
+            rows.add(("erg", n), s)
+            grams.add(("wm", n), gram)
+        if k + 1 < n_ces:
+            s = s + pn @ s
+            # G_{n/2} goes before G_2n is made, and G_2n is summed in place
+            last = gram
+            gram = pn[:, None] @ gram @ pn[:, None].conj().swapaxes(-1, -2)
+            gram += last
+        elif k + 1 == n_ces:
+            # the Gram sum over the last window j in (n/2, n]; only a
+            # batch may still hold the chain's sums
+            tail = gram - last
+            del s, last, gram
+            grams.add("window", tail)
+            grams.flush()
+    rows.flush()
 
-    mix = tuple(zip(ns, dists[:n_mix]))
-    erg = tuple(zip(ns, dists[n_mix:]))
-
-    wm = tuple(wm)
-    # the mean of squares over the last window j in (cesaro_n_max/2, cesaro_n_max];
-    # cancellation can leave a vanishing one a hair below 0
-    window = max(float(_row_max(gram - last, orders).max()), 0.0) \
-        / (cesaro_n_max - cesaro_n_max // 2)
+    mix = tuple((1 << k, out["mix", 1 << k]) for k in range(n_mix))
+    erg = tuple((1 << k, out["erg", 1 << k]) for k in range(n_ces))
+    wm = tuple((1 << k, out["wm", 1 << k] / (1 << k)) for k in range(n_ces))
+    # the window's mean of squares; cancellation can leave a vanishing one a
+    # hair below 0
+    window = max(out["window"], 0.0) / (cesaro_n_max - cesaro_n_max // 2)
     return (DecayCurve(mix, MIXING_THRESHOLD,
                        *_decide(_upper(mix), MIXING_THRESHOLD, "MIXING", "NOT_MIXING")),
             DecayCurve(erg, ERGODIC_THRESHOLD,

@@ -85,14 +85,15 @@ MAX_GROUP_ORDER = 1 << 20
 # bound took 0.18 s and peaked at 67 MB, 2-vCPU x86-64)
 MAX_K_ORDER = 1 << 7
 # largest |G| classify takes. Time and memory do not set it: at the bound
-# a random dense measure took 0.14 s and peaked at 48 MB (2-vCPU x86-64).
+# a random dense measure took 0.07 s and peaked at 44 MB (2-vCPU x86-64).
 # The fixed guard band of the spectral checks does: from about |G| = 2^15
 # a mixing walk's 1 - rho falls below tol = SPECTRAL_TOL and reads SR FAILS
 MAX_CLASSIFY_ORDER = 1 << 12
-# largest --n-max classify takes: every dyadic point adds a row to the
-# power chain and the block read-back; at |G| = 4096 a random dense
-# measure took 0.14 s and peaked at 51 MB at the bound, 48 MB at 1024
-# (2-vCPU x86-64)
+# largest --n-max classify takes: every dyadic point adds a square to the
+# power chain and a row to the read-back, which holds at most
+# classify.CURVE_BATCH_ENTRIES entries of rows at once; at |G| = 4096 a
+# random dense measure took 0.08 s and peaked at 43-44 MB at the bound and
+# at 1024 (2-vCPU x86-64)
 MAX_CLASSIFY_N_MAX = 1 << 20
 # largest window rosenblatt takes: the phase sweep steps n rows of
 # integers of about 2.3 n bits, so defect_norm's time grows like n^2
@@ -114,10 +115,10 @@ MAX_SIM_TRIAL_STEPS = 1 << 30
 MAX_SIM_BLOCK_ENTRIES = 1 << 24
 # largest weak-mixing Gram tensor of classify's curves, orbits * |K|^3
 # complex entries (|G| |K| to |G| |K|^2): K = Z_32 acting trivially on Z_128
-# is at the bound, 3.3 s and 336 MB peak RSS; Z_64 on Z_32 (2^23) 7.1 s and
-# 591 MB; Z_64 on Z_64 and Z_128 on Z_8 (2^24) 12.7-13.1 s and 1.1 GB. A free
-# action at the |G| cap, rotation_group(32), holds 2^14 (0.04 s, 51 MB;
-# 2-vCPU x86-64)
+# is at the bound, 2.7 s and 237 MB peak RSS; through the API, Z_64 on Z_32
+# (2^23) took 5.7 s and 429 MB, Z_64 on Z_64 and Z_128 on Z_8 (2^24)
+# 11.7-13.3 s and 0.8 GB. A free action at the |G| cap, rotation_group(32),
+# holds 2^14 (0.05 s, 42 MB; 2-vCPU x86-64)
 MAX_CLASSIFY_GRAM_ENTRIES = 1 << 22
 
 

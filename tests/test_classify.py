@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from motionwalk.classify import (
 from motionwalk.errors import EmptySupport, NotProbability
 from motionwalk.groups import GElem, dual_orbits, products
 from motionwalk.measures import delta, from_weights, uniform, uniform_on
+from motionwalk.reps import _blocks
+from motionwalk.suite import acceptance_suite
 
 from conftest import (
     d4_group,
@@ -196,6 +199,41 @@ def test_cross_check_transforms_and_sweeps_once(monkeypatch):
     v = cross_check(five_atom_walk(rotation_group(16)))
     assert calls == dict.fromkeys(names + ("_transform", "fftn", "ifftn"), 1)
     assert len(v.empirical_mixing.points) == 11 and len(v.empirical_ergodic.points) == 10
+
+
+@pytest.mark.parametrize("mixing_n_max, ergodic_n_max", [(1024, 512), (64, 1024), (1, 1)])
+def test_curves_do_not_depend_on_the_batch_bound(monkeypatch, mixing_n_max, ergodic_n_max):
+    # every row and Gram sum reduced alone, the default batches, and one
+    # batch each: the same curves, bit for bit
+    measures = [case.measure for case in acceptance_suite()]
+    measures += [five_atom_walk(rotation_group(16)), five_atom_walk(rotation_group(48))]
+    curves = {}
+    for bound in (1, classify.CURVE_BATCH_ENTRIES, 2 ** 62):
+        monkeypatch.setattr(classify, "CURVE_BATCH_ENTRIES", bound)
+        vs = [cross_check(mu, mixing_n_max=mixing_n_max, ergodic_n_max=ergodic_n_max)
+              for mu in measures]
+        curves[bound] = [(v.empirical_mixing, v.empirical_ergodic, v.weak_mixing_empirical)
+                         for v in vs]
+    first, *rest = curves.values()
+    for other in rest:
+        assert other == first
+
+
+def test_curves_hold_a_few_stacks_past_the_batch_bound():
+    # |G| = 16384: each row and each Gram sum passes CURVE_BATCH_ENTRIES.
+    # Besides its input the peak is a doubling's G_n and its two products
+    # (3 Gram tensors, 12 block stacks), with P^n, S_n and the conjugate of
+    # P^n: 15.0 stacks. Reading all 21 rows back at once held 111
+    g = rotation_group(64)
+    p = _blocks(g, five_atom_walk(g).weights.real)
+    g._phase_orders
+    tracemalloc.start()
+    try:
+        classify._curves(g, p, classify.MIXING_N_MAX, classify.CESARO_N_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * p.nbytes
 
 
 @pytest.mark.parametrize("maker", [lambda: negation_group(5), lambda: d4_group(3)],
@@ -552,6 +590,11 @@ def test_phase_coset_max_matches_every_element(maker):
         want = sum(np.abs((lams - eye) @ pw[:, None]) ** 2 for pw in powers).max(axis=1)
         got = _row_max(gram, g._phase_orders).swapaxes(1, 2)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
+        # a stack of Gram sums on a leading axis: each slice as on its own
+        stacked = _row_max(np.stack([gram, 2j * gram.conj()]), g._phase_orders)
+        assert stacked.shape == (2,) + got.swapaxes(1, 2).shape
+        for one, alone in zip(stacked, [gram, 2j * gram.conj()]):
+            assert np.array_equal(one, _row_max(alone, g._phase_orders))
 
 
 @pytest.mark.parametrize("x", [GElem((0,), 0), GElem((1,), 0), GElem((0,), 1)])

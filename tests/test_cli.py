@@ -689,6 +689,42 @@ def test_fuzz_files_unmutated_reach_a_verdict(tmp_path, capsys, g, command):
     assert capsys.readouterr().err == ""
 
 
+def _stub_past_the_budgets(patch, edge):
+    """Stub what a group file at a budget's edge reaches once every budget
+    admits it: build_motion_group at a group budget, load_measure at
+    classify's Gram budget. The stub records its call and exits 64, so
+    nothing past a budget is built; the record is returned."""
+    built = []
+
+    def admitted(*args):
+        built.append(args)
+        raise ParseError("the budgets admitted the group file")
+
+    patch.setattr(cli, "load_measure" if edge in _GRAM_EDGES else "build_motion_group", admitted)
+    return built
+
+
+def _over_any_budget(edge, command):
+    return command[0] == "classify" and _over_gram(*edge) if edge in _GRAM_EDGES \
+        else _over_budget(*edge)
+
+
+@pytest.mark.parametrize("command", _FUZZ_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("edge", _BUDGET_EDGES + _GRAM_EDGES,
+                         ids=lambda e: "n{}_d{}_k{}".format(*e))
+def test_every_command_at_every_budget_edge(tmp_path, capsys, monkeypatch, edge, command):
+    # every (edge, command) pair the fuzz below may draw: over a budget
+    # main exits 64 before the stub, at the bound the stub admits the file
+    built = _stub_past_the_budgets(monkeypatch, edge)
+    code = _run(tmp_path, _budget_edge_group(*edge), _fuzz_files(_FUZZ_GROUPS[0])[1], command)
+    err = capsys.readouterr().err
+    assert code == 64
+    if _over_any_budget(edge, command):
+        assert built == [] and "admitted" not in err, err
+    else:
+        assert len(built) == 1 and err == "error: the budgets admitted the group file\n", err
+
+
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -710,16 +746,9 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
     if seed is not None:
         command = command + [f"--seed={seed}"]
     built = []
-
-    def admitted(*args):
-        built.append(args)
-        raise ParseError("the budgets admitted the group file")
-
     with monkeypatch.context() as patch:
-        if edge in _GRAM_EDGES:
-            patch.setattr(cli, "load_measure", admitted)
-        elif edge is not None:
-            patch.setattr(cli, "build_motion_group", admitted)
+        if edge is not None:
+            built = _stub_past_the_budgets(patch, edge)
         code = _run(tmp_path, group, measure, command)
     err = capsys.readouterr().err
     assert code in {0, 2, 3, 64, 65}
@@ -731,8 +760,6 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
         # an over-budget file exits 64 before build_motion_group runs, and a
         # group over classify's Gram budget before the measure file is read
         assert code == 64
-        over = command[0] == "classify" and _over_gram(*edge) if edge in _GRAM_EDGES \
-            else _over_budget(*edge)
-        assert bool(built) is not over, (edge, err)
+        assert bool(built) is not _over_any_budget(edge, command), (edge, err)
     elif mutations == 0:
         assert code in {0, 2, 3} and err == "", err
