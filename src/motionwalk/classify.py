@@ -21,11 +21,14 @@ threshold, a negative one a sup of at least d > 5 x threshold.
 (A) and (ASA) are exact, from one subgroup closure (_closure). It keeps
 a seed element only when it lies outside the subgroup built so far; by
 Lagrange each kept element at least doubles that subgroup, so at most
-log2 |G| are kept. (ASA) closes the differences s0^-1 s under
-conjugation by the d unit translations and the elements of K. These
-generate G, and in a finite group a subgroup closed under conjugation
-by a generating set is normal, so the result is the normal closure
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+log2 |G| are kept. Lagrange also ends it early: more than |G|/p
+elements, p the least prime dividing |G|, generate G, and so does a
+subgroup of prime index with one element outside it. (ASA) closes the
+differences s0^-1 s under conjugation by the d unit translations and
+the elements of K. These generate G, and in a finite group a subgroup
+closed under conjugation by a generating set is normal, so the result
+is the normal closure (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005).
 
 "Nontrivial blocks" means all nonzero dual-orbit blocks plus the
 complement of the constants line inside the zero-orbit block; the
@@ -221,7 +224,18 @@ def _closure(g: MotionGroup, seed: Sequence[int], conjugators: Sequence[int] = (
     the conjugates c x c^-1 of the elements kept since become the seed,
     until none is new: then every kept element's conjugates lie in H, and
     with them all of c H c^-1.
+
+    Lagrange ends the walk early, and exactly (_settled): a proper
+    subgroup has at most |G|/p elements, p the least prime dividing |G|.
+    So the answer is G, with no products call, when the seed (distinct
+    indices) with the identity has more, and G as soon as H has more.
+    And each element of the seed or of the conjugates is tested against
+    a closed H: if one lies outside and the index [G : H] is prime, the
+    subgroup it generates with H strictly holds H and has an order
+    dividing |G|, so it is G.
     """
+    if _settled(g, np.count_nonzero(seed) + 1):
+        return np.arange(g.size)
     member = np.zeros(g.size, dtype=bool)
     member[0] = True                       # index 0 is the identity
     order = 1
@@ -238,6 +252,8 @@ def _closure(g: MotionGroup, seed: Sequence[int], conjugators: Sequence[int] = (
             pending = products(g, products(g, conj[:, None], kept), conj_inv[:, None]).ravel()
             kept = []
             continue
+        if g.size // order in g._order_primes:
+            return np.arange(g.size)
         x = int(pending[0])
         kept.append(x)
         powers = [x]
@@ -256,12 +272,17 @@ def _closure(g: MotionGroup, seed: Sequence[int], conjugators: Sequence[int] = (
                 break
             member[fresh] = True
             order += fresh.size
-            if 2 * order > g.size:         # by Lagrange only G is this large
-                member[:] = True
-                order = g.size
-                break
+            if _settled(g, order):
+                return np.arange(g.size)
             frontier = products(g, fresh[:, None], steps)
     return np.flatnonzero(member)
+
+
+def _settled(g: MotionGroup, size: int) -> bool:
+    """Is every subgroup of g with at least size elements all of g? By
+    Lagrange a proper one has at most |G|/p, p the least prime dividing
+    |G|."""
+    return g.size == 1 or size * g._order_primes[0] > g.size
 
 
 def adapted(mu: GroupMeasure) -> AdaptedResult:
@@ -284,12 +305,16 @@ def strictly_aperiodic_check(mu: GroupMeasure) -> AperiodicResult:
     normal subgroup holding the differences is N (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, on normal closures).
     Validates only that the support is nonempty, so it can probe
-    non-probability weight vectors too.
+    non-probability weight vectors too. The differences are as many as
+    the support, left translation being injective, and hold the identity:
+    when _closure's Lagrange bound settles them, they are not built.
     """
     g = mu.group
     supp = mu.support()
     if supp.size == 0:
         raise EmptySupport("measure has empty support")
+    if _settled(g, supp.size):
+        return AperiodicResult(True, g.size)
     d = g.abelian.rank
     diffs = products(g, g.index(inverse(g, g.element(int(supp[0])))), supp)
     # (e_i, 0)^-1 = (-e_i, 0) and (0, k)^-1 = (0, k^-1); g.index reduces mod n
@@ -376,11 +401,12 @@ def empirical_weak_mixing(mu: GroupMeasure, n_max: int = CESARO_N_MAX) -> DecayC
 
 
 def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """(..., orbits, c, k') max over x = (a, k) of
-    sum_j |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, from
+    """(..., orbits, c, i, k') max over the phases a of x = (a, k),
+    k = k' i^{-1}, of sum_j |[(Lambda_alpha(x) - I) P^j]_{k',c}|^2, from
     gram[..., r, c, i, l] = sum_j P^j[i, c] conj(P^j[l, c]) and the group's
-    phase orders (MotionGroup._phase_orders). Leading axes stack Gram
-    sums, each reduced as on its own.
+    phase orders (MotionGroup._phase_orders): the max over every x of G is
+    the max over i, which the caller takes with whatever else it maxes
+    over. Leading axes stack Gram sums, each reduced as on its own.
 
     Row k' of Lambda_alpha(a, k) holds phi = <a, beta_{k'}> in column
     i = k^{-1} k', so the sum is gram[c,i,i] + gram[c,k',k'] - 2 Re(phi z)
@@ -402,7 +428,7 @@ def _row_max(gram: np.ndarray, orders: np.ndarray) -> np.ndarray:
     rows *= 2.0
     rows *= np.cos(delta, out=delta)
     rows += np.add(diag[..., :, None], diag[..., None, :], out=delta)
-    return rows.max(axis=-2)
+    return rows
 
 
 def _weak_mixing_verdict(points: Sequence[Tuple[int, float]],
@@ -479,6 +505,7 @@ def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
         out.update(zip(keys, dists.tolist()))
 
     def read_grams(stack: np.ndarray, keys: list) -> None:
+        # one max per Gram sum, over every x, k', c and orbit at once
         peaks = _row_max(stack, orders).reshape(len(keys), -1).max(axis=1)
         out.update(zip(keys, peaks.tolist()))
 

@@ -151,10 +151,10 @@ class MotionGroup:
     The tables that depend on the group alone are built on first use and
     kept, read-only, for the group's lifetime: the digit table of products
     and its int32 K table, the dual table, the inverse permutation, the
-    dual-orbit representatives, their phase orders and block index, and
-    the complement basis of l2(K). dual_table(g), _representatives(g),
-    g.inv_perm() and reps.complement_basis(g) return these shared arrays,
-    so a caller that wants to write copies first.
+    dual-orbit representatives, their phase orders and block index, the
+    primes dividing |G|, and the complement basis of l2(K). dual_table(g),
+    _representatives(g), g.inv_perm() and reps.complement_basis(g) return
+    these shared arrays, so a caller that wants to write copies first.
     """
 
     abelian: AbelianGroup
@@ -241,6 +241,19 @@ class MotionGroup:
         betas = self.abelian.vectors()[self._dual_table[self._representatives]]
         n = self.abelian.modulus
         return _frozen(n // np.gcd.reduce(betas, axis=-1, initial=n))
+
+    @cached_property
+    def _order_primes(self) -> Tuple[int, ...]:
+        """The primes dividing |G|, ascending; () for the trivial group.
+        By Lagrange they bound the subgroups classify._closure builds."""
+        primes, m, q = [], self.size, 2
+        while q * q <= m:
+            if m % q == 0:
+                primes.append(q)
+                while m % q == 0:
+                    m //= q
+            q += 1
+        return tuple(primes + [m] * (m > 1))
 
     @cached_property
     def _block_index(self) -> Tuple[np.ndarray, np.ndarray]:

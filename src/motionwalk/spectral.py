@@ -111,15 +111,28 @@ def spectral_radius(m: np.ndarray) -> float | np.ndarray:
     return _scalar(np.abs(ev).max(axis=-1, initial=0.0), a)
 
 
+def _singular_extremes(a: np.ndarray, norm: bool = True, margin: bool = True
+                       ) -> Tuple[np.ndarray | None, np.ndarray | None]:
+    """Per matrix m of a (..., rows, cols) stack, square where margin is
+    asked: the largest singular value of m (0 for an empty block) if norm,
+    and the smallest of I - m (infinite for an empty block) if margin.
+    Both come from one np.linalg.svd call on the stack [a; I - a]: numpy
+    decomposes each matrix on its own, so each value is the one a call
+    on its own stack gives, bit for bit."""
+    parts = ([a] if norm else []) + ([np.eye(a.shape[-1]) - a] if margin else [])
+    try:
+        s = np.linalg.svd(np.stack(parts), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd failed: {exc}") from exc
+    return (s[0].max(axis=-1, initial=0.0) if norm else None,
+            s[-1].min(axis=-1, initial=math.inf) if margin else None)
+
+
 def op_norm(m: np.ndarray) -> float | np.ndarray:
     """Operator (largest singular value) norm of a matrix, or of each matrix
     of a (..., rows, cols) stack; 0 for an empty block."""
     a = _stack(m, square=False)
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"svd failed: {exc}") from exc
-    return _scalar(s.max(axis=-1, initial=0.0), a)
+    return _scalar(_singular_extremes(a, margin=False)[0], a)
 
 
 def one_in_spectrum(m: np.ndarray, tol: float = SPECTRAL_TOL) -> OneInSpectrumResult:
@@ -131,11 +144,7 @@ def one_in_spectrum(m: np.ndarray, tol: float = SPECTRAL_TOL) -> OneInSpectrumRe
     an array over the stack.
     """
     a = _stack(m)
-    try:
-        s = np.linalg.svd(np.eye(a.shape[-1]) - a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"svd failed: {exc}") from exc
-    margin = s.min(axis=-1, initial=math.inf)
+    margin = _singular_extremes(a, norm=False)[1]
     return OneInSpectrumResult(_scalar(margin <= tol, a), _scalar(margin, a))
 
 
@@ -215,14 +224,15 @@ def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = SPECTRAL_TOL
                    ) -> Tuple[Tuple[OrbitSpectral, ...], OrbitSpectral]:
     """Records of a stack of blocks, one per dual-orbit representative
     (reps._blocks), and of the zero orbit's compressed to the complement
-    of the constants: one call of each spectral function per stack."""
+    of the constants. Per stack, one eigvals call gives the radii and one
+    svd call (_singular_extremes) the operator norms and the margins of
+    one_in_spectrum, bit for bit those of op_norm and one_in_spectrum."""
     chars = [Character(tuple(v)) for v in g.abelian.vectors()[_representatives(g)].tolist()]
 
     def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
-        ois = one_in_spectrum(stack, tol=tol)
+        norms, margins = _singular_extremes(stack)
         return tuple(map(OrbitSpectral, alphas, spectral_radius(stack).tolist(),
-                         op_norm(stack).tolist(), ois.verdict.tolist(),
-                         ois.margin.tolist()))
+                         norms.tolist(), (margins <= tol).tolist(), margins.tolist()))
 
     comp = compress_to_complement(g, blocks[0])[None]
     return records(chars, blocks), records(chars[:1], comp)[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from motionwalk import classify, measures
 from motionwalk.classify import (
     AdaptedResult,
+    AperiodicResult,
     TriState,
     _decide,
     _row_max,
@@ -284,6 +285,80 @@ def test_closures_match_breadth_first_oracle(maker):
         w[rng.choice(g.size, rng.integers(1, 5), replace=False)] = 1.0
         mu = from_weights(g, w / w.sum())
         assert structural(mu) == structure(mu)
+    # supports around |G|/p atoms, p the least prime dividing |G|: the
+    # largest order a proper subgroup can have, where the Lagrange exits decide
+    edge = g.size // g._order_primes[0]
+    for size in (edge - 1, edge, edge + 1):
+        for _ in range(5):
+            w = np.zeros(g.size)
+            w[rng.choice(g.size, size, replace=False)] = 1.0
+            mu = from_weights(g, w / w.sum())
+            assert structural(mu) == structure(mu)
+
+
+def uniform_on_indices(g, seed):
+    w = np.zeros(g.size)
+    w[seed] = 1.0
+    return from_weights(g, w / w.sum())
+
+
+@pytest.mark.parametrize("maker", [lambda: negation_group(8), lambda: scaling_group(7, 2, 3)],
+                         ids=["negation8", "scaling7"])
+def test_lagrange_exits_keep_a_subgroup_of_index_p(maker):
+    # A x {0} has |G|/p elements, p the least prime dividing |G| (2 of 16,
+    # 3 of 21): a proper subgroup as large as one can be. With or without
+    # the identity it closes to itself; one element more gives G
+    g = maker()
+    sub = np.arange(0, g.size, g.k.order)          # the indices with k = 0
+    assert sub.size * g._order_primes[0] == g.size
+    outside = 1                                    # (0, k = 1)
+    for seed in (sub, sub[1:], np.append(sub, outside), np.append(sub[1:], outside)):
+        want = g.size if outside in seed else sub.size
+        assert classify._closure(g, seed).size == want
+        mu = uniform_on_indices(g, seed)
+        assert structural(mu) == structure(mu)
+        assert adapted(mu) == AdaptedResult(want == g.size, want)
+
+
+def test_lagrange_settles_a_group_of_prime_order():
+    g = trivial_group(97)
+    assert classify._closure(g, [0]).tolist() == [0]
+    assert classify._closure(g, []).tolist() == [0]
+    for x in (1, 2, 96):
+        for seed in ([x], [0, x]):
+            assert classify._closure(g, seed).size == g.size
+            mu = uniform_on_indices(g, seed)
+            assert structural(mu) == structure(mu)
+
+
+@pytest.mark.parametrize("maker", [lambda: trivial_group(1), lambda: negation_group(1),
+                                   lambda: rotation_group(1), lambda: scaling_group(1, 0, 3)],
+                         ids=["order1", "order2", "order4", "order3"])
+def test_closures_on_modulus_one_groups(maker):
+    # A is trivial, so G is K (or trivial): every support against the oracle
+    g = maker()
+    for bits in range(1, 2 ** g.size):
+        mu = uniform_on_indices(g, [i for i in range(g.size) if bits >> i & 1])
+        assert structural(mu) == structure(mu)
+
+
+def test_lagrange_settles_large_supports_without_products(monkeypatch):
+    # more than |G|/p = 97 atoms generate G, and so do their differences,
+    # which are as many and hold the identity: neither check calls products
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return products(*args)
+    monkeypatch.setattr(classify, "products", counted)
+    g = negation_group(97)
+    rng = np.random.default_rng(97)
+    dense = rng.random(g.size)
+    for mu in (uniform(g), from_weights(g, dense / dense.sum()),
+               uniform_on_indices(g, rng.choice(np.arange(1, g.size), 98, replace=False))):
+        assert adapted(mu) == AdaptedResult(True, g.size)
+        assert strictly_aperiodic_check(mu) == AperiodicResult(True, g.size)
+    assert calls == []
 
 
 def lazy_cycle_walk(n, step):
@@ -588,13 +663,13 @@ def test_phase_coset_max_matches_every_element(maker):
         powers = [np.linalg.matrix_power(p, j) for j in (1, 2, 3)]
         gram = sum(np.einsum("ric,rlc->rcil", pw, pw.conj()) for pw in powers)
         want = sum(np.abs((lams - eye) @ pw[:, None]) ** 2 for pw in powers).max(axis=1)
-        got = _row_max(gram, g._phase_orders).swapaxes(1, 2)
+        got = _row_max(gram, g._phase_orders).max(axis=-2).swapaxes(1, 2)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
         # a stack of Gram sums on a leading axis: each slice as on its own
-        stacked = _row_max(np.stack([gram, 2j * gram.conj()]), g._phase_orders)
+        stacked = _row_max(np.stack([gram, 2j * gram.conj()]), g._phase_orders).max(axis=-2)
         assert stacked.shape == (2,) + got.swapaxes(1, 2).shape
         for one, alone in zip(stacked, [gram, 2j * gram.conj()]):
-            assert np.array_equal(one, _row_max(alone, g._phase_orders))
+            assert np.array_equal(one, _row_max(alone, g._phase_orders).max(axis=-2))
 
 
 @pytest.mark.parametrize("x", [GElem((0,), 0), GElem((1,), 0), GElem((0,), 1)])

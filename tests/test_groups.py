@@ -280,6 +280,17 @@ def test_cached_tables_match_elementwise_and_are_shared_read_only(request, group
     assert g._k_table32.dtype == np.int32 and g._moved_digits.dtype == np.int32
 
 
+@pytest.mark.parametrize("maker", [lambda: trivial_group(1), lambda: negation_group(1),
+                                   lambda: trivial_group(97), lambda: scaling_group(7, 2, 3),
+                                   lambda: rotation_group(6), lambda: d4_group(5)])
+def test_order_primes_are_the_primes_dividing_the_order(maker):
+    g = maker()
+    want = [q for q in range(2, g.size + 1)
+            if g.size % q == 0 and all(q % r for r in range(2, q))]
+    assert list(g._order_primes) == want
+    assert g._order_primes is g._order_primes
+
+
 @pytest.mark.parametrize("maker", [lambda: negation_group(7),
                                    lambda: scaling_group(7, 2, 3),
                                    lambda: swap_group(3),

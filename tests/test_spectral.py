@@ -15,9 +15,10 @@ import motionwalk.spectral
 from motionwalk.classify import cross_check
 from motionwalk.groups import GElem, _representatives, dual_orbits, inverse, multiply
 from motionwalk.measures import _weights, convolve, delta, from_weights, tv_norm, uniform
-from motionwalk.reps import fourier
+from motionwalk.reps import compress_to_complement, fourier
 from motionwalk.spectral import (
     SINGULAR_REASON,
+    _block_spectra,
     gelfand_radius,
     gelfand_sequence,
     one_in_spectrum,
@@ -26,6 +27,7 @@ from motionwalk.spectral import (
     spectral_radius,
     verify_srf,
 )
+from motionwalk.suite import acceptance_suite
 
 from conftest import (
     d4_group,
@@ -324,6 +326,52 @@ def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
     calls.clear()
     cross_check(uniform(g))
     assert len(calls) == 1
+
+
+def test_cross_check_makes_two_svd_calls(monkeypatch):
+    # _block_spectra takes the norms and margins of a stack from one svd call
+    # on [B; I - B] and the radii from one eigvals call: one of each for the
+    # orbit stack and one of each for the complement
+    calls = dict.fromkeys(("svd", "eigvals"), 0)
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    cross_check(uniform(rotation_group(4)))
+    assert calls == {"svd": 2, "eigvals": 2}
+
+
+def _suite_and_dense_blocks():
+    """(group, block stack) of the 200 suite cases as cross_check builds
+    them, and of 5 dense complex measures on rotation_group(24) as
+    orbit_spectra does."""
+    for case in acceptance_suite():
+        g = case.measure.group
+        yield g, motionwalk.reps._blocks(g, case.measure.weights.real)
+    g = rotation_group(24)
+    rng = np.random.default_rng(2304)
+    for _ in range(5):
+        w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+        yield g, motionwalk.reps._blocks(g, (w / np.abs(w).sum())[g.inv_perm()])
+
+
+def test_block_spectra_records_equal_separate_calls():
+    # the shared svd call gives each record the bits of op_norm and
+    # one_in_spectrum called on their own stacks
+    for g, blocks in _suite_and_dense_blocks():
+        per_orbit, comp = _block_spectra(g, blocks)
+        for records, stack in ((per_orbit, blocks),
+                               ((comp,), compress_to_complement(g, blocks[0])[None])):
+            ois = one_in_spectrum(stack)
+            assert [r.spectral_radius for r in records] == spectral_radius(stack).tolist()
+            assert [r.op_norm for r in records] == op_norm(stack).tolist()
+            assert [r.margin for r in records] == ois.margin.tolist()
+            assert [r.one_in_spectrum for r in records] == ois.verdict.tolist()
 
 
 def test_power_consistency(order10):
