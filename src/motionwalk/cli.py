@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -39,14 +38,13 @@ from .errors import (
     NotProbability,
     ParseError,
 )
-from .groups import GElem, MotionGroup, Record, build_motion_group
+from .groups import GElem, MotionGroup, build_motion_group
 from .measures import GroupMeasure, from_weights
 from .rosenblatt import defect_norm, eigen_parameter
 from .simulate import empirical_distributions, exact_powers, tv_to_uniform
 from .spectral import SPECTRAL_TOL, OrbitSpectral, orbit_spectra, verify_srf
 
 __all__ = [
-    "RunConfig",
     "parse_group_data",
     "parse_measure_data",
     "group_to_data",
@@ -57,26 +55,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunConfig(Record):
-    group_path: str
-    measure_path: str
-    tol: float = SPECTRAL_TOL
-    n_max: int = MIXING_N_MAX
-    format: str = "json"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ParseError(f"tol must be positive and finite, got {self.tol}")
-        if self.n_max < 1 or self.n_max & (self.n_max - 1):
-            raise ParseError(f"n_max must be a power of two, got {self.n_max}")
-        if not 0 <= self.seed < 1 << 128:  # the 128-bit Philox key
-            raise ParseError(f"seed must be in [0, 2^128), got {self.seed}")
-
-
-_SETTINGS = ("tol", "n_max", "seed")
-
 # largest |G| a group file may declare: every command first allocates a
 # |G|-long complex measure (16 MB here)
 MAX_GROUP_ORDER = 1 << 20
@@ -85,7 +63,7 @@ MAX_GROUP_ORDER = 1 << 20
 # bound took 0.18 s and peaked at 67 MB, 2-vCPU x86-64)
 MAX_K_ORDER = 1 << 7
 # largest |G| classify takes. Time and memory do not set it: at the bound
-# a random dense measure took 0.07 s and peaked at 44 MB (2-vCPU x86-64).
+# a random dense measure took 0.07 s and peaked at 40 MB (2-vCPU x86-64).
 # The fixed guard band of the spectral checks does: from about |G| = 2^15
 # a mixing walk's 1 - rho falls below tol = SPECTRAL_TOL and reads SR FAILS
 MAX_CLASSIFY_ORDER = 1 << 12
@@ -109,10 +87,13 @@ MAX_SIM_STEPS = 1 << 20
 # largest --steps x --trials: about 16 ns per trial step on one thread and
 # 9 ns on two (16.9 s and 9.5 s at the bound, 2-vCPU x86-64 Xeon)
 MAX_SIM_TRIAL_STEPS = 1 << 30
-# largest block stack of simulate's exact powers, orbits * |K|^2 complex
-# entries (|G| to |G| |K|): at the bound (Z_128 acting trivially on Z_1024)
-# the chain to 2^20 peaked at 595 MB RSS in 7.5 s (2-vCPU x86-64)
-MAX_SIM_BLOCK_ENTRIES = 1 << 24
+# largest complex array spectrum, verify-srf and simulate hold: each one's
+# block stack, orbits * |K|^2 entries (|G| to |G| |K|), and verify-srf's
+# Gelfand gather, |G| |K| entries. At the bound (Z_128 acting trivially on
+# Z_1024, a two-atom measure) spectrum took 32.8 s and verify-srf 33.2 s,
+# each peaking at 1069 MB RSS, and simulate's chain to 2^20 595 MB in 7.5 s
+# (2-vCPU x86-64)
+MAX_BLOCK_ENTRIES = 1 << 24
 # largest weak-mixing Gram tensor of classify's curves, orbits * |K|^3
 # complex entries (|G| |K| to |G| |K|^2): K = Z_32 acting trivially on Z_128
 # is at the bound, 2.7 s and 237 MB peak RSS; through the API, Z_64 on Z_32
@@ -122,15 +103,19 @@ MAX_SIM_BLOCK_ENTRIES = 1 << 24
 MAX_CLASSIFY_GRAM_ENTRIES = 1 << 22
 
 
-def _tool_stamp(cfg: Optional[RunConfig], reads: Sequence[str] = (), **fixed) -> dict:
-    """Tool and version, and for a run its config: the paths, the format,
-    of the settings only those named in reads (the ones the command reads),
-    and the fixed budgets it uses, which no flag reaches."""
+def _tool_stamp(args: Optional[argparse.Namespace] = None, **config) -> dict:
+    """Tool and version, and for a run on definition files its config: the
+    paths, then config in the caller's order (the format, the settings the
+    command reads and the fixed budgets it uses, which no flag reaches)."""
     stamp = {"tool": "motionwalk", "version": __version__}
-    if cfg is not None:
-        stamp["config"] = {key: val for key, val in cfg.to_dict().items()
-                           if key not in _SETTINGS or key in reads} | fixed
+    if args is not None:
+        stamp["config"] = {"group_path": args.group, "measure_path": args.measure, **config}
     return stamp
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParseError(f"tol must be positive and finite, got {tol}")
 
 
 def _read_json(path: str):
@@ -332,20 +317,22 @@ def _classify_exit(v: Verdict) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol,
-                    n_max=args.n_max, format=args.format)
-    if cfg.n_max > MAX_CLASSIFY_N_MAX:
-        raise ParseError(f"classify: --n-max {cfg.n_max} exceeds {MAX_CLASSIFY_N_MAX}")
+    _check_tol(args.tol)
+    if args.n_max < 1 or args.n_max & (args.n_max - 1):
+        raise ParseError(f"n_max must be a power of two, got {args.n_max}")
+    if args.n_max > MAX_CLASSIFY_N_MAX:
+        raise ParseError(f"classify: --n-max {args.n_max} exceeds {MAX_CLASSIFY_N_MAX}")
     g = load_group(args.group)
     if g.size > MAX_CLASSIFY_ORDER:
         raise ParseError(f"classify: |G| = {g.size} exceeds {MAX_CLASSIFY_ORDER} elements")
     if (entries := len(g._representatives) * g.k.order ** 3) > MAX_CLASSIFY_GRAM_ENTRIES:
         raise ParseError(f"classify: {entries} Gram entries exceed {MAX_CLASSIFY_GRAM_ENTRIES}")
     mu = load_measure(args.measure, g)
-    verdict = cross_check(mu, tol=cfg.tol, mixing_n_max=cfg.n_max)
-    payload = {**_tool_stamp(cfg, ("tol", "n_max"), cesaro_n_max=CESARO_N_MAX),
+    verdict = cross_check(mu, tol=args.tol, mixing_n_max=args.n_max)
+    payload = {**_tool_stamp(args, tol=args.tol, n_max=args.n_max, format=args.format,
+                             cesaro_n_max=CESARO_N_MAX),
                "report": verdict.to_dict()}
-    _emit(_render_rows(_classify_rows(verdict), cfg.format, payload), args.out)
+    _emit(_render_rows(_classify_rows(verdict), args.format, payload), args.out)
     return _classify_exit(verdict)
 
 
@@ -362,10 +349,14 @@ def _spectral_rows(per_orbit: Sequence[OrbitSpectral],
 
 
 def _cmd_verify_srf(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol, format=args.format)
+    _check_tol(args.tol)
     g = load_group(args.group)
+    # the Gelfand chain's index and gather hold |A| |K|^2 entries, never
+    # fewer than the block stack's orbits * |K|^2, so this bounds both
+    if (entries := g.size * g.k.order) > MAX_BLOCK_ENTRIES:
+        raise ParseError(f"verify-srf: {entries} gather entries exceed {MAX_BLOCK_ENTRIES}")
     mu = load_measure(args.measure, g)
-    report = verify_srf(mu, tol=cfg.tol)
+    report = verify_srf(mu, tol=args.tol)
     rows = _spectral_rows(report.per_orbit, report.lambda0_complement)
     rows.append({
         "block": "formula",
@@ -374,20 +365,22 @@ def _cmd_verify_srf(args) -> int:
         "one_in_spectrum": report.passed,
         "margin": f"{report.formula_gap:.6g}",
     })
-    payload = {**_tool_stamp(cfg, ("tol",)), "report": report.to_dict()}
-    _emit(_render_rows(rows, cfg.format, payload), args.out)
+    payload = {**_tool_stamp(args, tol=args.tol, format=args.format), "report": report.to_dict()}
+    _emit(_render_rows(rows, args.format, payload), args.out)
     return 0 if report.passed else 2
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = RunConfig(args.group, args.measure, tol=args.tol, format=args.format)
+    _check_tol(args.tol)
     g = load_group(args.group)
+    if (entries := len(g._representatives) * g.k.order ** 2) > MAX_BLOCK_ENTRIES:
+        raise ParseError(f"spectrum: {entries} block entries exceed {MAX_BLOCK_ENTRIES}")
     mu = load_measure(args.measure, g)
-    per_orbit, comp = orbit_spectra(mu, tol=cfg.tol)
-    payload = {**_tool_stamp(cfg, ("tol",)),
+    per_orbit, comp = orbit_spectra(mu, tol=args.tol)
+    payload = {**_tool_stamp(args, tol=args.tol, format=args.format),
                "report": {"per_orbit": [o.to_dict() for o in per_orbit],
                           "lambda0_complement": comp.to_dict()}}
-    _emit(_render_rows(_spectral_rows(per_orbit, comp), cfg.format, payload), args.out)
+    _emit(_render_rows(_spectral_rows(per_orbit, comp), args.format, payload), args.out)
     return 0
 
 
@@ -397,7 +390,8 @@ def _dyadic_upto(n: int) -> List[int]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = RunConfig(args.group, args.measure, format=args.format, seed=args.seed)
+    if not 0 <= args.seed < 1 << 128:  # the 128-bit Philox key
+        raise ParseError(f"seed must be in [0, 2^128), got {args.seed}")
     if args.steps < 1 or args.trials < 1:
         raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")
     if args.trials > MAX_SIM_TRIALS or args.steps > MAX_SIM_STEPS \
@@ -405,18 +399,18 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"simulate: need --trials <= {MAX_SIM_TRIALS}, --steps <= "
                          f"{MAX_SIM_STEPS} and their product <= {MAX_SIM_TRIAL_STEPS}")
     g = load_group(args.group)
-    if (entries := len(g._representatives) * g.k.order ** 2) > MAX_SIM_BLOCK_ENTRIES:
-        raise ParseError(f"simulate: {entries} block entries exceed {MAX_SIM_BLOCK_ENTRIES}")
+    if (entries := len(g._representatives) * g.k.order ** 2) > MAX_BLOCK_ENTRIES:
+        raise ParseError(f"simulate: {entries} block entries exceed {MAX_BLOCK_ENTRIES}")
     mu = load_measure(args.measure, g)
     ns = _dyadic_upto(args.steps)
-    empirical = empirical_distributions(g, mu, ns, args.trials, cfg.seed)
+    empirical = empirical_distributions(g, mu, ns, args.trials, args.seed)
     rows = [{"n": n,
              "tv_exact": f"{tv_to_uniform(exact):.12g}",
              "tv_empirical": f"{tv_to_uniform(emp):.12g}"}
             for n, exact, emp in zip(ns, exact_powers(mu, ns), empirical)]
-    payload = {**_tool_stamp(cfg, ("seed",)), "trials": args.trials, "steps": args.steps,
-               "rows": rows}
-    _emit(_render_rows(rows, cfg.format, payload), args.out)
+    payload = {**_tool_stamp(args, format=args.format, seed=args.seed),
+               "trials": args.trials, "steps": args.steps, "rows": rows}
+    _emit(_render_rows(rows, args.format, payload), args.out)
     return 0
 
 
@@ -441,7 +435,7 @@ def _cmd_rosenblatt(args) -> int:
         rows.append({"n": n, "direct": f"{r.direct:.12g}",
                      "closed_form": f"{r.closed_form:.12g}"})
     payload = {
-        **_tool_stamp(None),
+        **_tool_stamp(),
         "lambda": {"x": str(lam.x), "y": str(lam.y)},
         "t": [{"x": str(q.x), "y": str(q.y)} for q in t],
         "rows": rows,

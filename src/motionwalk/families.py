@@ -42,8 +42,8 @@ def swap_group(n: int) -> MotionGroup:
     return build_motion_group(n, 2, cyclic_table(2), mats)
 
 
-def rotation_group(n: int, k_order: int = 4) -> MotionGroup:
+def rotation_group(n: int) -> MotionGroup:
     """(Z_n)^2 x| Z_4 generated by the quarter turn [[0,-1],[1,0]]."""
     rot = np.array([[0, -1], [1, 0]])
-    mats = [np.linalg.matrix_power(rot, j) % n for j in range(k_order)]
-    return build_motion_group(n, 2, cyclic_table(k_order), [m.tolist() for m in mats])
+    mats = [np.linalg.matrix_power(rot, j) % n for j in range(4)]
+    return build_motion_group(n, 2, cyclic_table(4), [m.tolist() for m in mats])

@@ -153,7 +153,7 @@ class MotionGroup:
     and its int32 K table, the dual table, the inverse permutation, the
     dual-orbit representatives, their phase orders and block index, the
     primes dividing |G|, and the complement basis of l2(K). dual_table(g),
-    _representatives(g), g.inv_perm() and reps.complement_basis(g) return
+    g._representatives, g.inv_perm() and reps.complement_basis(g) return
     these shared arrays, so a caller that wants to write copies first.
     """
 
@@ -229,6 +229,13 @@ class MotionGroup:
 
     @cached_property
     def _representatives(self) -> np.ndarray:
+        """A-indices of the dual-orbit representatives, in increasing order,
+        trivial character first: the rows i of the dual table with minimum i.
+
+        Row i of the dual table is the whole orbit of alpha_i, because K is
+        a group, and A-index order is lexicographic order, so these are the
+        orbits' lexicographically minimal members, one per orbit.
+        """
         table = self._dual_table
         return _frozen(np.flatnonzero(table.min(axis=1) == np.arange(len(table))))
 
@@ -410,26 +417,14 @@ def dual_table(g: MotionGroup) -> np.ndarray:
     return g._dual_table
 
 
-def _representatives(g: MotionGroup) -> np.ndarray:
-    """A-indices of the dual-orbit representatives, in increasing order,
-    trivial character first: the rows i of dual_table with minimum i; the
-    group's shared read-only array.
-
-    Row i of dual_table is the whole orbit of alpha_i, because K is a
-    group, and A-index order is lexicographic order, so these are the
-    orbits' lexicographically minimal members, one per orbit.
-    """
-    return g._representatives
-
-
 def dual_orbits(g: MotionGroup) -> List[DualOrbit]:
-    """Partition of the dual group into K-orbits, in _representatives'
+    """Partition of the dual group into K-orbits, in g._representatives'
     order: the orbit of the trivial character first, each represented by
     its lexicographically minimal member. One sort of the representatives'
     rows of dual_table gives every orbit's members in order, each kept at
     its first occurrence.
     """
-    reps = _representatives(g)
+    reps = g._representatives
     table = np.sort(dual_table(g)[reps], axis=1)
     first = np.ones(table.shape, dtype=bool)
     first[:, 1:] = table[:, 1:] != table[:, :-1]

@@ -32,7 +32,7 @@ def _blocks(g: MotionGroup, w: np.ndarray,
             alphas: Optional[Sequence[int]] = None) -> np.ndarray:
     """Stack of sum_x w(x) Lambda_alpha(x), one |K| x |K| block per
     A-index of alphas, or per dual-orbit representative
-    (groups._representatives) when alphas is None.
+    (MotionGroup._representatives) when alphas is None.
 
     Every Lambda_alpha(a, k) is monomial: row k' holds <a, beta_{k'}>, with
     beta_{k'} = alpha . M_{k'^{-1}}, in column k^{-1} k'.  So entry (k', c)

@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import NoConvergence, Overflow
-from .groups import Character, MotionGroup, Record, _representatives
+from .groups import Character, MotionGroup, Record
 from .measures import (GroupMeasure, _fourier_product, _product_index, _transform, _weights,
                        tv_norm)
 from .reps import _blocks, compress_to_complement
@@ -227,7 +227,7 @@ def _block_spectra(g: MotionGroup, blocks: np.ndarray, tol: float = SPECTRAL_TOL
     of the constants. Per stack, one eigvals call gives the radii and one
     svd call (_singular_extremes) the operator norms and the margins of
     one_in_spectrum, bit for bit those of op_norm and one_in_spectrum."""
-    chars = [Character(tuple(v)) for v in g.abelian.vectors()[_representatives(g)].tolist()]
+    chars = [Character(tuple(v)) for v in g.abelian.vectors()[g._representatives].tolist()]
 
     def records(alphas: List[Character], stack: np.ndarray) -> Tuple[OrbitSpectral, ...]:
         norms, margins = _singular_extremes(stack)

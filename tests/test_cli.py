@@ -1,6 +1,6 @@
 """Round-trip serialization and exit-code contract for the command line."""
+import functools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,15 +11,15 @@ from motionwalk import (GElem, delta, negation_group, rotation_group, scaling_gr
                         uniform)
 from motionwalk import cli
 from motionwalk.cli import (
+    MAX_BLOCK_ENTRIES,
     MAX_CLASSIFY_GRAM_ENTRIES,
     MAX_CLASSIFY_N_MAX,
+    MAX_CLASSIFY_ORDER,
     MAX_GROUP_ORDER,
     MAX_K_ORDER,
-    MAX_SIM_BLOCK_ENTRIES,
     MAX_SIM_STEPS,
     MAX_SIM_TRIAL_STEPS,
     MAX_SIM_TRIALS,
-    RunConfig,
     group_to_data,
     main,
     measure_to_data,
@@ -92,14 +92,21 @@ def test_measure_parse_rejects_bad_atoms():
         parse_measure_data(g, [])
 
 
-def test_run_config_validation():
-    for tol in (0.0, math.inf, math.nan):
-        with pytest.raises(ParseError):
-            RunConfig("g", "m", tol=tol)
-    with pytest.raises(ParseError):
-        RunConfig("g", "m", n_max=100)
-    cfg = RunConfig("g", "m")
-    assert cfg.to_dict()["n_max"] == 1024
+@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+@pytest.mark.parametrize("command", ["classify", "verify-srf", "spectrum"])
+def test_tol_is_checked_before_the_group_file(tmp_path, capsys, command, tol):
+    # a non-finite tol used to pass every block, or none, without a word
+    missing = str(tmp_path / "absent.json")
+    assert main([command, "--group", missing, "--measure", missing, "--tol", tol]) == 64
+    assert capsys.readouterr().err == f"error: tol must be positive and finite, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("n_max", [0, 100])
+def test_classify_n_max_is_a_power_of_two_before_the_group_file(tmp_path, capsys, n_max):
+    missing = str(tmp_path / "absent.json")
+    assert main(["classify", "--group", missing, "--measure", missing,
+                 "--n-max", str(n_max)]) == 64
+    assert capsys.readouterr().err == f"error: n_max must be a power of two, got {n_max}\n"
 
 
 # the seed is the 128-bit key of the walk's Philox stream
@@ -332,15 +339,15 @@ def test_simulate_block_stack_budget(tmp_path, capsys):
     # orbit, so the exact powers' block stack has |G| |K| = 2^25 entries
     cyclic = [[(i + j) % 128 for j in range(128)] for i in range(128)]
     g = build_motion_group(2048, 1, cyclic, [[[1]]] * 128)
-    assert len(g._representatives) * 128 ** 2 == 2 * MAX_SIM_BLOCK_ENTRIES
+    assert len(g._representatives) * 128 ** 2 == 2 * MAX_BLOCK_ENTRIES
     gpath = write_group(tmp_path / "g.json", g)
     missing = str(tmp_path / "absent.json")
     assert main(["simulate", "--group", gpath, "--measure", missing, "--steps", "1",
                  "--trials", "1"]) == 64
     assert capsys.readouterr().err.startswith(
-        f"error: simulate: {2 * MAX_SIM_BLOCK_ENTRIES} block entries exceed")
+        f"error: simulate: {2 * MAX_BLOCK_ENTRIES} block entries exceed")
     # the largest free action holds about |G| entries and passes
-    assert len(rotation_group(512)._representatives) * 16 < MAX_SIM_BLOCK_ENTRIES / 8
+    assert len(rotation_group(512)._representatives) * 16 < MAX_BLOCK_ENTRIES / 8
 
 
 def test_non_probability_exits_65(tmp_path, d5, capsys):
@@ -483,20 +490,24 @@ def test_unread_flags_are_usage_errors(tmp_path, d5, capsys, command, flag):
 
 
 @pytest.mark.parametrize("command, extra, settings", [
-    ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64,
+    ("classify", ["--n-max", "64"], {"tol": 1e-8, "n_max": 64, "format": "json",
                                      "cesaro_n_max": 512}),
-    ("verify-srf", [], {"tol": 1e-6}),
-    ("spectrum", ["--tol", "1e-7"], {"tol": 1e-7}),
-    ("simulate", ["--steps", "4", "--trials", "50", "--seed", "3"], {"seed": 3}),
+    ("verify-srf", [], {"tol": 1e-6, "format": "json"}),
+    ("spectrum", ["--tol", "1e-7"], {"tol": 1e-7, "format": "json"}),
+    ("simulate", ["--steps", "4", "--trials", "50", "--seed", "3"],
+     {"format": "json", "seed": 3}),
+    ("classify", [], {"tol": 1e-8, "n_max": 1024, "format": "json", "cesaro_n_max": 512}),
 ])
 def test_config_stamp_carries_what_the_command_reads(tmp_path, d5, capsys,
                                                      command, extra, settings):
+    # the paths come first, then the settings in this order: the JSON text
+    # is compared, since dicts compare equal in any order
     g, gpath = d5
     mpath = write_measure(tmp_path / "u.json", uniform(g))
     assert main([command, "--group", gpath, "--measure", mpath, *extra]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config == {"group_path": gpath, "measure_path": mpath, "format": "json",
-                      **settings}
+    assert json.dumps(config) == json.dumps({"group_path": gpath, "measure_path": mpath,
+                                             **settings})
 
 
 def test_rosenblatt_subcommand(capsys):
@@ -596,11 +607,14 @@ _BUDGET_EDGES = [
 _MODULUS_ONE = build_motion_group(1, 20, [[0, 1], [1, 0]], [np.eye(20, dtype=int)] * 2)
 
 
-def _budget_edge_group(n, d, nk):
-    """A group file with a cyclic K of order nk acting trivially on (Z_n)^d."""
+def _budget_edge_group(n, d, nk, mult=1):
+    """A group file with a cyclic K of order nk whose generator acts on
+    (Z_n)^d as a -> mult a: trivially by default, and at rank 1 otherwise."""
+    action = [[[pow(mult, j, n)]] for j in range(nk)] if mult > 1 \
+        else [np.eye(d, dtype=int).tolist()] * nk
     return {"abelian": {"modulus": n, "rank": d},
             "k": {"table": [[(i + j) % nk for j in range(nk)] for i in range(nk)],
-                  "action": [np.eye(d, dtype=int).tolist()] * nk}}
+                  "action": action}}
 
 
 def _over_budget(n, d, nk):
@@ -619,6 +633,52 @@ _GRAM_EDGES = [(128, 1, 32), (117, 1, 33)]
 
 def _over_gram(n, d, nk):
     return n ** d * nk ** 3 > MAX_CLASSIFY_GRAM_ENTRIES
+
+
+# (modulus, rank, |K|[, multiplier]) at the block budget of spectrum,
+# verify-srf and simulate: Z_128 acting trivially on Z_1024 puts both the
+# block stack, orbits * |K|^2 entries, and verify-srf's gather, |G| |K|, at
+# the bound, and on Z_2048 both are over. On Z_2287 x| Z_127, K acting by
+# 1426 = 2^18 mod 2287 (order 127), the 19 orbits' stack is far under it
+# and the gather over
+_BLOCK_EDGES = [(1024, 1, 128), (2048, 1, 128), (2287, 1, 127, 1426)]
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_arrays(edge):
+    """|G| and the entries of classify's Gram tensor, of the block stack and
+    of verify-srf's gather, on the group of an edge."""
+    data = _budget_edge_group(*edge)
+    g = build_motion_group(*edge[:2], data["k"]["table"], data["k"]["action"])
+    orbits, nk = len(g._representatives), g.k.order
+    return g.size, orbits * nk ** 3, orbits * nk ** 2, g.size * nk
+
+
+def test_block_edges_sit_where_their_comment_says():
+    # |A| orbits under the trivial action, 1 + 2286 / 127 = 19 under 1426
+    assert MAX_BLOCK_ENTRIES == 1024 * 128 ** 2
+    assert [_edge_arrays(edge)[2:] for edge in _BLOCK_EDGES] == [
+        (1024 * 128 ** 2, 1024 * 128 ** 2), (2048 * 128 ** 2, 2048 * 128 ** 2),
+        (19 * 127 ** 2, 2287 * 127 ** 2)]
+
+
+@pytest.mark.parametrize("edge", _BLOCK_EDGES, ids=["at-bound", "blocks-over", "gather-over"])
+@pytest.mark.parametrize("command", ["spectrum", "verify-srf"])
+def test_block_budgets_are_checked_before_the_measure_file(tmp_path, capsys, command, edge):
+    # spectrum's block stack holds orbits * |K|^2 complex entries and
+    # verify-srf's Gelfand gather |G| |K|; both are bounded as simulate's is
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(_budget_edge_group(*edge)))
+    missing = str(tmp_path / "absent.json")
+    assert main([command, "--group", str(gpath), "--measure", missing]) == 64
+    err = capsys.readouterr().err
+    _, _, blocks, gather = _edge_arrays(edge)
+    entries, what = (blocks, "block") if command == "spectrum" else (gather, "gather")
+    if entries > MAX_BLOCK_ENTRIES:
+        assert err == f"error: {command}: {entries} {what} entries exceed {MAX_BLOCK_ENTRIES}\n"
+    else:
+        # at the bound the budget passes, and the missing file is what fails
+        assert "absent.json" in err
 
 
 @pytest.mark.parametrize("edge", _GRAM_EDGES)
@@ -692,25 +752,29 @@ def test_fuzz_files_unmutated_reach_a_verdict(tmp_path, capsys, g, command):
 def _stub_past_the_budgets(patch, edge):
     """Stub what a group file at a budget's edge reaches once every budget
     admits it: build_motion_group at a group budget, load_measure at
-    classify's Gram budget. The stub records its call and exits 64, so
-    nothing past a budget is built; the record is returned."""
+    classify's Gram budget and at the block budget. The stub records its
+    call and exits 64, so nothing past a budget is built; the record is
+    returned."""
     built = []
 
     def admitted(*args):
         built.append(args)
         raise ParseError("the budgets admitted the group file")
 
-    patch.setattr(cli, "load_measure" if edge in _GRAM_EDGES else "build_motion_group", admitted)
+    patch.setattr(cli, "build_motion_group" if edge in _BUDGET_EDGES else "load_measure", admitted)
     return built
 
 
 def _over_any_budget(edge, command):
-    return command[0] == "classify" and _over_gram(*edge) if edge in _GRAM_EDGES \
-        else _over_budget(*edge)
+    if edge in _BUDGET_EDGES:
+        return _over_budget(*edge)
+    size, gram, blocks, gather = _edge_arrays(edge)
+    return {"classify": size > MAX_CLASSIFY_ORDER or gram > MAX_CLASSIFY_GRAM_ENTRIES,
+            "verify-srf": gather > MAX_BLOCK_ENTRIES}.get(command[0], blocks > MAX_BLOCK_ENTRIES)
 
 
 @pytest.mark.parametrize("command", _FUZZ_COMMANDS, ids=lambda c: c[0])
-@pytest.mark.parametrize("edge", _BUDGET_EDGES + _GRAM_EDGES,
+@pytest.mark.parametrize("edge", _BUDGET_EDGES + _GRAM_EDGES + _BLOCK_EDGES,
                          ids=lambda e: "n{}_d{}_k{}".format(*e))
 def test_every_command_at_every_budget_edge(tmp_path, capsys, monkeypatch, edge, command):
     # every (edge, command) pair the fuzz below may draw: over a budget
@@ -732,9 +796,10 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
     group, measure = _fuzz_files(data.draw(st.sampled_from(_FUZZ_GROUPS)))
     # a file at a budget's edge replaces the group file; it is not mutated,
     # and it never reaches build_motion_group, so no 2^20-element group is
-    # built. A file at the Gram budget's edge is built (|G| <= 4096), and
-    # never reaches load_measure, so no Gram tensor is
-    edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES + _GRAM_EDGES))
+    # built. A file at the Gram or the block budget's edge is built
+    # (|G| <= 2^18), and never reaches load_measure, so no Gram tensor,
+    # block stack or gather is
+    edge = data.draw(st.none() | st.sampled_from(_BUDGET_EDGES + _GRAM_EDGES + _BLOCK_EDGES))
     if edge is not None:
         group = _budget_edge_group(*edge)
     mutations = data.draw(st.integers(0, 3))
@@ -758,7 +823,8 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, da
         assert code == 64 and err.startswith("error: seed must be"), err
     elif edge is not None:
         # an over-budget file exits 64 before build_motion_group runs, and a
-        # group over classify's Gram budget before the measure file is read
+        # group over classify's Gram budget or a block budget before the
+        # measure file is read
         assert code == 64
         assert bool(built) is not _over_any_budget(edge, command), (edge, err)
     elif mutations == 0:

@@ -20,7 +20,6 @@ from motionwalk.groups import (
     Character,
     GElem,
     _int_det,
-    _representatives,
     build_motion_group,
     dual_action,
     dual_orbits,
@@ -233,7 +232,7 @@ def test_dual_orbits_order10(order10):
 def test_representatives_are_the_dual_orbit_representatives(request, group):
     g = request.getfixturevalue(group)
     want = [g.abelian.index(o.representative.alpha) for o in dual_orbits(g)]
-    assert _representatives(g).tolist() == want
+    assert g._representatives.tolist() == want
 
 
 @pytest.mark.parametrize("group", ["order10", "z2", "order16", "order21", "order20",
@@ -250,7 +249,7 @@ def test_cached_tables_match_elementwise_and_are_shared_read_only(request, group
     tables = {
         "dual table": (lambda: dual_table(g), dual),
         "inverse permutation": (g.inv_perm, [g.index(inverse(g, x)) for x in g.elements()]),
-        "representatives": (lambda: _representatives(g), reps),
+        "representatives": (lambda: g._representatives, reps),
         "phase orders": (lambda: g._phase_orders,
                          [[n // math.gcd(n, *ab.vector(dual[r][k])) for k in range(nk)]
                           for r in reps]),

@@ -13,7 +13,7 @@ import motionwalk.groups
 import motionwalk.reps
 import motionwalk.spectral
 from motionwalk.classify import cross_check
-from motionwalk.groups import GElem, _representatives, dual_orbits, inverse, multiply
+from motionwalk.groups import GElem, MotionGroup, dual_orbits, inverse, multiply
 from motionwalk.measures import _weights, convolve, delta, from_weights, tv_norm, uniform
 from motionwalk.reps import compress_to_complement, fourier
 from motionwalk.spectral import (
@@ -191,8 +191,7 @@ def test_gelfand_chain_never_reads_the_block_stack(monkeypatch):
     monkeypatch.setattr(motionwalk.reps, "_measure_of_blocks", refuse)
     monkeypatch.setattr(motionwalk.spectral, "_blocks", refuse)
     monkeypatch.setattr(motionwalk.groups, "dual_orbits", refuse)
-    monkeypatch.setattr(motionwalk.groups, "_representatives", refuse)
-    monkeypatch.setattr(motionwalk.spectral, "_representatives", refuse)
+    monkeypatch.setattr(MotionGroup, "_representatives", property(refuse))
     g = rotation_group(4)
     rng = np.random.default_rng(73)
     w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
@@ -310,15 +309,18 @@ def test_star_norm(order10):
 
 def test_one_spectral_pass_reads_the_dual_orbits_once(monkeypatch):
     calls = []
+    cached = MotionGroup._representatives
 
     def counted(g):
         calls.append(g)
-        return _representatives(g)
+        return cached.__get__(g)
 
     # classify reads the representatives only through orbit_spectra and the
-    # group's cached block index
-    monkeypatch.setattr(motionwalk.spectral, "_representatives", counted)
+    # group's cached tables, which read them once when they are built: built
+    # here, before the count starts
     g = rotation_group(4)
+    g._block_index, g._phase_orders
+    monkeypatch.setattr(MotionGroup, "_representatives", property(counted))
     rng = np.random.default_rng(67)
     w = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
     orbit_spectra(from_weights(g, w))
