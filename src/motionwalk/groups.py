@@ -314,30 +314,29 @@ def _int_det(m: Sequence[Sequence[int]]) -> int:
 
 
 def _validate_k_table(table: np.ndarray) -> np.ndarray:
+    """The inverses of an int64 K table, once it is a group table: one
+    whole-array check per axiom, failing at its first index, row-major."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroupTable(f"table must be square, got shape {table.shape}")
     order = table.shape[0]
-    if not np.issubdtype(table.dtype, np.integer):
-        raise NotAGroupTable("table entries must be integers")
     if table.min() < 0 or table.max() >= order:
         raise NotAGroupTable("table entries must be indices in [0, order)")
     idx = np.arange(order)
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         raise NotAGroupTable("index 0 must be the identity")
-    for i in range(order):
-        if len(set(table[i].tolist())) != order or len(set(table[:, i].tolist())) != order:
-            raise NotAGroupTable(f"row/column {i} is not a permutation")
-    inverses = np.full(order, -1, dtype=np.int64)
-    for i in range(order):
-        js = np.where(table[i] == 0)[0]
-        if len(js) != 1 or table[js[0], i] != 0:
-            raise NotAGroupTable(f"element {i} has no two-sided inverse")
-        inverses[i] = js[0]
-    # associativity, exhaustive; order stays small so cubic cost is fine
-    left = table[table, :]        # (i,j,k) -> (ij)k
-    right = table[:, table]       # (i,j,k) -> i(jk)
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)[0]
+    # row and column i are permutations: sorted, each reads idx
+    rows, cols = np.sort(table, axis=1) == idx, np.sort(table.T, axis=1) == idx
+    latin = rows.all(axis=1) & cols.all(axis=1)
+    if not latin.all():
+        raise NotAGroupTable(f"row/column {latin.argmin()} is not a permutation")
+    inverses = table.argmin(axis=1)               # each row's one 0
+    if (one_sided := table[inverses, idx] != 0).any():
+        raise NotAGroupTable(f"element {one_sided.argmax()} has no two-sided inverse")
+    # associativity, exhaustive: (ij)k against i(jk) over |K|^3 entries of
+    # the narrowest dtype that holds an index
+    t = table.astype(np.min_scalar_type(order))
+    if (fails := t[t, :] != t[:, t]).any():
+        bad = np.unravel_index(fails.argmax(), fails.shape)
         raise NotAGroupTable(f"associativity fails at triple {tuple(int(v) for v in bad)}")
     return inverses
 
@@ -360,24 +359,19 @@ def build_motion_group(
 
     action = np.asarray(action_matrices, dtype=np.int64)
     if action.shape != (order, d, d):
-        raise NotAHomomorphism(
-            f"need one {d}x{d} matrix per K element, got shape {action.shape}"
-        )
+        raise NotAHomomorphism(f"need one {d}x{d} matrix per K element, got shape {action.shape}")
     action = action % n
-    eye = np.eye(d, dtype=np.int64) % n
-    if not np.array_equal(action[0], eye):
+    if not np.array_equal(action[0], np.eye(d, dtype=np.int64) % n):
         raise NotAHomomorphism("action of the identity must be the identity matrix")
     for i in range(order):
         det = _int_det(action[i].tolist()) % n
         if gcd(det, n) != 1:
             raise NotInvertible(f"action matrix {i} has det {det} not coprime to {n}")
+    # phi_i phi_j = phi_{ij}, one table row of products at a time
     for i in range(order):
-        for j in range(order):
-            composed = (action[i] @ action[j]) % n
-            if not np.array_equal(composed, action[table_arr[i, j]]):
-                raise NotAHomomorphism(
-                    f"action[{i}]*action[{j}] != action[{i}*{j}] mod {n}"
-                )
+        if (wrong := (action[i] @ action % n != action[table_arr[i]]).any(axis=(1, 2))).any():
+            j = wrong.argmax()
+            raise NotAHomomorphism(f"action[{i}]*action[{j}] != action[{i}*{j}] mod {n}")
 
     kgroup = KGroup(order=order, table=table_arr, inverses=inverses, action=action)
     return MotionGroup(abelian=abelian, k=kgroup)

@@ -136,21 +136,23 @@ def _weights(g: MotionGroup, h: np.ndarray) -> np.ndarray:
 
 
 def _product_index(g: MotionGroup) -> np.ndarray:
-    """Flat (|A|, |K|, |K|) gather index into an (|A|, |K|) transform:
-    entry [xi, k1, k] points at (xi . M_{k1}, k1^{-1} k), with
+    """Flat (|K|, |K|, |A|) gather index into a (|K|, |A|) transform:
+    entry [k1, k, xi] points at (k1^{-1} k, xi . M_{k1}), with
     xi . M_{k1} = dual_action(k1^{-1}, xi) read off dual_table; the
     action is linear, so either sign of the transform's phase may use it."""
     inv = g.k.inverses
-    return dual_table(g)[:, inv, None] * g.k.order + g.k.table[inv][None, :, :]
+    return g.k.table[inv][:, :, None] * g.abelian.size + dual_table(g).T[inv][:, None, :]
 
 
 def _fourier_product(f: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The transform of mu * nu from f and h, those of mu and nu:
+    """The transform of mu * nu from f and h, those of mu and nu, each
+    laid out characters last, (|K|, |A|):
 
         (mu * nu)^(xi, k) = sum_{k1} f(xi, k1) h(xi . M_{k1}, k1^{-1} k)
 
-    one gather through index = _product_index(g) and one einsum."""
-    return np.einsum("xj,xjk->xk", f, h.reshape(-1)[index])
+    one gather through index = _product_index(g) and one einsum, both
+    running along the character axis."""
+    return np.einsum("jx,jkx->kx", f, h.reshape(-1)[index])
 
 
 def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
@@ -164,6 +166,6 @@ def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
     """
     _same_group(mu, nu)
     g = mu.group
-    out = _fourier_product(_transform(g, mu.weights), _transform(g, nu.weights),
+    out = _fourier_product(_transform(g, mu.weights).T, _transform(g, nu.weights).T,
                            _product_index(g))
-    return GroupMeasure(g, _weights(g, out))
+    return GroupMeasure(g, _weights(g, out.T))

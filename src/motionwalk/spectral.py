@@ -49,6 +49,9 @@ SINGULAR_REASON = "discrete Haar: all measures absolutely continuous"
 
 # default margin of one_in_spectrum and guard band of the spectral verdicts
 SPECTRAL_TOL = 1e-8
+# largest slice of a block stack, in complex entries, that _singular_extremes
+# stacks with its I - m for one svd call (2048 blocks of 4 x 4)
+SVD_SLICE_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -116,16 +119,24 @@ def _singular_extremes(a: np.ndarray, norm: bool = True, margin: bool = True
     """Per matrix m of a (..., rows, cols) stack, square where margin is
     asked: the largest singular value of m (0 for an empty block) if norm,
     and the smallest of I - m (infinite for an empty block) if margin.
-    Both come from one np.linalg.svd call on the stack [a; I - a]: numpy
-    decomposes each matrix on its own, so each value is the one a call
-    on its own stack gives, bit for bit."""
-    parts = ([a] if norm else []) + ([np.eye(a.shape[-1]) - a] if margin else [])
-    try:
-        s = np.linalg.svd(np.stack(parts), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"svd failed: {exc}") from exc
-    return (s[0].max(axis=-1, initial=0.0) if norm else None,
-            s[-1].min(axis=-1, initial=math.inf) if margin else None)
+    Both come from one np.linalg.svd call per slice of at most
+    SVD_SLICE_ENTRIES entries of a and those of I - a, so a call copies one
+    slice, not the whole stack. numpy decomposes each matrix on its own, so
+    each value is the one a call on its own stack gives, bit for bit."""
+    rows, cols = a.shape[-2:]
+    flat = a.reshape((math.prod(a.shape[:-2]), rows, cols))
+    out = np.empty((2, len(flat)))
+    step = max(1, SVD_SLICE_ENTRIES // max(1, rows * cols))
+    for lo in range(0, len(flat), step):
+        part = flat[lo:lo + step]
+        parts = ([part] if norm else []) + ([np.eye(cols) - part] if margin else [])
+        try:
+            s = np.linalg.svd(np.stack(parts), compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"svd failed: {exc}") from exc
+        out[:, lo:lo + step] = s[0].max(axis=-1, initial=0.0), s[-1].min(axis=-1, initial=math.inf)
+    norms, margins = out.reshape((2,) + a.shape[:-2])
+    return norms if norm else None, margins if margin else None
 
 
 def op_norm(m: np.ndarray) -> float | np.ndarray:
@@ -153,7 +164,7 @@ def _gelfand_estimates(mu: GroupMeasure, reads: Sequence[int]) -> List[float]:
     sequence of steps >= 0, from one chain of max(reads) squarings.
 
     The chain squares on the A-Fourier transform h of the current power,
-    kept for the whole chain: each step is one _fourier_product (the
+    kept characters last: each step is one _fourier_product (the
     convolution of M(G), through a gather index built once). After each
     square, h is scaled by 2^-e, e the binary exponent of its largest real
     or imaginary part, so its parts stay in (-1, 1) and no power under-
@@ -172,7 +183,7 @@ def _gelfand_estimates(mu: GroupMeasure, reads: Sequence[int]) -> List[float]:
         raise Overflow("initial TV norm is not finite")
     g = mu.group
     index = _product_index(g)
-    h = _transform(g, mu.weights * (1.0 / t0))
+    h = np.ascontiguousarray(_transform(g, mu.weights * (1.0 / t0)).T)
     s = 0
     out = [t0] if reads[0] == 0 else []
     for k in range(1, reads[-1] + 1):
@@ -188,7 +199,7 @@ def _gelfand_estimates(mu: GroupMeasure, reads: Sequence[int]) -> List[float]:
         np.ldexp(parts, -e, out=parts)
         s = 2 * s + e
         if k in reads:
-            c = float(np.abs(_weights(g, h)).sum())
+            c = float(np.abs(_weights(g, h.T)).sum())
             if not math.isfinite(c):
                 raise Overflow(f"scale tracking failed at squaring step {k}")
             out.append(t0 * math.exp(math.log(2.0) * (s / (1 << k)) + math.log(c) / (1 << k)))

@@ -2,20 +2,21 @@
 test-only helpers.
 
 Elementwise induced-representation matrices, K-side reconstructions,
-central measures, the cofactor determinant, the breadth-first subgroup
-closures, the exact translate-gap sweep, the per-step walk and Cesaro
-loops, the convolution-squaring Gelfand chain and power chain, and the
-lattice walk's per-entry integer phase route: each builds its answer a
-different way from the code under test, one element or one step at a
-time. The list-based Gram loop of the weak-mixing curve is the
-classifier's earlier route, kept to show that the streamed one keeps its
-bits. The lattice walk's phase exponent and aperiodicity certificate,
-and the sampled measures of the radius-formula sweeps, are read only by
-the tests.
+central measures, the cofactor determinant, the per-element group-axiom
+loops, the breadth-first subgroup closures, the exact translate-gap
+sweep, the per-step walk and Cesaro loops, the convolution-squaring
+Gelfand chain and power chain, and the lattice walk's per-entry integer
+phase route: each builds its answer a different way from the code under
+test, one element or one step at a time. The list-based Gram loop of the
+weak-mixing curve is the classifier's earlier route, kept to show that
+the streamed one keeps its bits. The lattice walk's phase exponent and
+aperiodicity certificate, and the sampled measures of the radius-formula
+sweeps, are read only by the tests.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -28,6 +29,7 @@ from motionwalk.families import (
     swap_group,
     trivial_group,
 )
+from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits, products
 from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
 from motionwalk.reps import _blocks, _dyadic_powers, compress_to_complement, fourier
@@ -139,6 +141,52 @@ def cofactor_det(m: Sequence[Sequence[int]]) -> int:
         sign = -1 if j % 2 else 1
         total += sign * int(m[0][j]) * cofactor_det(minor)
     return total
+
+
+# ------------------------------------------------------------- group axioms
+
+def group_axiom_loops(n: int, d: int, table, action_matrices) -> np.ndarray:
+    """The K inverses of build_motion_group's data, by its earlier per-element
+    loops: the same checks in the same order, each raising the same error
+    class and message at the first failing index, with the determinant by
+    cofactor expansion."""
+    table = np.asarray(table, dtype=np.int64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise NotAGroupTable(f"table must be square, got shape {table.shape}")
+    order = table.shape[0]
+    if table.min() < 0 or table.max() >= order:
+        raise NotAGroupTable("table entries must be indices in [0, order)")
+    idx = np.arange(order)
+    if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
+        raise NotAGroupTable("index 0 must be the identity")
+    for i in range(order):
+        if len(set(table[i].tolist())) != order or len(set(table[:, i].tolist())) != order:
+            raise NotAGroupTable(f"row/column {i} is not a permutation")
+    inverses = np.full(order, -1, dtype=np.int64)
+    for i in range(order):
+        js = np.where(table[i] == 0)[0]
+        if len(js) != 1 or table[js[0], i] != 0:
+            raise NotAGroupTable(f"element {i} has no two-sided inverse")
+        inverses[i] = js[0]
+    for i, j, k in itertools.product(range(order), repeat=3):
+        if table[table[i, j], k] != table[i, table[j, k]]:
+            raise NotAGroupTable(f"associativity fails at triple {(i, j, k)}")
+    action = np.asarray(action_matrices, dtype=np.int64)
+    if action.shape != (order, d, d):
+        raise NotAHomomorphism(
+            f"need one {d}x{d} matrix per K element, got shape {action.shape}")
+    action = action % n
+    if not np.array_equal(action[0], np.eye(d, dtype=np.int64) % n):
+        raise NotAHomomorphism("action of the identity must be the identity matrix")
+    for i in range(order):
+        det = cofactor_det(action[i].tolist()) % n
+        if math.gcd(det, n) != 1:
+            raise NotInvertible(f"action matrix {i} has det {det} not coprime to {n}")
+    for i in range(order):
+        for j in range(order):
+            if not np.array_equal((action[i] @ action[j]) % n, action[table[i, j]]):
+                raise NotAHomomorphism(f"action[{i}]*action[{j}] != action[{i}*{j}] mod {n}")
+    return inverses
 
 
 # --------------------------------------------------------- subgroup closures

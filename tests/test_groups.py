@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from conftest import (
     swap_group,
     trivial_group,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, group_axiom_loops
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,6 +128,82 @@ def test_broken_table_rejected():
     ]
     with pytest.raises(NotAGroupTable):
         build_motion_group(3, 1, latin, [[[1]]] * 5)
+
+
+def _intercalates(table):
+    """Every 2x2 Latin subsquare of a table off row and column 0, as
+    (i, m, j, l): table[i, j] == table[m, l] and table[i, l] == table[m, j]."""
+    order = len(table)
+    pairs = [(a, b) for a in range(1, order) for b in range(a + 1, order)]
+    return [(i, m, j, l) for i, m in pairs for j, l in pairs
+            if table[i, j] == table[m, l] and table[i, l] == table[m, j]]
+
+
+def _corrupt(g, how, rng):
+    """The table and action of g with one defect of kind how."""
+    table, action = g.k.table.copy(), g.k.action.copy()
+    order, d, n = g.k.order, g.abelian.rank, g.abelian.modulus
+    k = rng.integers(1, order)
+    if how == "swapped entries":
+        j, l = rng.choice(np.arange(1, order), size=2, replace=False)
+        table[k, [j, l]] = table[k, [l, j]]
+    elif how in ("broken inverse", "non-associative latin square"):
+        # swapping an intercalate's two symbols keeps every row and column
+        # a permutation; with a 0 in it, an element's left and right
+        # inverses part
+        squares = [(i, m, j, l) for i, m, j, l in _intercalates(table)
+                   if (0 in (table[i, j], table[i, l])) == (how == "broken inverse")]
+        i, m, j, l = squares[rng.integers(len(squares))]
+        table[[i, i, m, m], [j, l, j, l]] = table[[i, i, m, m], [l, j, l, j]]
+    elif how == "wrong action entry":
+        action[k, rng.integers(d), rng.integers(d)] += rng.integers(1, n)
+    elif how == "singular matrix":
+        action[k, rng.integers(d)] = 0
+    else:
+        action[0] = action[k]
+    return table.tolist(), action.tolist()
+
+
+_CORRUPTIONS = ["swapped entries", "broken inverse", "non-associative latin square",
+                "wrong action entry", "singular matrix", "non-identity action[0]"]
+_AXIOM_GROUPS = {"cyclic": lambda: scaling_group(9, 2, 6), "d4": lambda: d4_group(5),
+                 "rotation": lambda: rotation_group(5)}
+
+
+# every loop of order below 5 is a group, so rotation's K = Z_4 carries no
+# non-associative Latin square, and there a broken inverse makes another
+# group table, which the action then fails
+@pytest.mark.parametrize("base, how", [
+    (base, how) for base in _AXIOM_GROUPS for how in _CORRUPTIONS
+    if (base, how) != ("rotation", "non-associative latin square")])
+def test_invalid_groups_fail_as_the_axiom_loops_do(base, how):
+    # the whole-array checks raise the class and message of the
+    # per-element loops: the same check fails first, at the same index
+    g = _AXIOM_GROUPS[base]()
+    rng = np.random.default_rng(sum(map(ord, how)))
+    n, d = g.abelian.modulus, g.abelian.rank
+    assert group_axiom_loops(n, d, g.k.table, g.k.action).tolist() == g.k.inverses.tolist()
+    for _ in range(8):
+        table, action = _corrupt(g, how, rng)
+        with pytest.raises((NotAGroupTable, NotAHomomorphism, NotInvertible)) as want:
+            group_axiom_loops(n, d, table, action)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            build_motion_group(n, d, table, action)
+
+
+def test_group_checks_at_the_k_cap_peak_below_16_mb():
+    # K = Z_128 at cli.MAX_K_ORDER, acting by multiplication by 3 on Z_8 and
+    # trivially on (Z_2)^13 (|G| = 2^20): no |K|^3 int64 table is held
+    cyclic = cyclic_table(128)
+    for n, d, action in ((8, 1, [[[pow(3, j, 8)]] for j in range(128)]),
+                         (2, 13, [np.eye(13, dtype=int).tolist()] * 128)):
+        tracemalloc.start()
+        try:
+            build_motion_group(n, d, cyclic, action)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (n, d, peak)
 
 
 def test_identity_action_must_be_identity():

@@ -20,7 +20,7 @@ from motionwalk.measures import (
     uniform_on,
 )
 
-from conftest import negation_group, rotation_group
+from conftest import negation_group, rotation_group, scaling_group
 from oracles import (
     ContainsZeroCharacter,
     NotOrbitClosed,
@@ -100,7 +100,8 @@ def test_convolve_keeps_the_two_index_gather_formula_bit_for_bit(order10, order7
         return np.fft.ifftn(out.reshape(shape), axes=axes).reshape(-1)
 
     rng = np.random.default_rng(13)
-    for g in (order10, order72, rotation_group(4)):
+    # Z_16 acting trivially on Z_8 gives the product a long K axis
+    for g in (order10, order72, rotation_group(4), scaling_group(8, 1, 16)):
         for sparse in (False, True):
             mu, nu = random_measure(g, rng, sparse), random_measure(g, rng, sparse)
             assert (convolve(mu, nu).weights == two_index(mu, nu)).all()

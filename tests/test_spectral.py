@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from motionwalk.measures import _weights, convolve, delta, from_weights, tv_norm
 from motionwalk.reps import compress_to_complement, fourier
 from motionwalk.spectral import (
     SINGULAR_REASON,
+    SVD_SLICE_ENTRIES,
     _block_spectra,
+    _singular_extremes,
     gelfand_radius,
     gelfand_sequence,
     one_in_spectrum,
@@ -100,6 +103,28 @@ def test_stacked_values_equal_per_block_values(name):
         assert got.verdict.tolist() == [False, False, True, False, False, False]
 
 
+def test_singular_extremes_in_slices_equal_one_call_and_copy_one_slice():
+    # 2 x 2^13 blocks of 4 x 4 span eight slices: every value is the one
+    # svd call on the whole stack [a; I - a] gives, and a call copies one
+    # slice at a time (2 MB traced), where one call on the whole stack
+    # held 13 MB, over three times a itself
+    rng = np.random.default_rng(59)
+    a = rng.normal(size=(2, 1 << 13, 4, 4)) + 1j * rng.normal(size=(2, 1 << 13, 4, 4))
+    assert a.size == 8 * SVD_SLICE_ENTRIES
+    s = np.linalg.svd(np.stack([a, np.eye(4) - a]), compute_uv=False)
+    tracemalloc.start()
+    try:
+        norms, margins = _singular_extremes(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(norms, s[0].max(axis=-1))
+    assert np.array_equal(margins, s[1].min(axis=-1))
+    assert np.array_equal(op_norm(a), norms)
+    assert np.array_equal(one_in_spectrum(a).margin, margins)
+    assert peak < a.nbytes, peak
+
+
 def test_single_matrix_gives_python_scalars():
     m = _stacks()["random"][2]
     assert type(spectral_radius(m)) is float
@@ -167,8 +192,8 @@ def test_gelfand_order_two_difference(z2):
 
 
 @pytest.mark.parametrize("maker", [lambda: negation_group(5), lambda: d4_group(3),
-                                   lambda: rotation_group(4)],
-                         ids=["order10", "d4_3", "rotation4"])
+                                   lambda: rotation_group(4), lambda: scaling_group(8, 1, 16)],
+                         ids=["order10", "d4_3", "rotation4", "z16_on_z8"])
 def test_gelfand_sequence_matches_convolution_chain(maker):
     g = maker()
     rng = np.random.default_rng(71)
