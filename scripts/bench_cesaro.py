@@ -7,8 +7,7 @@ Three parts:
   per pair; each side's end-to-end metrics, with median and quartiles,
   and the pairs this checkout wins on each.
 - stage split: every stage of cross_check (spectral pass, adapted,
-  strictly aperiodic, and the empirical curves: one stage where one call
-  computes all three, one each in a checkout that computes them apart)
+  strictly aperiodic, and the empirical curves, one call for all three)
   timed case by case over the 200 acceptance cases, the minimum of
   --repeats calls per case, summed; each stage's least sum over --repeats
   fresh processes per checkout, the checkouts alternating which runs
@@ -34,18 +33,15 @@ from paired_runs import add_pairs, in_checkout, parser, start, summary, write
 SUITE200_METRICS = (("ok_per_ref_s", False), ("op_p50_ref_ms", True), ("setup_s", True),
                     ("peak_rss_mb", True))
 
-# times every stage cross_check calls, under the names of this checkout
-# (_block_spectra, _curves) and of older ones (orbit_spectra,
-# _orbit_spectra; empirical_mixing, then _mixing) alike. Where cross_check
-# reads one block stack for both, its transform is in neither stage
+# times the four stages cross_check calls. Its one block stack is read by
+# both _block_spectra and _curves, so its transform is in neither stage. A
+# stage renamed away fails at wrapping, and one no longer called fails the
+# run through recorded(), so none silently drops out of the split
 TIMED = """
 import json, resource, sys, time
 from motionwalk import classify
-NAMES = {"_block_spectra": "spectral_s", "orbit_spectra": "spectral_s",
-         "_orbit_spectra": "spectral_s", "adapted": "adapted_s",
-         "strictly_aperiodic_check": "aperiodic_s", "empirical_mixing": "mixing_s",
-         "_mixing": "mixing_s", "_ergodic": "ergodic_s", "_weak_mixing": "weak_mixing_s",
-         "_curves": "curves_s"}
+NAMES = {"_block_spectra": "spectral_s", "adapted": "adapted_s",
+         "strictly_aperiodic_check": "aperiodic_s", "_curves": "curves_s"}
 spent = {}
 def timed(stage, f):
     def call(*args, **kwargs):
@@ -56,8 +52,11 @@ def timed(stage, f):
             spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - start
     return call
 for name, stage in NAMES.items():
-    if hasattr(classify, name):
-        setattr(classify, name, timed(stage, getattr(classify, name)))
+    setattr(classify, name, timed(stage, getattr(classify, name)))
+def recorded(times):
+    if missing := sorted(set(NAMES.values()) - set(times)):
+        sys.exit(f"no time recorded for stages {missing}")
+    return times
 """
 
 STAGES = TIMED + """
@@ -73,7 +72,7 @@ for case in acceptance_suite():
             best[stage] = min(best.get(stage, float("inf")), s)
     for stage, s in best.items():
         totals[stage] = totals.get(stage, 0.0) + s
-print(json.dumps({stage: round(s, 4) for stage, s in totals.items()}))
+print(json.dumps({stage: round(s, 4) for stage, s in recorded(totals).items()}))
 """
 
 LADDER = TIMED + """
@@ -93,7 +92,7 @@ start = time.perf_counter()
 v = classify.cross_check(mu)
 whole = time.perf_counter() - start
 print(json.dumps({"order": g.size, "cross_check_s": round(whole, 4),
-                  "stages": {stage: round(s, 4) for stage, s in spent.items()},
+                  "stages": {stage: round(s, 4) for stage, s in recorded(spent).items()},
                   "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                   "verdicts": {key: getattr(v, key).verdict for key in
                                ("empirical_mixing", "empirical_ergodic", "weak_mixing_empirical")},

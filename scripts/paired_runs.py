@@ -26,9 +26,11 @@ def in_checkout(checkout: Path, code: str, *argv: str) -> dict:
     """Run code in a fresh interpreter on the package of checkout, with
     BLAS on one thread; the JSON object on its last line of output."""
     env = {**os.environ, **BLAS_ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
-    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=checkout, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"{checkout}: {done.stderr.strip()}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def workload_run(checkout: Path, workload: str, seed: int) -> dict:

@@ -33,7 +33,6 @@ from .families import (
 )
 from .measures import (
     GroupMeasure,
-    convolve,
     delta,
     from_weights,
     require_probability,
@@ -93,7 +92,6 @@ __all__ = [
     "swap_group",
     "trivial_group",
     "GroupMeasure",
-    "convolve",
     "delta",
     "from_weights",
     "require_probability",

@@ -90,9 +90,9 @@ MAX_SIM_TRIAL_STEPS = 1 << 30
 # largest complex array spectrum, verify-srf and simulate hold: each one's
 # block stack, orbits * |K|^2 entries (|G| to |G| |K|), and verify-srf's
 # Gelfand gather, |G| |K| entries. At the bound (Z_128 acting trivially on
-# Z_1024, a two-atom measure) spectrum took 32.8 s and verify-srf 33.2 s,
-# each peaking at 1069 MB RSS, and simulate's chain to 2^20 595 MB in 7.5 s
-# (2-vCPU x86-64)
+# Z_1024, a two-atom measure) spectrum took 35.0 s at 319 MB peak RSS,
+# verify-srf 34.7 s at 444 MB, and simulate to 2^20 steps 27.7 s at 645 MB
+# (2-vCPU x86-64, BLAS on one thread)
 MAX_BLOCK_ENTRIES = 1 << 24
 # largest weak-mixing Gram tensor of classify's curves, orbits * |K|^3
 # complex entries (|G| |K| to |G| |K|^2): K = Z_32 acting trivially on Z_128

@@ -153,8 +153,8 @@ class MotionGroup:
     and its int32 K table, the dual table, the inverse permutation, the
     dual-orbit representatives, their phase orders and block index, the
     primes dividing |G|, and the complement basis of l2(K). dual_table(g),
-    g._representatives, g.inv_perm() and reps.complement_basis(g) return
-    these shared arrays, so a caller that wants to write copies first.
+    g._representatives, g.inv_perm() and g._complement_basis return these
+    shared arrays, so a caller that wants to write copies first.
     """
 
     abelian: AbelianGroup
@@ -275,6 +275,9 @@ class MotionGroup:
 
     @cached_property
     def _complement_basis(self) -> np.ndarray:
+        """Orthonormal basis of the complement of constants in l2(K), the
+        columns of a |K| x (|K|-1) matrix, from the Householder reflector
+        sending e_0 to the normalized constants: the same on every run."""
         nk = self.k.order
         if nk == 1:
             return _frozen(np.zeros((1, 0)))
@@ -363,10 +366,13 @@ def build_motion_group(
     action = action % n
     if not np.array_equal(action[0], np.eye(d, dtype=np.int64) % n):
         raise NotAHomomorphism("action of the identity must be the identity matrix")
-    for i in range(order):
-        det = _int_det(action[i].tolist()) % n
-        if gcd(det, n) != 1:
-            raise NotInvertible(f"action matrix {i} has det {det} not coprime to {n}")
+    dets = {}  # one determinant per distinct matrix, keyed by its bytes
+    for i, m in enumerate(action):
+        key = m.tobytes()
+        if key not in dets:
+            dets[key] = _int_det(m.tolist()) % n
+        if gcd(dets[key], n) != 1:
+            raise NotInvertible(f"action matrix {i} has det {dets[key]} not coprime to {n}")
     # phi_i phi_j = phi_{ij}, one table row of products at a time
     for i in range(order):
         if (wrong := (action[i] @ action % n != action[table_arr[i]]).any(axis=(1, 2))).any():

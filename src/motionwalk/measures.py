@@ -1,13 +1,14 @@
 """Complex measures on a finite motion group.
 
 On a finite group every measure is a dense weight vector over the canonical
-element enumeration, convolution is the algebra product of M(G), and the
-total-variation norm is the l1 norm of the weights.
+element enumeration, and the total-variation norm is the l1 norm of the
+weights.
 
 The package's one Fourier convention: _transform takes weights w to
 h(xi, k) = sum_a w(a, k) <a, xi>, <a, xi> = exp(2 pi i a.xi / n), an
 unnormalized ifftn over the translation axes, and _weights inverts it.
-Convolution and the blocks of reps both use it.
+The blocks of reps and the transform product of spectral's Gelfand chain
+(_fourier_product, the convolution of M(G) on transforms) both use it.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .groups import GElem, MotionGroup, dual_table
 
 __all__ = [
     "GroupMeasure",
-    "convolve",
     "tv_norm",
     "delta",
     "uniform",
@@ -153,19 +153,3 @@ def _fourier_product(f: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndar
     one gather through index = _product_index(g) and one einsum, both
     running along the character axis."""
     return np.einsum("jx,jkx->kx", f, h.reshape(-1)[index])
-
-
-def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
-    """(mu * nu)(x) = sum_y mu(y) nu(y^{-1} x), as one FFT product.
-
-    With y = (b, k1), x = (a, k): y^{-1} x = (phi_{k1}^{-1}(a - b), k1^{-1} k),
-    and <phi_{k1}(a), xi> = <a, xi . M_{k1}>, so the A-Fourier transform
-    (_transform) turns the product into _fourier_product's twisted sum
-    over k1: one transform per factor, one gather, one einsum and one
-    inverse (_weights).
-    """
-    _same_group(mu, nu)
-    g = mu.group
-    out = _fourier_product(_transform(g, mu.weights).T, _transform(g, nu.weights).T,
-                           _product_index(g))
-    return GroupMeasure(g, _weights(g, out.T))

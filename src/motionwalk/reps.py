@@ -22,9 +22,7 @@ from .measures import GroupMeasure, _transform, _weights
 
 __all__ = [
     "fourier",
-    "rep_of_measure",
     "compress_to_complement",
-    "complement_basis",
 ]
 
 
@@ -81,27 +79,9 @@ def fourier(mu: GroupMeasure, alpha: Character) -> np.ndarray:
     return _blocks(g, mu.weights[g.inv_perm()], [g.abelian.index(alpha.alpha)])[0]
 
 
-def rep_of_measure(mu: GroupMeasure, alpha: Character) -> np.ndarray:
-    """Lambda_alpha(mu) = sum_x mu(x) Lambda_alpha(x); satisfies
-    mu_hat(Lambda_alpha) = Lambda_alpha(conj(mu))^*."""
-    g = mu.group
-    return _blocks(g, mu.weights, [g.abelian.index(alpha.alpha)])[0]
-
-
-def complement_basis(g: MotionGroup) -> np.ndarray:
-    """Fixed orthonormal basis of the orthocomplement of constants in l2(K),
-    returned as the columns of a |K| x (|K|-1) matrix: the group's shared
-    read-only table.
-
-    Built from the Householder reflector sending e_0 to the normalized
-    constant vector, so the basis is deterministic across runs.
-    """
-    return g._complement_basis
-
-
 def compress_to_complement(g: MotionGroup, block: np.ndarray) -> np.ndarray:
     """A trivial-character block compressed to the complement of the
     constant functions.  Well defined because every Lambda_0(x) fixes the
     constants line."""
-    basis = complement_basis(g)
+    basis = g._complement_basis
     return basis.conj().T @ block @ basis

@@ -43,7 +43,6 @@ __all__ = [
     "gamma_power",
     "rosenblatt_measure",
     "eigen_parameter",
-    "measure_apply",
     "apply_lambda_mu",
     "phi_window",
     "defect_norm",
@@ -171,12 +170,6 @@ class WindowVector:
         self.offset = int(offset)
         self.values = np.asarray(values, dtype=complex)
 
-    def at(self, m: int) -> complex:
-        i = m - self.offset
-        if 0 <= i < len(self.values):
-            return complex(self.values[i])
-        return 0.0
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
@@ -194,20 +187,6 @@ def phi_window(n: int) -> WindowVector:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return WindowVector(0, np.full(n, 1.0 / np.sqrt(n), dtype=complex))
-
-
-def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
-    """Direct operator: sum of atom weights times unitary actions. Kept
-    independent of apply_lambda_mu as its oracle."""
-    atoms = rosenblatt_measure()
-    lo = phi.offset
-    hi = phi.offset + len(phi.values) + 2
-    out = np.zeros(hi - lo, dtype=complex)
-    for x, w in atoms:
-        e = _phases(t, lo, hi, [(x.n1, x.n2)])[:, 0]
-        for m in range(lo, hi):
-            out[m - lo] += float(w) * e[m - lo] * phi.at(m - x.k)
-    return WindowVector(lo, out)
 
 
 def _seed(x: int, y: int, d: int, p: int) -> int:
@@ -280,8 +259,8 @@ def defect_norm(t: Sequence[QSqrt5], n: int) -> DefectResult:
     """Squared defect ||A phi_n - phi_n||^2 of the walk operator A on the
     normalized window phi_n, via two routes: the operator itself and a
     closed-form row expansion. Both read one phase table of rows
-    [0, n + 2); measure_apply, with its own per-atom sweep, is the oracle
-    the operator is tested against.
+    [0, n + 2); the tests check the operator against a per-atom sweep of
+    its own (oracles.measure_apply).
 
     The expansion groups rows of A phi_n - phi_n by position: m=0 gives
     1/n; m=1 gives |1 + E_1(1,2) - 4|^2/(16n); interior rows 2 <= j <=

@@ -222,14 +222,13 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
             counts.append(hist)
         if step == cfg.steps:
             break
-        if hi - lo < cfg.trials:
-            # the slice's words of this step start at stream position
-            # step * trials + lo; a whole walk reads the stream in order
-            at = step * cfg.trials + lo
-            bits.advance(at // 4 - block)  # may step back a block: it wraps
-            if at % 4:
-                bits.random_raw(at % 4)
-            block = (at + hi - lo - 1) // 4 + 1
+        # the slice's words of this step start at stream position
+        # step * trials + lo
+        at = step * cfg.trials + lo
+        bits.advance(at // 4 - block)  # may step back a block: it wraps
+        if at % 4:
+            bits.random_raw(at % 4)
+        block = (at + hi - lo - 1) // 4 + 1
         for xs, bs, rs in blocks:
             np.add(_lookup(scaled, guide, bits.random_raw(len(xs)), bs, rs), xs, out=rs)
             np.take(table, rs, out=xs, mode="clip")

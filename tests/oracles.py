@@ -4,14 +4,15 @@ test-only helpers.
 Elementwise induced-representation matrices, K-side reconstructions,
 central measures, the cofactor determinant, the per-element group-axiom
 loops, the breadth-first subgroup closures, the exact translate-gap
-sweep, the per-step walk and Cesaro loops, the convolution-squaring
-Gelfand chain and power chain, and the lattice walk's per-entry integer
-phase route: each builds its answer a different way from the code under
-test, one element or one step at a time. The list-based Gram loop of the
-weak-mixing curve is the classifier's earlier route, kept to show that
-the streamed one keeps its bits. The lattice walk's phase exponent and
-aperiodicity certificate, and the sampled measures of the radius-formula
-sweeps, are read only by the tests.
+sweep, the per-step walk and Cesaro loops, the weight-domain convolution
+with its squaring Gelfand chain and power chain, and the lattice walk's
+per-atom operator and per-entry integer phase route: each builds its
+answer a different way from the code under test, one element or one
+step at a time. The list-based Gram loop of the weak-mixing curve is the
+classifier's earlier route, kept to show that the streamed one keeps its
+bits. The lattice walk's phase exponent and aperiodicity certificate, and
+the sampled measures of the radius-formula sweeps, are read only by the
+tests.
 """
 from __future__ import annotations
 
@@ -31,11 +32,14 @@ from motionwalk.families import (
 )
 from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
 from motionwalk.groups import Character, GElem, MotionGroup, dual_action, dual_orbits, products
-from motionwalk.measures import GroupMeasure, convolve, delta, from_weights, tv_norm
+from motionwalk.measures import (GroupMeasure, _fourier_product, _product_index, _same_group,
+                                 _transform, _weights, delta, from_weights, tv_norm)
 from motionwalk.reps import _blocks, _dyadic_powers, compress_to_complement, fourier
 from motionwalk.rosenblatt import (
     QSqrt5,
+    WindowVector,
     ZElem,
+    _phases,
     gamma_power,
     rosenblatt_measure,
     z_identity,
@@ -371,7 +375,23 @@ def gram_list_weak_mixing(mu: GroupMeasure, n_max: int) -> Tuple[tuple, float]:
     return points, float(np.sqrt(window))
 
 
-# ------------------------------------------------------------ Gelfand chain
+# ------------------------------------------- convolution and its chains
+
+def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
+    """(mu * nu)(x) = sum_y mu(y) nu(y^{-1} x), as one FFT product.
+
+    With y = (b, k1), x = (a, k): y^{-1} x = (phi_{k1}^{-1}(a - b), k1^{-1} k),
+    and <phi_{k1}(a), xi> = <a, xi . M_{k1}>, so the A-Fourier transform
+    (_transform) turns the product into _fourier_product's twisted sum
+    over k1: one transform per factor, one gather, one einsum and one
+    inverse (_weights).
+    """
+    _same_group(mu, nu)
+    g = mu.group
+    out = _fourier_product(_transform(g, mu.weights).T, _transform(g, nu.weights).T,
+                           _product_index(g))
+    return GroupMeasure(g, _weights(g, out.T))
+
 
 def convolve_gelfand_sequence(mu: GroupMeasure, kmax: int) -> List[float]:
     """tv_norm(mu^(2^k))^(1/2^k) for k = 0..kmax by a chain of convolve
@@ -444,6 +464,22 @@ def phase_exponent(t: Sequence[QSqrt5], m: int, v: Tuple[int, int]) -> QSqrt5:
     u0 = g[0][0] * v[0] + g[0][1] * v[1]
     u1 = g[1][0] * v[0] + g[1][1] * v[1]
     return t[0].scale(u0) + t[1].scale(u1)
+
+
+def measure_apply(t: Sequence[QSqrt5], phi: WindowVector) -> WindowVector:
+    """Direct operator: sum of atom weights times unitary actions, one
+    atom's phase sweep and one row at a time. Kept independent of
+    rosenblatt.apply_lambda_mu as its oracle."""
+    lo = phi.offset
+    hi = phi.offset + len(phi.values) + 2
+    out = np.zeros(hi - lo, dtype=complex)
+    for x, w in rosenblatt_measure():
+        e = _phases(t, lo, hi, [(x.n1, x.n2)])[:, 0]
+        for m in range(lo, hi):
+            i = m - x.k - phi.offset
+            if 0 <= i < len(phi.values):
+                out[m - lo] += float(w) * e[m - lo] * phi.values[i]
+    return WindowVector(lo, out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,8 +16,8 @@ from motionwalk import classify
 from motionwalk.classify import (CESARO_N_MAX, ERGODIC_THRESHOLD, MIXING_THRESHOLD, TriState,
                                  _decide, cross_check, empirical_weak_mixing)
 from motionwalk.groups import Character, dual_orbits
-from motionwalk.measures import convolve, tv_norm
-from motionwalk.reps import fourier, rep_of_measure
+from motionwalk.measures import tv_norm
+from motionwalk.reps import _blocks, fourier
 from motionwalk.rosenblatt import (
     GAMMA_INV,
     QSqrt5,
@@ -33,6 +33,7 @@ from motionwalk.suite import acceptance_suite, roster
 
 from oracles import (
     central_measure,
+    convolve,
     gram_list_weak_mixing,
     orbit_conjugation_check,
     per_step_points,
@@ -160,7 +161,8 @@ def test_criterion_6_structural_identities():
             rhs = fourier(nu, alpha) @ fourier(mu, alpha)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
-            adj = rep_of_measure(mu.conjugate(), alpha).conj().T
+            index = [g.abelian.index(alpha.alpha)]
+            adj = _blocks(g, mu.conjugate().weights, index)[0].conj().T
             assert np.abs(fourier(mu, alpha) - adj).max() <= 1e-12
 
         for alpha in _nonzero_orbit_reps(g)[:2]:

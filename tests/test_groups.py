@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionwalk import groups
 from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
 from motionwalk.measures import delta, uniform
-from motionwalk.reps import complement_basis, fourier
+from motionwalk.reps import fourier
 from motionwalk.groups import (
     Character,
     GElem,
@@ -206,6 +207,14 @@ def test_group_checks_at_the_k_cap_peak_below_16_mb():
         assert peak < 16 << 20, (n, d, peak)
 
 
+def test_each_distinct_action_matrix_takes_one_determinant(monkeypatch):
+    # K = Z_128 acting trivially on (Z_2)^13: 128 copies of one matrix
+    calls = []
+    monkeypatch.setattr(groups, "_int_det", lambda m: calls.append(m) or _int_det(m))
+    build_motion_group(2, 13, cyclic_table(128), [np.eye(13, dtype=int).tolist()] * 128)
+    assert calls == [np.eye(13, dtype=int).tolist()]
+
+
 def test_identity_action_must_be_identity():
     with pytest.raises(NotAHomomorphism):
         build_motion_group(5, 1, [[0]], [[[2]]])
@@ -340,7 +349,7 @@ def test_cached_tables_match_elementwise_and_are_shared_read_only(request, group
         "moved digits": (lambda: g._moved_digits,
                          [[[g.act(k, ab.vector(b))[c] for b in range(ab.size)]
                            for k in range(nk)] for c in range(ab.rank)]),
-        "complement basis": (lambda: complement_basis(g), None),
+        "complement basis": (lambda: g._complement_basis, None),
     }
     for name, (read, want) in tables.items():
         table = read()

@@ -10,7 +10,6 @@ from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk.groups import Character, GElem, dual_table, multiply
 from motionwalk.measures import (
     GroupMeasure,
-    convolve,
     delta,
     from_weights,
     is_probability,
@@ -25,6 +24,7 @@ from oracles import (
     ContainsZeroCharacter,
     NotOrbitClosed,
     central_measure,
+    convolve,
     mean_zero_basis,
     push_k,
 )

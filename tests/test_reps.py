@@ -5,18 +5,13 @@ import numpy as np
 import pytest
 
 from motionwalk.groups import Character, GElem, dual_orbits, inverse, multiply
-from motionwalk.measures import convolve, delta, from_weights, uniform
-from motionwalk.reps import (
-    _blocks,
-    _measure_of_blocks,
-    complement_basis,
-    fourier,
-    rep_of_measure,
-)
+from motionwalk.measures import delta, from_weights, uniform
+from motionwalk.reps import _blocks, _measure_of_blocks, fourier
 
 from conftest import d4_group, rotation_group, trivial_group
 from oracles import (
     central_measure,
+    convolve,
     lambda0_complement_block,
     lambda_elem,
     left_regular_k,
@@ -112,6 +107,11 @@ def test_fourier_elementwise_consistency(order10, order18, order72):
             assert np.allclose(fourier(mu, alpha), want, atol=1e-12)
 
 
+def rep_of_measure(mu, alpha):
+    # Lambda_alpha(mu) = sum_x mu(x) Lambda_alpha(x), the block at one index
+    return _blocks(mu.group, mu.weights, [mu.group.abelian.index(alpha.alpha)])[0]
+
+
 def test_rep_of_measure_adjoint_identity(order10, order20):
     # mu_hat(Lambda) equals Lambda(conj(mu)) adjoint
     rng = np.random.default_rng(13)
@@ -139,7 +139,7 @@ def test_rep_of_measure_elementwise(order10, order18, order72):
 
 def test_complement_basis_properties(order10, order21):
     for g in (order10, order21):
-        q = complement_basis(g)
+        q = g._complement_basis
         nk = g.k.order
         assert q.shape == (nk, nk - 1)
         assert np.allclose(q.conj().T @ q, np.eye(nk - 1), atol=1e-13)
@@ -149,7 +149,7 @@ def test_complement_basis_properties(order10, order21):
 
 def test_complement_basis_trivial_k():
     g = trivial_group(4)
-    q = complement_basis(g)
+    q = g._complement_basis
     assert q.shape == (1, 0)
     mu = uniform(g)
     block = lambda0_complement_block(mu)

@@ -17,7 +17,6 @@ from motionwalk.rosenblatt import (
     defect_norm,
     eigen_parameter,
     gamma_power,
-    measure_apply,
     phi_window,
     rosenblatt_measure,
     z_identity,
@@ -29,6 +28,7 @@ from oracles import (
     BudgetExceeded,
     aperiodicity_witness,
     integer_fractional_parts,
+    measure_apply,
     phase_exponent,
 )
 

@@ -8,7 +8,7 @@ from motionwalk.errors import GroupMismatch, NotProbability
 from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
 from motionwalk.cli import MAX_SIM_STEPS
-from motionwalk.measures import convolve, delta, from_weights, is_probability, tv_norm, uniform
+from motionwalk.measures import delta, from_weights, is_probability, tv_norm, uniform
 from motionwalk.simulate import (
     GUIDE_SIZE,
     WalkConfig,
@@ -27,7 +27,7 @@ from motionwalk.spectral import verify_srf
 from motionwalk.suite import acceptance_suite, fast_mixer
 
 from conftest import d4_group, negation_group, rotation_group, trivial_group
-from oracles import convolve_powers
+from oracles import convolve, convolve_powers
 
 
 def two_atom_walk(g):

@@ -15,7 +15,7 @@ import motionwalk.reps
 import motionwalk.spectral
 from motionwalk.classify import cross_check
 from motionwalk.groups import GElem, MotionGroup, dual_orbits, inverse, multiply
-from motionwalk.measures import _weights, convolve, delta, from_weights, tv_norm, uniform
+from motionwalk.measures import _weights, delta, from_weights, tv_norm, uniform
 from motionwalk.reps import compress_to_complement, fourier
 from motionwalk.spectral import (
     SINGULAR_REASON,
@@ -40,7 +40,7 @@ from conftest import (
     swap_group,
     trivial_group,
 )
-from oracles import convolve_gelfand_sequence
+from oracles import convolve, convolve_gelfand_sequence
 
 
 def convolution_operator(g, mu):

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from motionwalk.groups import GElem, dual_orbits
-from motionwalk.measures import convolve, is_probability, tv_norm, uniform_on
+from motionwalk.measures import is_probability, tv_norm, uniform_on
 from motionwalk.reps import fourier
 from motionwalk.suite import acceptance_suite, coset_walk, fast_mixer, roster
 
-from oracles import random_complex_measure, spectral_sample_groups
+from oracles import convolve, random_complex_measure, spectral_sample_groups
 
 
 @pytest.fixture(scope="module")
