@@ -11,10 +11,10 @@ Four parts:
   guide-table lookup (shift, take, search of the cut buckets) and the
   gather through the right-product table, next to what the walk no
   longer runs: Generator.random's draw of the same words as uniforms,
-  from a second Philox with the same key, and the search over the atoms'
-  CDF on those uniforms, which the lookup must match. The measures are
-  the three walk_sim measures of seed 1 and a dense one with an atom on
-  every element, all on rotation_group(16) at --trials trials, and the
+  from a second PCG64DXSM with the same seed, and the search over the
+  atoms' CDF on those uniforms, which the lookup must match. The measures
+  are the three walk_sim measures of seed 1 and a dense one with an atom
+  on every element, all on rotation_group(16) at --trials trials, and the
   first walk_sim measure at one trial.
 - workers: the same measures walked by sample_path at each worker count
   up to the CPUs the process may run on (at least 2), the minimum of
@@ -61,9 +61,9 @@ def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
     scaled, guide = _guide_table(cdf)
     k = len(atoms)
     table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
-    bits = np.random.Philox(key=seed)
+    bits = np.random.PCG64DXSM(seed)
     # the same words, as the uniforms the search is defined on
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))
     u = np.empty(trials)
     bucket, row = np.empty(trials, dtype=np.uint64), np.empty(trials, dtype=np.intp)
     x = np.zeros(trials, dtype=np.intp)

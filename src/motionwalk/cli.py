@@ -84,8 +84,10 @@ MAX_SIM_TRIALS = 1 << 24
 # largest --steps: every step is a pass of a Python loop, about 11 us even
 # at one trial (11.5 s at the bound)
 MAX_SIM_STEPS = 1 << 20
-# largest --steps x --trials: about 16 ns per trial step on one thread and
-# 9 ns on two (16.9 s and 9.5 s at the bound, 2-vCPU x86-64 Xeon)
+# largest --steps x --trials: a two-atom walk took 7-8 ns per trial step on
+# one thread and 3-5 ns on two (7.3-8.4 s and 3.6-5.1 s at the bound), a
+# dense one on 1024 elements 36 and 19 ns (38.7 s and 19.9 s), its time
+# spent in the search of cut guide buckets (2-vCPU x86-64 Xeon)
 MAX_SIM_TRIAL_STEPS = 1 << 30
 # largest complex array spectrum, verify-srf and simulate hold: each one's
 # block stack, orbits * |K|^2 entries (|G| to |G| |K|), and verify-srf's
@@ -385,7 +387,7 @@ def _dyadic_upto(n: int) -> List[int]:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0 <= args.seed < 1 << 128:  # the 128-bit Philox key
+    if not 0 <= args.seed < 1 << 128:  # the seed range of the CLI's contract
         raise ParseError(f"seed must be in [0, 2^128), got {args.seed}")
     if args.steps < 1 or args.trials < 1:
         raise ParseError(f"need --steps >= 1 and --trials >= 1, got {args.steps}, {args.trials}")

@@ -366,16 +366,23 @@ def build_motion_group(
     action = action % n
     if not np.array_equal(action[0], np.eye(d, dtype=np.int64) % n):
         raise NotAHomomorphism("action of the identity must be the identity matrix")
-    dets = {}  # one determinant per distinct matrix, keyed by its bytes
-    for i, m in enumerate(action):
-        key = m.tobytes()
+    # a distinct matrix is keyed by its bytes, and its determinant and row
+    # of products are taken once
+    keys = [m.tobytes() for m in action]
+    dets = {}
+    for i, key in enumerate(keys):
         if key not in dets:
-            dets[key] = _int_det(m.tolist()) % n
+            dets[key] = _int_det(action[i].tolist()) % n
         if gcd(dets[key], n) != 1:
             raise NotInvertible(f"action matrix {i} has det {dets[key]} not coprime to {n}")
-    # phi_i phi_j = phi_{ij}, one table row of products at a time
-    for i in range(order):
-        if (wrong := (action[i] @ action % n != action[table_arr[i]]).any(axis=(1, 2))).any():
+    # phi_i phi_j = phi_{ij}, one table row at a time; a row of products is
+    # held in the narrowest dtype of a residue (at most 2.8 MB in all under
+    # the CLI's caps)
+    rows, narrow = {}, np.min_scalar_type(n - 1)
+    for i, key in enumerate(keys):
+        if key not in rows:
+            rows[key] = (action[i] @ action % n).astype(narrow)
+        if (wrong := (rows[key] != action[table_arr[i]]).any(axis=(1, 2))).any():
             j = wrong.argmax()
             raise NotAHomomorphism(f"action[{i}]*action[{j}] != action[{i}*{j}] mod {n}")
 

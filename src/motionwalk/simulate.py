@@ -3,8 +3,8 @@
 Exact powers (exact_powers) are always available as ground truth; the
 sampler exists to exercise the probabilistic path and as an independent
 statistical check on the spectral classifiers. Trials draw from a
-counter-based generator, so a fixed seed reproduces the histogram bit for
-bit.
+generator that jumps ahead exactly, so a fixed seed reproduces the
+histogram bit for bit.
 
 The walk is step-major: step s draws one 64-bit word per trial, the block
 [s*trials, (s+1)*trials) of the seed's stream, maps it to an atom of the
@@ -18,17 +18,19 @@ materialised, and a slice's scratch is one block of TRIAL_BLOCK trials.
 
 The trials are walked in equal contiguous slices, one per CPU the process
 may run on (WORKERS), each on its own thread with its own positions,
-scratch and Philox generator; no slice is made of fewer than MIN_SLICE
-trials, so a small walk runs on the calling thread alone. Before each
-step the slice [lo, hi) seeks its generator to stream position
-step * trials + lo. The generator is counter-based (Salmon et al.,
-Parallel Random Numbers: As Easy as 1, 2, 3, SC'11), so a seek is one
-counter advance and at most three discarded words, and each slice reads
-exactly the words a single pass over all trials would. The slices
-count their positions at the wanted steps as integers and the counts are
-summed, so every histogram and every final position is the same bit for
-bit at any number of slices. There is no setting for the number of
-threads.
+scratch and PCG64DXSM generator; no slice is made of fewer than
+MIN_SLICE trials, so a small walk runs on the calling thread alone.
+Before each step the slice [lo, hi) seeks its generator to stream
+position step * trials + lo. The generator is a 128-bit linear
+congruential state with a permuted output (O'Neill, PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation, 2014), and advance(d) jumps that state d words ahead
+exactly in O(log d) multiplications, so a seek is one advance over the
+words the other slices draw, and each slice reads exactly the words a
+single pass over all trials would. The slices count their positions at
+the wanted steps as integers and the counts are summed, so every
+histogram and every final position is the same bit for bit at any number
+of slices. There is no setting for the number of threads.
 
 The atom a word w draws is defined as searchsorted(cdf, u, side="right")
 over the atoms' CDF, for the uniform u = (w >> 11) 2^-53 in [0, 1) that
@@ -71,10 +73,11 @@ TRIAL_BLOCK = 1 << 15
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 # fewest trials a slice takes: every numpy call of a step hands the GIL
-# between the threads, which small slices do not repay. In three runs of
-# the raw-word walk two slices of 2^15 trials walked 1.1-1.9x as fast as
-# one thread, of 2^14 0.93-1.5x, of 2^13 0.77-1.2x, of 2^12 0.5-0.9x
-# (2-vCPU x86-64 Xeon; BENCH_sampler.json, "floor")
+# between the threads, which small slices do not repay. Two slices of
+# 2^15, 2^14, 2^13 and 2^12 trials walked 1.8, 1.24, 1.02 and 0.65x as
+# fast as one thread (one sweep; three sweeps of the previous generator
+# read 1.1-1.9, 0.93-1.5, 0.77-1.2 and 0.5-0.9x; 2-vCPU x86-64 Xeon;
+# BENCH_sampler.json, "floor")
 MIN_SLICE = 1 << 14
 
 __all__ = [
@@ -95,8 +98,9 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        # the seed is the 128-bit Philox key, which would truncate a float
-        # and read a bool as 0 or 1
+        # numpy's SeedSequence, which seeds the stream, reads a bool as 0
+        # or 1 and would raise TypeError on a float only once the tables
+        # are built; [0, 2^128) is the range the CLI accepts
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
                 or not 0 <= self.seed < 1 << 128:
             raise ValueError(f"need an integer seed in [0, 2^128), got {self.seed!r}")
@@ -201,7 +205,7 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
     """Walk trials [lo, hi) of the row offsets x in place, from its own
     generator on the seed's stream; the integer histogram of the positions
     at each step of wanted, and the positions themselves in x at the end."""
-    bits = np.random.Philox(key=cfg.seed)
+    bits = np.random.PCG64DXSM(cfg.seed)
     # a step runs over blocks of TRIAL_BLOCK trials with one block of
     # scratch, so only the positions grow with trials; the blocks draw the
     # slice's words in stream order, the same as one draw of all of them
@@ -212,8 +216,8 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
         xs = x[start:min(start + width, hi)]
         blocks.append((xs, bucket[:len(xs)], row[:len(xs)]))
     counts, targets = [], set(wanted)
-    # Philox draws in blocks of four: block is the next one it computes
-    block = 0
+    # the stream position of the slice's next word
+    drawn = 0
     for step in range(cfg.steps + 1):
         if step in targets:
             hist = np.zeros(size, dtype=np.intp)
@@ -223,12 +227,10 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
         if step == cfg.steps:
             break
         # the slice's words of this step start at stream position
-        # step * trials + lo
+        # step * trials + lo, never behind the words it has drawn
         at = step * cfg.trials + lo
-        bits.advance(at // 4 - block)  # may step back a block: it wraps
-        if at % 4:
-            bits.random_raw(at % 4)
-        block = (at + hi - lo - 1) // 4 + 1
+        bits.advance(at - drawn)
+        drawn = at + hi - lo
         for xs, bs, rs in blocks:
             np.add(_lookup(scaled, guide, bits.random_raw(len(xs)), bs, rs), xs, out=rs)
             np.take(table, rs, out=xs, mode="clip")

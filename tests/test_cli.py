@@ -109,7 +109,7 @@ def test_classify_n_max_is_a_power_of_two_before_the_group_file(tmp_path, capsys
     assert capsys.readouterr().err == f"error: n_max must be a power of two, got {n_max}\n"
 
 
-# the seed is the 128-bit key of the walk's Philox stream
+# the CLI accepts a seed in [0, 2^128)
 SEED_EDGES = [-1, 0, 2 ** 128 - 1, 2 ** 128]
 
 

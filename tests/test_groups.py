@@ -215,6 +215,32 @@ def test_each_distinct_action_matrix_takes_one_determinant(monkeypatch):
     assert calls == [np.eye(13, dtype=int).tolist()]
 
 
+class _CountedMatmul(np.ndarray):
+    """An int64 array that counts the matrix products taken on it."""
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+@pytest.mark.parametrize("n, d, action, distinct", [
+    (2, 13, [np.eye(13, dtype=int).tolist()] * 128, 1),   # trivial on (Z_2)^13
+    (8, 1, [[[pow(3, j, 8)]] for j in range(128)], 2),    # by 3 on Z_8: 1 and 3
+])
+def test_each_distinct_action_matrix_takes_one_row_of_products(monkeypatch, n, d, action,
+                                                               distinct):
+    # K = Z_128 at the cap: the homomorphism check multiplies each distinct
+    # matrix by the whole action once, not once per element of K
+    numpy = type(np)("numpy")
+    numpy.__dict__.update(np.__dict__)
+    numpy.asarray = lambda *args, **kw: np.asarray(*args, **kw).view(_CountedMatmul)
+    monkeypatch.setattr(groups, "np", numpy)
+    monkeypatch.setattr(_CountedMatmul, "products", 0)
+    build_motion_group(n, d, cyclic_table(128), action)
+    assert _CountedMatmul.products == distinct
+
+
 def test_identity_action_must_be_identity():
     with pytest.raises(NotAHomomorphism):
         build_motion_group(5, 1, [[0]], [[[2]]])

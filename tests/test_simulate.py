@@ -109,7 +109,7 @@ def test_exact_power_and_verify_srf_build_no_mult_table(no_mult_table):
 def _oracle_walk(g, mu, steps, trials, seed):
     """Positions after 0..steps steps, from the whole steps x trials block
     of uniforms drawn at once."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random((steps, trials))
     increments = np.searchsorted(_increment_cdf(mu), u, side="right")
     table = g.mult_table()
     x = np.zeros(trials, dtype=np.int64)
@@ -153,9 +153,8 @@ def _assert_walk_matches(g, mu, ns, trials, seed, ref):
 @pytest.mark.parametrize("group", ["order10", "order18", "rotation4"])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "zero-width", "above-one", "crowded"])
 def test_streamed_walk_matches_block_oracle(request, monkeypatch, group, kind):
-    # at 2 and 3 workers, 501 trials in slices of 250 or 167: trials % 4 != 0,
-    # and a slice's first uniform of a step falls anywhere in a Philox
-    # block of four
+    # at 2 and 3 workers, 501 trials in slices of 250 or 167: before each
+    # step a slice's seek skips the 250 to 334 words the others draw
     monkeypatch.setattr(simulate, "MIN_SLICE", 1)
     g = rotation_group(4) if group == "rotation4" else request.getfixturevalue(group)
     mu = from_weights(g, _oracle_weights(g, kind))
@@ -169,7 +168,7 @@ def test_streamed_walk_matches_block_oracle(request, monkeypatch, group, kind):
 
 @pytest.mark.parametrize("block, trials", [
     (64, 500), (64, 64), (simulate.TRIAL_BLOCK, simulate.TRIAL_BLOCK + 5),
-    (64, 403),  # trials % 4 != 0: slices of 201 or 134 start mid-block
+    (64, 403),  # slices of 201 or 134: seeks of odd and even lengths
     (64, 150),  # below twice the floor: one slice at every worker count
 ])
 def test_walk_in_trial_blocks_matches_block_oracle(order10, monkeypatch, block, trials):
@@ -216,7 +215,7 @@ def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
     mu = from_weights(g, w)
     steps, trials, seed = 16, 1000, 2
     final = sample_path(g, mu, WalkConfig(steps, trials, seed))
-    u = np.random.Generator(np.random.Philox(key=seed)).random((steps, trials))
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random((steps, trials))
     increments = np.searchsorted(_increment_cdf(mu), u, side="right")
     for t in range(20):
         x = g.identity()
@@ -380,11 +379,11 @@ def _words(m):
 def test_guide_lookup_matches_search():
     # uniforms on and just below every bucket edge, and the top of [0, 1),
     # each with the 11 low bits of its word clear and set; the largest
-    # word; and a stretch of a Philox stream
+    # word; and a stretch of a PCG64DXSM stream
     edges = np.arange(GUIDE_SIZE, dtype=np.uint64) << np.uint64(41)
     words = np.concatenate([_words(np.concatenate([edges, edges[1:] - 1, [2 ** 53 - 1]])),
                             np.array([2 ** 64 - 1], dtype=np.uint64),
-                            np.random.Philox(5).random_raw(5000)])
+                            np.random.PCG64DXSM(5).random_raw(5000)])
     # boundaries exactly on bucket edges: no bucket is cut
     assert (_lookup_oracle(np.array([0.25, 0.5, 1.0]), words) >= 0).all()
     # 1000 boundaries 1e-9 apart, all inside bucket 0, and one in bucket 3;
@@ -400,21 +399,19 @@ def test_guide_lookup_matches_search():
         _lookup_oracle(cdf[np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)], words)
 
 
-def test_philox_words_form_the_generator_uniforms():
+def test_pcg64dxsm_words_form_the_generator_uniforms():
     # the walk reads raw words where Generator.random would form uniforms:
-    # a stream read whole, and reads of 501 words that start where a
-    # slice's seek starts them, after one counter advance (forward or back
-    # along one generator) and a partial Philox block of four
-    key = 0x5EED
-    u = np.random.Generator(np.random.Philox(key=key)).random(4000)
-    assert np.array_equal(_uniforms(np.random.Philox(key=key).random_raw(4000)), u)
-    bits, block = np.random.Philox(key=key), 0
-    for at in (1, 6, 3, 1999, 2002, 0):
-        bits.advance(at // 4 - block)
-        if at % 4:
-            bits.random_raw(at % 4)
+    # a stream read whole, and reads of 501 words after one advance from
+    # the words already drawn, as a slice's seek makes them: at offsets
+    # that are not multiples of 4, and across stream position TRIAL_BLOCK
+    seed, block = 0x5EED, simulate.TRIAL_BLOCK
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random(block + 4000)
+    assert np.array_equal(_uniforms(np.random.PCG64DXSM(seed).random_raw(block + 4000)), u)
+    bits, drawn = np.random.PCG64DXSM(seed), 0
+    for at in (0, 1, 507, 1999, block - 250, block + 3001):
+        bits.advance(at - drawn)
         assert np.array_equal(_uniforms(bits.random_raw(501)), u[at:at + 501]), at
-        block = (at + 500) // 4 + 1
+        drawn = at + 501
 
 
 def test_tv_to_uniform_values(order10):
@@ -444,8 +441,8 @@ def test_walk_rejects_a_measure_from_another_group():
 
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, False, np.True_, "3", -1, 2 ** 128])
 def test_walk_rejects_a_seed_that_is_no_philox_key(order10, monkeypatch, seed):
-    # a float or a bool would walk as its truncated key; every bad seed is
-    # refused before the product table is built
+    # a bool would walk as seed 0 or 1; every bad seed is refused before
+    # the product table is built
     with pytest.raises(ValueError, match="seed"):
         WalkConfig(4, 10, seed)
     monkeypatch.setattr(simulate, "products", lambda *args: pytest.fail("table built"))
