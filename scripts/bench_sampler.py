@@ -7,7 +7,8 @@ Four parts:
   per pair; each side's end-to-end metrics and the unscaled op_p50_ms,
   with median and quartiles, and the pairs this checkout wins on each.
 - per-step split: one walk of each measure timed call by call on one
-  thread, as the mean per step of the draw of raw 64-bit words, the
+  thread, on the walk's own atoms and CDF (simulate._atoms) and guide
+  table, as the mean per step of the draw of raw 64-bit words, the
   guide-table lookup (shift, take, search of the cut buckets) and the
   gather through the right-product table, next to what the walk no
   longer runs: Generator.random's draw of the same words as uniforms,
@@ -40,7 +41,7 @@ import numpy as np
 
 from motionwalk import from_weights, rotation_group, simulate
 from motionwalk.groups import products
-from motionwalk.simulate import WalkConfig, _guide_table, _increment_cdf, _lookup, sample_path
+from motionwalk.simulate import _atoms, _guide_table, _lookup, sample_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import (WALK_MEASURES, WALK_N, WALK_STEPS, WALK_TRIALS,  # noqa: E402
@@ -53,11 +54,10 @@ WALK_SIM_METRICS = (("op_p50_ref_ms", True), ("op_p50_ms", True), ("setup_s", Tr
                     ("ok_per_ref_s", False), ("peak_rss_mb", True))
 
 
-def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
+def split(mu, steps: int, trials: int, seed: int = 5) -> dict:
     """Mean per-step time of each part of one walk, in ms."""
-    cdf = _increment_cdf(mu)
-    atoms = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
-    cdf = cdf[atoms]
+    g = mu.group
+    atoms, cdf = _atoms(mu)
     scaled, guide = _guide_table(cdf)
     k = len(atoms)
     table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
@@ -88,7 +88,7 @@ def split(g, mu, steps: int, trials: int, seed: int = 5) -> dict:
                          ("search", t4 - t3), ("gather", t6 - t5)):
             spent[part] += dt
     start = clock()
-    sample_path(g, mu, WalkConfig(steps, trials, seed))
+    sample_path(mu, steps, trials, seed)
     whole = clock() - start
     return {"atoms": k, "cut_buckets": int((guide < 0).sum()), "trials": trials, "steps": steps,
             **{f"{part}_ms": round(1e3 * s / steps, 4) for part, s in spent.items()},
@@ -106,33 +106,33 @@ def measures(g) -> list:
     return out
 
 
-def per_step(g, walks: list, steps: int, trials: int) -> list:
+def per_step(walks: list, steps: int, trials: int) -> list:
     simulate.WORKERS = 1
-    rows = [{"measure": name, **split(g, mu, steps, trials)} for name, mu in walks]
+    rows = [{"measure": name, **split(mu, steps, trials)} for name, mu in walks]
     rows.append({"measure": "walk_sim seed 1 mu0, one trial",
-                 **split(g, walks[0][1], steps << 7, 1)})
+                 **split(walks[0][1], steps << 7, 1)})
     return rows
 
 
-def best_walk(g, mu, cfg: WalkConfig, workers: int, repeats: int):
-    """(least seconds of repeats walks, final positions) at workers slices."""
+def best_walk(mu, steps: int, trials: int, workers: int, repeats: int):
+    """(least seconds of repeats walks of seed 5, final positions) at
+    workers slices."""
     simulate.WORKERS = workers
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        final = sample_path(g, mu, cfg)
+        final = sample_path(mu, steps, trials, 5)
         best = min(best, time.perf_counter() - start)
     return best, final
 
 
-def per_worker(g, walks: list, steps: int, trials: int, repeats: int) -> list:
-    cfg = WalkConfig(steps, trials, seed=5)
+def per_worker(walks: list, steps: int, trials: int, repeats: int) -> list:
     counts = sorted({1, 2, CPUS})
     rows = []
     for name, mu in walks:
         times = {}
         for workers in counts:
-            times[workers], final = best_walk(g, mu, cfg, workers, repeats)
+            times[workers], final = best_walk(mu, steps, trials, workers, repeats)
             if workers == 1:
                 first = final
             assert np.array_equal(final, first), (name, workers)
@@ -142,17 +142,17 @@ def per_worker(g, walks: list, steps: int, trials: int, repeats: int) -> list:
     return rows
 
 
-def floor(g, mu, sizes: list, trials_steps: int, repeats: int) -> list:
+def floor(mu, sizes: list, trials_steps: int, repeats: int) -> list:
     """us per step of walks of 2 slices of each size, on 1 thread and on 2."""
     simulate.MIN_SLICE = 1
     rows = []
     for size in sizes:
-        cfg = WalkConfig(max(16, trials_steps // (2 * size)), 2 * size, seed=5)
-        one, _ = best_walk(g, mu, cfg, 1, repeats)
-        two, _ = best_walk(g, mu, cfg, 2, repeats)
-        rows.append({"slice": size, "trials": cfg.trials, "steps": cfg.steps,
-                     "one_thread_us": round(1e6 * one / cfg.steps, 1),
-                     "two_slices_us": round(1e6 * two / cfg.steps, 1),
+        steps, trials = max(16, trials_steps // (2 * size)), 2 * size
+        one, _ = best_walk(mu, steps, trials, 1, repeats)
+        two, _ = best_walk(mu, steps, trials, 2, repeats)
+        rows.append({"slice": size, "trials": trials, "steps": steps,
+                     "one_thread_us": round(1e6 * one / steps, 1),
+                     "two_slices_us": round(1e6 * two / steps, 1),
                      "speedup": round(one / two, 3)})
     simulate.MIN_SLICE = MIN_SLICE
     return rows
@@ -172,9 +172,9 @@ def main() -> None:
     add_pairs(result, checkouts, args, "walk_sim", WALK_SIM_METRICS)
     g = rotation_group(WALK_N)
     walks = measures(g)
-    result["per_step"] = per_step(g, walks, args.steps, args.trials)
-    result["workers"] = per_worker(g, walks, args.steps, args.trials, args.repeats)
-    result["floor"] = floor(g, walks[0][1], args.slices, args.steps * args.trials, args.repeats)
+    result["per_step"] = per_step(walks, args.steps, args.trials)
+    result["workers"] = per_worker(walks, args.steps, args.trials, args.repeats)
+    result["floor"] = floor(walks[0][1], args.slices, args.steps * args.trials, args.repeats)
     write(result, args.out)
 
 

@@ -2,15 +2,14 @@
 
 Takes the half-translation half-flip walk on the order-10 negation group,
 prints every Fourier block radius, then tabulates the exact TV distance to
-uniform of mu^n next to the envelope 2|G| rho^n predicted by the top
+uniform of mu^n, for n = 1, 2, 4, ..., 4096 from one chain of squarings
+(exact_powers), next to the envelope 2|G| rho^n predicted by the top
 nontrivial radius. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/radius_vs_decay.py
 """
-import numpy as np
-
 from motionwalk import GElem, delta, negation_group, verify_srf
-from motionwalk.simulate import exact_power, tv_to_uniform
+from motionwalk.simulate import exact_powers, tv_to_uniform
 
 
 def main() -> None:
@@ -30,11 +29,10 @@ def main() -> None:
     rho = max(o.spectral_radius for o in report.per_orbit
               if any(o.representative.alpha))
     print(f"{'n':>6}  {'tv(mu^n, u)':>12}  {'2|G| rho^n':>12}")
-    n = 1
-    while n <= 4096:
-        tv = tv_to_uniform(exact_power(mu, n))
+    ns = [1 << k for k in range(13)]
+    for n, power in zip(ns, exact_powers(mu, ns)):
+        tv = tv_to_uniform(power)
         print(f"{n:>6}  {tv:>12.3e}  {2 * g.size * rho ** n:>12.3e}")
-        n *= 2
 
 
 if __name__ == "__main__":

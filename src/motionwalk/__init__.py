@@ -60,10 +60,7 @@ from .classify import (
     strictly_aperiodic_check,
 )
 from .simulate import (
-    WalkConfig,
-    empirical_distribution,
     empirical_distributions,
-    exact_power,
     exact_powers,
     sample_path,
     tv_to_uniform,
@@ -113,10 +110,7 @@ __all__ = [
     "empirical_mixing",
     "empirical_weak_mixing",
     "strictly_aperiodic_check",
-    "WalkConfig",
-    "empirical_distribution",
     "empirical_distributions",
-    "exact_power",
     "exact_powers",
     "sample_path",
     "tv_to_uniform",

@@ -48,6 +48,7 @@ decision threshold come back INDETERMINATE instead of being forced.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -490,6 +491,7 @@ def _curves(g: MotionGroup, p: np.ndarray, mixing_n_max: int,
     scaled by 1 would break d <= sup gap. A curve a caller does not read
     costs one row at n_max = 1.
     """
+    mixing_n_max, cesaro_n_max = operator.index(mixing_n_max), operator.index(cesaro_n_max)
     for n_max in (mixing_n_max, cesaro_n_max):
         if n_max < 1 or n_max & (n_max - 1):
             raise ValueError(f"n_max must be a power of two, got {n_max}")

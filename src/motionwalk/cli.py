@@ -400,7 +400,7 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"simulate: {entries} block entries exceed {MAX_BLOCK_ENTRIES}")
     mu = load_measure(args.measure, g)
     ns = _dyadic_upto(args.steps)
-    empirical = empirical_distributions(g, mu, ns, args.trials, args.seed)
+    empirical = empirical_distributions(mu, ns, args.trials, args.seed)
     rows = [{"n": n,
              "tv_exact": f"{tv_to_uniform(exact):.12g}",
              "tv_empirical": f"{tv_to_uniform(emp):.12g}"}

@@ -7,6 +7,7 @@ pairing, and K acts on characters through the inverse matrices.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -355,6 +356,7 @@ def build_motion_group(
     Raises NotAGroupTable, NotAHomomorphism or NotInvertible when the data
     does not describe a semidirect product.
     """
+    n, d = operator.index(n), operator.index(d)
     abelian = AbelianGroup(n, d)
     table_arr = np.asarray(table, dtype=np.int64)
     inverses = _validate_k_table(table_arr)

@@ -1,10 +1,12 @@
 """Monte Carlo sampling of the random walk and empirical decay to uniform.
 
-Exact powers (exact_powers) are always available as ground truth; the
-sampler exists to exercise the probabilistic path and as an independent
-statistical check on the spectral classifiers. Trials draw from a
-generator that jumps ahead exactly, so a fixed seed reproduces the
-histogram bit for bit.
+Every entry point takes the measure first and reads its group from it:
+sample_path(mu, steps, trials, seed), empirical_distributions(mu, ns,
+trials, seed) and exact_powers(mu, ns). Exact powers are always available
+as ground truth; the sampler exists to exercise the probabilistic path
+and as an independent statistical check on the spectral classifiers.
+Trials draw from a generator that jumps ahead exactly, so a fixed seed
+reproduces the histogram bit for bit.
 
 The walk is step-major: step s draws one 64-bit word per trial, the block
 [s*trials, (s+1)*trials) of the seed's stream, maps it to an atom of the
@@ -53,13 +55,11 @@ import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GroupMismatch
 from .groups import MotionGroup, products
 from .measures import GroupMeasure, delta, from_weights, require_probability
 from .reps import _blocks, _dyadic_powers, _measure_of_blocks
@@ -81,49 +81,39 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 MIN_SLICE = 1 << 14
 
 __all__ = [
-    "WalkConfig",
     "sample_path",
-    "empirical_distribution",
     "empirical_distributions",
-    "exact_power",
     "exact_powers",
     "tv_to_uniform",
 ]
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    steps: int
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        # numpy's SeedSequence, which seeds the stream, reads a bool as 0
-        # or 1 and would raise TypeError on a float only once the tables
-        # are built; [0, 2^128) is the range the CLI accepts
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or not 0 <= self.seed < 1 << 128:
-            raise ValueError(f"need an integer seed in [0, 2^128), got {self.seed!r}")
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.steps < 0:
-            raise ValueError(f"need steps >= 0, got {self.steps}")
+def _steps(ns: Sequence[int]) -> List[int]:
+    """ns as ints, read through operator.index (TypeError on a float):
+    nonempty and each >= 0, or ValueError."""
+    ns = [operator.index(n) for n in ns]
+    if len(ns) == 0 or min(ns) < 0:
+        raise ValueError(f"need a nonempty list of steps >= 0, got {ns}")
+    return ns
 
 
-def _increment_cdf(mu: GroupMeasure) -> np.ndarray:
-    """Inverse-CDF table over the element enumeration: element
-    searchsorted(cdf, u, side="right") is the increment for a uniform u in
-    [0, 1). That search is the definition of the draw; the walk reads it
-    through a guide table over the atoms' rises (_guide_table, _lookup).
-    Weights are clipped at 0 so the table is monotone, and it is sealed at
-    1 from the last atom on, so roundoff in the total never draws an
-    element of weight 0. (A total just above 1 leaves entries above 1
-    before the seal; every u < 1 still sees cdf > u switch from false to
-    true exactly once, which is all the search needs.)"""
+def _atoms(mu: GroupMeasure) -> Tuple[np.ndarray, np.ndarray]:
+    """(atoms, cdf): element atoms[searchsorted(cdf, u, side="right")] is
+    the increment for a uniform u in [0, 1). That search is the definition
+    of a draw; the walk reads it through a guide table (_guide_table,
+    _lookup). cdf is the cumsum of the weights clipped at 0, taken over the
+    nonzero ones (adding a 0 is exact, so it is the search over every
+    element), sealed at 1 at its last entry, so roundoff in the total never
+    draws an element of weight 0, and kept where it rises, the only places
+    a search stops. (A total just above 1 leaves entries above 1 before the
+    seal; every u < 1 still sees cdf > u switch from false to true exactly
+    once, which is all the search needs.)"""
     w = np.clip(np.real(mu.weights), 0.0, None)
-    cdf = np.cumsum(w)
-    cdf[np.flatnonzero(w)[-1]:] = 1.0
-    return cdf
+    nonzero = np.flatnonzero(w)
+    cdf = np.cumsum(w[nonzero])
+    cdf[-1] = 1.0
+    rises = np.diff(cdf, prepend=0.0) > 0
+    return nonzero[rises], cdf[rises]
 
 
 def _guide_table(cdf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,33 +149,38 @@ def _lookup(scaled: np.ndarray, guide: np.ndarray, raw: np.ndarray,
     return out
 
 
-def _walk(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int], trials: int,
+def _walk(mu: GroupMeasure, ns: Sequence[int], trials: int,
           seed: int) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
     """(counts, final) of one walk of max(ns) steps: counts[n] is the
     integer histogram of X_n over the trials for each distinct n in ns,
-    final the position index of X_max(ns) per trial. The trials are walked
-    in slices (_slices), each on its own thread."""
+    final the position index of X_max(ns) per trial. Every argument is
+    checked before any table is built. The trials are walked in slices
+    (_slices), each on its own thread."""
     require_probability(mu)
-    if g is not mu.group:
-        raise GroupMismatch("the measure lives on another group")
-    if len(ns) == 0 or min(ns) < 0:
-        raise ValueError(f"need a nonempty list of steps >= 0, got {list(ns)}")
-    cfg = WalkConfig(steps=max(ns), trials=trials, seed=seed)
-    # a search of the full table stops only where it rises, so searching
-    # the rises alone draws the same element for every u
-    cdf = _increment_cdf(mu)
-    atoms = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
-    scaled, guide = _guide_table(cdf[atoms])
+    ns = _steps(ns)
+    # numpy's SeedSequence, which seeds the stream, reads a bool as 0 or 1
+    # and would raise TypeError on a float only once the tables are built;
+    # [0, 2^128) is the range the CLI accepts
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 1 << 128:
+        raise ValueError(f"need an integer seed in [0, 2^128), got {seed!r}")
+    # an int, so that the stream positions the slices seek to are ints
+    trials = operator.index(trials)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    g = mu.group
+    atoms, cdf = _atoms(mu)
+    scaled, guide = _guide_table(cdf)
     # x is held as the row offset x * #atoms into the flat table, whose
     # entries are row offsets too: one add and one gather per step
     k = len(atoms)
     table = products(g, np.arange(g.size)[:, None], atoms).astype(np.intp).ravel() * k
-    x = np.zeros(cfg.trials, dtype=np.intp)
+    x = np.zeros(trials, dtype=np.intp)
     wanted = sorted(set(ns))
-    walk = partial(_walk_slice, scaled, guide, table, k, g.size, wanted, cfg, x)
-    bounds = _slices(cfg.trials)
+    walk = partial(_walk_slice, scaled, guide, table, k, g.size, wanted, trials, seed, x)
+    bounds = _slices(trials)
     if len(bounds) == 2:
-        counts = [walk(0, cfg.trials)]
+        counts = [walk(0, trials)]
     else:
         with ThreadPoolExecutor(len(bounds) - 1) as pool:
             counts = list(pool.map(walk, bounds[:-1], bounds[1:]))
@@ -200,12 +195,13 @@ def _slices(trials: int) -> List[int]:
 
 
 def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int, size: int,
-                wanted: List[int], cfg: WalkConfig, x: np.ndarray, lo: int,
+                wanted: List[int], trials: int, seed: int, x: np.ndarray, lo: int,
                 hi: int) -> List[np.ndarray]:
-    """Walk trials [lo, hi) of the row offsets x in place, from its own
-    generator on the seed's stream; the integer histogram of the positions
-    at each step of wanted, and the positions themselves in x at the end."""
-    bits = np.random.PCG64DXSM(cfg.seed)
+    """Walk trials [lo, hi) of the row offsets x in place up to step
+    wanted[-1], from its own generator on the seed's stream, laid out for
+    a walk of trials trials; the integer histogram of the positions at each
+    step of wanted, and the positions themselves in x at the end."""
+    bits = np.random.PCG64DXSM(seed)
     # a step runs over blocks of TRIAL_BLOCK trials with one block of
     # scratch, so only the positions grow with trials; the blocks draw the
     # slice's words in stream order, the same as one draw of all of them
@@ -215,20 +211,20 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
     for start in range(lo, hi, width):
         xs = x[start:min(start + width, hi)]
         blocks.append((xs, bucket[:len(xs)], row[:len(xs)]))
-    counts, targets = [], set(wanted)
+    counts, targets, steps = [], set(wanted), wanted[-1]
     # the stream position of the slice's next word
     drawn = 0
-    for step in range(cfg.steps + 1):
+    for step in range(steps + 1):
         if step in targets:
             hist = np.zeros(size, dtype=np.intp)
             for xs, _, rs in blocks:
                 hist += np.bincount(np.floor_divide(xs, k, out=rs), minlength=size)
             counts.append(hist)
-        if step == cfg.steps:
+        if step == steps:
             break
         # the slice's words of this step start at stream position
         # step * trials + lo, never behind the words it has drawn
-        at = step * cfg.trials + lo
+        at = step * trials + lo
         bits.advance(at - drawn)
         drawn = at + hi - lo
         for xs, bs, rs in blocks:
@@ -238,28 +234,21 @@ def _walk_slice(scaled: np.ndarray, guide: np.ndarray, table: np.ndarray, k: int
     return counts
 
 
-def sample_path(g: MotionGroup, mu: GroupMeasure, cfg: WalkConfig) -> np.ndarray:
-    """Final position index of X_n = xi_1 xi_2 ... xi_n per trial, with
-    increments drawn i.i.d. by inverse CDF over the canonical element
-    enumeration."""
-    return _walk(g, mu, [cfg.steps], cfg.trials, cfg.seed)[1]
+def sample_path(mu: GroupMeasure, steps: int, trials: int, seed: int) -> np.ndarray:
+    """Final position index of X_steps = xi_1 xi_2 ... xi_steps per trial,
+    with increments drawn i.i.d. from mu by inverse CDF (_atoms)."""
+    return _walk(mu, [steps], trials, seed)[1]
 
 
-def empirical_distributions(g: MotionGroup, mu: GroupMeasure, ns: Sequence[int],
-                            trials: int, seed: int) -> List[GroupMeasure]:
+def empirical_distributions(mu: GroupMeasure, ns: Sequence[int], trials: int,
+                            seed: int) -> List[GroupMeasure]:
     """Histograms of X_n, normalized to probabilities, one per entry of
     ns and in its order, all read from one walk of max(ns) steps. The
-    histogram at n equals empirical_distribution(g, mu, n, trials, seed)
+    histogram at n equals empirical_distributions(mu, [n], trials, seed)
     bit for bit."""
-    counts, _ = _walk(g, mu, ns, trials, seed)
-    hist = {n: from_weights(g, c / trials) for n, c in counts.items()}
+    counts, _ = _walk(mu, ns, trials, seed)
+    hist = {n: from_weights(mu.group, c / trials) for n, c in counts.items()}
     return [hist[n] for n in ns]
-
-
-def empirical_distribution(g: MotionGroup, mu: GroupMeasure, n: int,
-                           trials: int, seed: int) -> GroupMeasure:
-    """Histogram of sample_path endpoints, normalized to a probability."""
-    return empirical_distributions(g, mu, [n], trials, seed)[0]
 
 
 def _on_simplex(g: MotionGroup, w: np.ndarray) -> GroupMeasure:
@@ -277,11 +266,9 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
     lowest first, are read back as soon as its top bit is in and put on
     the simplex (_on_simplex), so two squares and one product per open n
     are held. n = 0 gives the point mass at the identity. The power at n
-    is exact_power(mu, n) bit for bit, whatever the rest of ns."""
+    is exact_powers(mu, [n])[0] bit for bit, whatever the rest of ns."""
     require_probability(mu)
-    ns = [operator.index(n) for n in ns]
-    if len(ns) == 0 or min(ns) < 0:
-        raise ValueError(f"need a nonempty list of n >= 0, got {ns}")
+    ns = _steps(ns)
     g = mu.group
     powers, pending = {0: delta(g, g.identity())}, {}
     for bit, square in enumerate(_dyadic_powers(_blocks(g, mu.weights.real), max(ns))):
@@ -290,11 +277,6 @@ def exact_powers(mu: GroupMeasure, ns: Sequence[int]) -> List[GroupMeasure]:
             if n >> bit == 1:
                 powers[n] = _on_simplex(g, _measure_of_blocks(g, pending.pop(n)))
     return [powers[n] for n in ns]
-
-
-def exact_power(mu: GroupMeasure, n: int) -> GroupMeasure:
-    """mu^n of a probability mu: exact_powers(mu, [n])[0]."""
-    return exact_powers(mu, [n])[0]
 
 
 def tv_to_uniform(dist: GroupMeasure) -> float:

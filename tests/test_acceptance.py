@@ -27,7 +27,7 @@ from motionwalk.rosenblatt import (
     rosenblatt_measure,
     z_multiply,
 )
-from motionwalk.simulate import empirical_distribution, exact_power
+from motionwalk.simulate import empirical_distributions, exact_powers
 from motionwalk.spectral import orbit_spectra, verify_srf
 from motionwalk.suite import acceptance_suite, roster
 
@@ -293,9 +293,9 @@ def test_criterion_9_simulation_consistency(suite):
     assert len(cases) == 10
     for case in cases:
         g = case.group
-        exact = exact_power(case.measure, 8)
-        emp = empirical_distribution(g, case.measure, 8, trials, seed=2026)
-        again = empirical_distribution(g, case.measure, 8, trials, seed=2026)
+        exact = exact_powers(case.measure, [8])[0]
+        emp = empirical_distributions(case.measure, [8], trials, seed=2026)[0]
+        again = empirical_distributions(case.measure, [8], trials, seed=2026)[0]
         assert np.array_equal(emp.weights, again.weights)
         tv = 0.5 * float(np.abs(emp.weights - exact.weights).sum())
         bound = 4.0 * np.sqrt(g.size / trials)

@@ -491,6 +491,18 @@ def test_cross_check_rejects_bad_n_max(order10, budget):
         cross_check(uniform(order10), **{budget: 100})
 
 
+@pytest.mark.parametrize("check", [
+    lambda mu, n: cross_check(mu, mixing_n_max=n),
+    lambda mu, n: cross_check(mu, ergodic_n_max=n),
+    empirical_mixing, empirical_ergodic, empirical_weak_mixing,
+], ids=["cross_check-mixing", "cross_check-ergodic", "mixing", "ergodic", "weak_mixing"])
+@pytest.mark.parametrize("n_max", [np.int64(64), np.uint16(64)])
+def test_curve_budgets_take_numpy_integers(order10, check, n_max):
+    # a numpy budget once failed on int.bit_length; the curve is the int's
+    mu = two_atom_walk(order10)
+    assert check(mu, n_max) == check(mu, 64)
+
+
 def test_empirical_ergodic_patterns(order10):
     curve = empirical_ergodic(uniform(order10), n_max=64)
     assert curve.verdict == "ERGODIC"

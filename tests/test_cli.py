@@ -31,7 +31,7 @@ from motionwalk.errors import ParseError
 from motionwalk.groups import build_motion_group
 from motionwalk.measures import from_weights
 from motionwalk import simulate
-from motionwalk.simulate import empirical_distribution, exact_power, tv_to_uniform
+from motionwalk.simulate import empirical_distributions, exact_powers, tv_to_uniform
 from motionwalk.suite import roster
 
 from oracles import structure
@@ -419,7 +419,7 @@ def test_simulate_rows_from_one_walk(tmp_path, d5, capsys):
     rows = payload["rows"]
     assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
     for r in rows:
-        emp = empirical_distribution(g, mu, r["n"], 3000, seed=5)
+        emp = empirical_distributions(mu, [r["n"]], 3000, seed=5)[0]
         assert r["tv_empirical"] == f"{tv_to_uniform(emp):.12g}"
 
 
@@ -460,7 +460,7 @@ def test_simulate_exact_rows_match_exact_power(tmp_path, d5, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 20]
     for r in rows:
-        assert r["tv_exact"] == f"{tv_to_uniform(exact_power(mu, r['n'])):.12g}"
+        assert r["tv_exact"] == f"{tv_to_uniform(exact_powers(mu, [r['n']])[0]):.12g}"
 
 
 def test_simulate_long_walk_exits_zero(tmp_path, capsys):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from motionwalk import groups
 from motionwalk.errors import NotAGroupTable, NotAHomomorphism, NotInvertible
-from motionwalk.measures import delta, uniform
+from motionwalk.classify import cross_check
+from motionwalk.measures import delta, from_weights, uniform
 from motionwalk.reps import fourier
 from motionwalk.groups import (
     Character,
@@ -70,6 +71,22 @@ def test_trivial_k_group():
     g = trivial_group(2)
     assert g.size == 2
     brute_force_axioms(g)
+
+
+@pytest.mark.parametrize("make, n, d", [
+    (lambda n, d: negation_group(n), np.int64(5), 1),
+    (lambda n, d: trivial_group(n, d), np.int32(3), np.int64(2)),
+    (lambda n, d: rotation_group(n), np.uint8(4), 2),
+], ids=["negation", "trivial", "rotation"])
+def test_numpy_integer_sizes_build_the_int_group(make, n, d):
+    # a numpy n once built a group on which cross_check raised TypeError
+    g, ref = make(n, d), make(int(n), int(d))
+    assert type(g.abelian.modulus) is int and type(g.abelian.rank) is int
+    assert g.abelian == ref.abelian and np.array_equal(g.k.action, ref.k.action)
+    w = np.random.default_rng(3).random(g.size)
+    mus = [from_weights(h, w / w.sum()) for h in (g, ref)]
+    assert cross_check(mus[0], mixing_n_max=16, ergodic_n_max=16) == \
+        cross_check(mus[1], mixing_n_max=16, ergodic_n_max=16)
 
 
 def test_bad_action_is_not_a_homomorphism():

@@ -4,21 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from motionwalk.errors import GroupMismatch, NotProbability
+from motionwalk.errors import NotProbability
 from motionwalk import simulate
 from motionwalk.groups import GElem, multiply
 from motionwalk.cli import MAX_SIM_STEPS
 from motionwalk.measures import delta, from_weights, is_probability, tv_norm, uniform
 from motionwalk.simulate import (
     GUIDE_SIZE,
-    WalkConfig,
+    _atoms,
     _guide_table,
-    _increment_cdf,
     _lookup,
     _walk,
-    empirical_distribution,
     empirical_distributions,
-    exact_power,
     exact_powers,
     sample_path,
     tv_to_uniform,
@@ -26,7 +23,7 @@ from motionwalk.simulate import (
 from motionwalk.spectral import verify_srf
 from motionwalk.suite import acceptance_suite, fast_mixer
 
-from conftest import d4_group, negation_group, rotation_group, trivial_group
+from conftest import d4_group, negation_group, rotation_group
 from oracles import convolve, convolve_powers
 
 
@@ -34,11 +31,21 @@ def two_atom_walk(g):
     return 0.5 * delta(g, GElem((1,), 0)) + 0.5 * delta(g, GElem((0,), 1))
 
 
+def _element_cdf(mu):
+    """The inverse-CDF table over every element of the group, the
+    definition of a draw: element searchsorted(cdf, u, side="right") for a
+    uniform u in [0, 1). Clipped at 0 and sealed at 1 from the last atom
+    on, so an element of weight 0 is never drawn."""
+    w = np.clip(np.real(mu.weights), 0.0, None)
+    cdf = np.cumsum(w)
+    cdf[np.flatnonzero(w)[-1]:] = 1.0
+    return cdf
+
+
 def test_point_mass_paths_are_powers(order10):
     x = GElem((1,), 1)
     mu = delta(order10, x)
-    cfg = WalkConfig(steps=5, trials=64, seed=9)
-    final = sample_path(order10, mu, cfg)
+    final = sample_path(mu, 5, 64, 9)
     acc = order10.identity()
     for _ in range(5):
         acc = multiply(order10, acc, x)
@@ -47,23 +54,23 @@ def test_point_mass_paths_are_powers(order10):
 
 def test_fixed_seed_is_bit_identical(order10):
     mu = two_atom_walk(order10)
-    a = empirical_distribution(order10, mu, 16, 2000, seed=42)
-    b = empirical_distribution(order10, mu, 16, 2000, seed=42)
+    a = empirical_distributions(mu, [16], 2000, seed=42)[0]
+    b = empirical_distributions(mu, [16], 2000, seed=42)[0]
     assert np.array_equal(a.weights, b.weights)
-    c = empirical_distribution(order10, mu, 16, 2000, seed=43)
+    c = empirical_distributions(mu, [16], 2000, seed=43)[0]
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_single_trial_is_point_mass(order10):
     mu = two_atom_walk(order10)
-    d = empirical_distribution(order10, mu, 8, trials=1, seed=1)
+    d = empirical_distributions(mu, [8], trials=1, seed=1)[0]
     assert np.isclose(d.weights.sum().real, 1.0)
     assert (np.abs(d.weights) > 0).sum() == 1
 
 
 def test_uniform_one_step_within_multinomial_bands(order16):
     trials = 40000
-    d = empirical_distribution(order16, uniform(order16), 1, trials, seed=7)
+    d = empirical_distributions(uniform(order16), [1], trials, seed=7)[0]
     p = 1.0 / order16.size
     sigma = np.sqrt(p * (1 - p) / trials)
     assert np.all(np.abs(d.weights.real - p) < 3.5 * sigma)
@@ -76,8 +83,8 @@ def test_empirical_matches_exact_within_envelope(order10, order21):
         (order10, uniform(order10), 4),
         (order21, fast_mixer(order21, 0.3, delta(order21, GElem((1,), 1))), 8),
     ]:
-        emp = empirical_distribution(g, mu, n, trials, seed=11)
-        ex = exact_power(mu, n)
+        emp = empirical_distributions(mu, [n], trials, seed=11)[0]
+        ex = exact_powers(mu, [n])[0]
         gap = 0.5 * tv_norm(emp - ex)
         assert gap <= 4.0 * np.sqrt(g.size / trials)
 
@@ -85,15 +92,15 @@ def test_empirical_matches_exact_within_envelope(order10, order21):
 def test_walk_reaches_uniform_when_radii_contract(order10):
     # spectral radii 0.309/0.809: 64 steps sit deep in the tail
     mu = two_atom_walk(order10)
-    emp = empirical_distribution(order10, mu, 64, 100000, seed=3)
+    emp = empirical_distributions(mu, [64], 100000, seed=3)[0]
     assert tv_to_uniform(emp) < 0.05
 
 
 def test_exact_power_basics(order10):
     mu = two_atom_walk(order10)
-    p0 = exact_power(mu, 0)
+    p0 = exact_powers(mu, [0])[0]
     assert np.isclose(p0.weights[order10.index(order10.identity())], 1.0)
-    p3 = exact_power(mu, 3)
+    p3 = exact_powers(mu, [3])[0]
     ref = convolve(convolve(mu, mu), mu)
     assert np.allclose(p3.weights, ref.weights, atol=1e-15)
 
@@ -102,7 +109,7 @@ def test_exact_power_and_verify_srf_build_no_mult_table(no_mult_table):
     # convolution runs on the FFT and the dual table, never on |G| x |G|
     g = negation_group(6)
     mu = two_atom_walk(g)
-    exact_power(mu, 5)
+    exact_powers(mu, [5])
     verify_srf(mu)
 
 
@@ -110,7 +117,7 @@ def _oracle_walk(g, mu, steps, trials, seed):
     """Positions after 0..steps steps, from the whole steps x trials block
     of uniforms drawn at once."""
     u = np.random.Generator(np.random.PCG64DXSM(seed)).random((steps, trials))
-    increments = np.searchsorted(_increment_cdf(mu), u, side="right")
+    increments = np.searchsorted(_element_cdf(mu), u, side="right")
     table = g.mult_table()
     x = np.zeros(trials, dtype=np.int64)
     out = [x]
@@ -142,7 +149,7 @@ def _oracle_weights(g, kind):
 
 
 def _assert_walk_matches(g, mu, ns, trials, seed, ref):
-    counts, final = _walk(g, mu, ns, trials, seed)
+    counts, final = _walk(mu, ns, trials, seed)
     assert sorted(counts) == sorted(set(ns))
     for n in ns:
         assert counts[n].dtype.kind == "i"
@@ -162,7 +169,7 @@ def test_streamed_walk_matches_block_oracle(request, monkeypatch, group, kind):
     ref = _oracle_walk(g, mu, steps, trials, seed)
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulate, "WORKERS", workers)
-        assert np.array_equal(sample_path(g, mu, WalkConfig(steps, trials, seed)), ref[steps])
+        assert np.array_equal(sample_path(mu, steps, trials, seed), ref[steps])
         _assert_walk_matches(g, mu, [0, 1, 3, 7, 12], trials, seed, ref)
 
 
@@ -200,8 +207,8 @@ def test_walk_builds_no_mult_table(no_mult_table):
     # the walk steps through right products by the atoms only
     g = negation_group(6)
     mu = two_atom_walk(g)
-    empirical_distributions(g, mu, [3, 8], 200, seed=1)
-    sample_path(g, mu, WalkConfig(5, 200, 1))
+    empirical_distributions(mu, [3, 8], 200, seed=1)
+    sample_path(mu, 5, 200, 1)
 
 
 def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
@@ -214,9 +221,9 @@ def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
     w[atoms] = [0.5, 0.2, 0.1, 0.1, 0.1]
     mu = from_weights(g, w)
     steps, trials, seed = 16, 1000, 2
-    final = sample_path(g, mu, WalkConfig(steps, trials, seed))
+    final = sample_path(mu, steps, trials, seed)
     u = np.random.Generator(np.random.PCG64DXSM(seed)).random((steps, trials))
-    increments = np.searchsorted(_increment_cdf(mu), u, side="right")
+    increments = np.searchsorted(_element_cdf(mu), u, side="right")
     for t in range(20):
         x = g.identity()
         for step in range(steps):
@@ -227,7 +234,7 @@ def test_walk_on_large_group_builds_no_mult_table(no_mult_table):
 def test_exact_powers_square_one_chain(order18, monkeypatch):
     # one block stack and one chain of squarings up to the top bit of
     # max(ns) per call, one read-back per distinct n > 0; every power
-    # equals its own exact_power bit for bit
+    # equals its own one-entry call bit for bit
     mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
     calls = {}
 
@@ -254,7 +261,7 @@ def test_exact_powers_square_one_chain(order18, monkeypatch):
         assert calls == {"_blocks": 1, "_dyadic_powers": 1, "squares": squares,
                          "_measure_of_blocks": reads}
         for n, power in zip(ns, powers):
-            assert np.array_equal(power.weights, exact_power(mu, n).weights)
+            assert np.array_equal(power.weights, exact_powers(mu, [n])[0].weights)
     # mu^1 is mu read back from its blocks: equal to roundoff, not bit for bit
     assert np.abs(powers[0].weights - mu.weights).max() <= 1e-15
     assert np.array_equal(powers[6].weights, delta(order18, order18.identity()).weights)
@@ -327,14 +334,14 @@ def test_empirical_distributions_rows_are_prefixes(order18):
     # equals its own n-step walk bit for bit
     mu = fast_mixer(order18, 0.4, delta(order18, GElem((1, 0), 1)))
     ns = [16, 1, 5, 2, 5, 0]
-    rows = empirical_distributions(order18, mu, ns, 3000, seed=8)
+    rows = empirical_distributions(mu, ns, 3000, seed=8)
     assert len(rows) == len(ns)
     for n, row in zip(ns, rows):
-        assert np.array_equal(row.weights, empirical_distribution(order18, mu, n, 3000, seed=8).weights)
+        assert np.array_equal(row.weights, empirical_distributions(mu, [n], 3000, seed=8)[0].weights)
     with pytest.raises(ValueError):
-        empirical_distributions(order18, mu, [3, -1], 10, seed=0)
+        empirical_distributions(mu, [3, -1], 10, seed=0)
     with pytest.raises(ValueError):
-        empirical_distributions(order18, mu, [], 10, seed=0)
+        empirical_distributions(mu, [], 10, seed=0)
 
 
 def test_inverse_cdf_draws_last_atom_at_the_top(order10):
@@ -345,15 +352,17 @@ def test_inverse_cdf_draws_last_atom_at_the_top(order10):
     w[[1, 4, last_atom]] = [0.25, 0.25, 0.5 - 1e-13]
     w[6] = -5e-13  # allowed roundoff below 0
     mu = from_weights(order10, w)
-    cdf = _increment_cdf(mu)
+    atoms, cdf = _atoms(mu)
     assert np.all(np.diff(cdf) >= 0)
     u = np.array([0.0, 0.3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)])
-    drawn = np.searchsorted(cdf, u, side="right")
+    drawn = atoms[np.searchsorted(cdf, u, side="right")]
     assert drawn.tolist() == [1, 4, 4, last_atom, last_atom]
+    assert np.array_equal(drawn, np.searchsorted(_element_cdf(mu), u, side="right"))
     # mass 1 + 9e-13: the entry above 1 before the seal still draws atoms
     w = np.zeros(order10.size)
     w[[2, 5]] = [1.0 + 5e-13, 4e-13]
-    drawn = np.searchsorted(_increment_cdf(from_weights(order10, w)), u, side="right")
+    atoms, cdf = _atoms(from_weights(order10, w))
+    drawn = atoms[np.searchsorted(cdf, u, side="right")]
     assert drawn.tolist() == [2] * len(u)
 
 
@@ -395,8 +404,7 @@ def test_guide_lookup_matches_search():
     # the walk's own tables: flat steps, and a total above 1 before the seal
     g = rotation_group(4)
     for kind in ("dense", "sparse", "zero-width", "above-one", "crowded"):
-        cdf = _increment_cdf(from_weights(g, _oracle_weights(g, kind)))
-        _lookup_oracle(cdf[np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)], words)
+        _lookup_oracle(_atoms(from_weights(g, _oracle_weights(g, kind)))[1], words)
 
 
 def test_pcg64dxsm_words_form_the_generator_uniforms():
@@ -423,31 +431,23 @@ def test_tv_to_uniform_values(order10):
 def test_probability_is_enforced(order10):
     bad = from_weights(order10, np.full(order10.size, 0.3))
     with pytest.raises(NotProbability):
-        sample_path(order10, bad, WalkConfig(4, 10, 0))
+        sample_path(bad, 4, 10, 0)
     with pytest.raises(NotProbability):
         tv_to_uniform(bad)
     with pytest.raises(NotProbability):
         exact_powers(bad, [2])
 
 
-def test_walk_rejects_a_measure_from_another_group():
-    mu = two_atom_walk(negation_group(5))
-    g = rotation_group(2)
-    with pytest.raises(GroupMismatch):
-        sample_path(g, mu, WalkConfig(4, 10, 0))
-    with pytest.raises(GroupMismatch):
-        empirical_distributions(g, mu, [1, 2], 100, 0)
-
-
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, False, np.True_, "3", -1, 2 ** 128])
-def test_walk_rejects_a_seed_that_is_no_philox_key(order10, monkeypatch, seed):
+def test_walk_rejects_a_non_128_bit_seed(order10, monkeypatch, seed):
     # a bool would walk as seed 0 or 1; every bad seed is refused before
     # the product table is built
-    with pytest.raises(ValueError, match="seed"):
-        WalkConfig(4, 10, seed)
     monkeypatch.setattr(simulate, "products", lambda *args: pytest.fail("table built"))
+    mu = two_atom_walk(order10)
     with pytest.raises(ValueError, match="seed"):
-        empirical_distributions(order10, two_atom_walk(order10), [1, 2], 10, seed)
+        sample_path(mu, 4, 10, seed)
+    with pytest.raises(ValueError, match="seed"):
+        empirical_distributions(mu, [1, 2], 10, seed)
 
 
 @pytest.mark.parametrize("ns", [[np.int64(3)], np.arange(1, 9), [np.uint8(5), 0, 2]])
@@ -456,11 +456,41 @@ def test_exact_powers_take_numpy_integers(order10, ns):
     mu = two_atom_walk(order10)
     got, want = exact_powers(mu, ns), exact_powers(mu, [int(n) for n in ns])
     assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want, strict=True))
-    empirical_distributions(order10, mu, ns, 10, seed=1)
+    empirical_distributions(mu, ns, 10, seed=1)
 
 
-def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(steps=4, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        WalkConfig(steps=-1, trials=5, seed=1)
+@pytest.mark.parametrize("trials", [np.int64(3), np.uint64(3), np.int32(40000)])
+def test_walk_takes_numpy_integer_trials(order10, trials):
+    # numpy trials once made the stream positions numpy scalars, which
+    # PCG64DXSM.advance refused; the walk is the one of the same int
+    mu = two_atom_walk(order10)
+    want = empirical_distributions(mu, [0, 5], int(trials), seed=4)
+    got = empirical_distributions(mu, [np.int64(0), 5], trials, seed=4)
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want, strict=True))
+    assert np.array_equal(sample_path(mu, np.int64(5), trials, 4), sample_path(mu, 5, int(trials), 4))
+
+
+@pytest.mark.parametrize("ns", [[1.5], [2, 3.0], [np.float64(4)], ["2"]])
+def test_steps_are_checked_as_integers_before_any_table(order10, monkeypatch, ns):
+    # a float step once built the product table and only then failed in range
+    monkeypatch.setattr(simulate, "products", lambda *args: pytest.fail("table built"))
+    monkeypatch.setattr(simulate, "_blocks", lambda *args: pytest.fail("blocks built"))
+    mu = two_atom_walk(order10)
+    with pytest.raises(TypeError):
+        empirical_distributions(mu, ns, 10, seed=1)
+    with pytest.raises(TypeError):
+        sample_path(mu, ns[-1], 10, 1)
+    with pytest.raises(TypeError):
+        exact_powers(mu, ns)
+
+
+def test_walk_config_validation(order10, monkeypatch):
+    # trials and steps are refused before the product table is built
+    monkeypatch.setattr(simulate, "products", lambda *args: pytest.fail("table built"))
+    mu = two_atom_walk(order10)
+    for walk in (lambda steps, trials: sample_path(mu, steps, trials, 1),
+                 lambda steps, trials: empirical_distributions(mu, [steps], trials, 1)):
+        with pytest.raises(ValueError):
+            walk(4, 0)
+        with pytest.raises(ValueError):
+            walk(-1, 5)
